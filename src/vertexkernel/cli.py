@@ -3,18 +3,17 @@
 Input files are either presentations ({"builtin": "virasoro"} or inline
 generator/product JSON) or constructions ({"presentation": ..., "semigroup":
 {"rank": 1, "group": true}, "phi": [[...]]}).  Exit codes: 0 all checks pass,
-1 some check failed, 2 malformed input.  JSON reports are byte-deterministic
+1 some check failed, 2 malformed input, a negative bound, or an input too
+large or too deep to evaluate.  JSON reports are byte-deterministic
 for identical inputs (timings appear only in text output); every sweep is
 exhaustive over its window, so --seed is accepted only for interface
-stability.  VERTEXKERNEL_THREADS > 1 runs independent suites concurrently.
+stability.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import serialize
 from .coalgebra import check_coalgebra, check_delta_morphism, primitive_subspace
@@ -73,13 +72,6 @@ def _emit(args, payload, text_lines):
         print(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2))
     else:
         print("\n".join(text_lines))
-
-
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("VERTEXKERNEL_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load(args):
@@ -213,27 +205,21 @@ def _suite_jobs(suite, pres, rank, group, targets, mw, win, tb):
 
 
 def cmd_check(args):
+    for flag, value in (("--max-weight", args.max_weight),
+                        ("--mode-window", args.mode_window),
+                        ("--torsion-bound", args.torsion_bound)):
+        if value is not None and value < 0:
+            raise InputError(f"{flag} must be nonnegative, got {value}")
     pres, rank, group, targets = _load(args)
     jobs = _suite_jobs(args.suite, pres, rank, group, targets,
                        args.max_weight, args.mode_window, args.torsion_bound)
 
-    def run(job):
-        t0 = time.perf_counter()
-        rep = job[1]()
-        return rep, time.perf_counter() - t0
-
-    threads = _thread_count()
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-
     merged = ValidationReport(subject=f"check:{args.suite}")
-    for rep, _ in results:
-        merged.merge(rep)
-    lines = [f"{name}: {elapsed * 1000:.0f} ms"
-             for (name, _), (_, elapsed) in zip(jobs, results)]
+    lines = []
+    for name, job in jobs:
+        t0 = time.perf_counter()
+        merged.merge(job())
+        lines.append(f"{name}: {(time.perf_counter() - t0) * 1000:.0f} ms")
     lines.append(merged.summary())
     _emit(args, {"command": "check", "suite": args.suite,
                  "passed": merged.passed, "report": merged.to_json()}, lines)
@@ -330,6 +316,13 @@ def main(argv=None):
         return handlers[args.command](args)
     except (InputError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply for the evaluator "
+              "(Python recursion limit reached)", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try smaller inputs or bounds", file=sys.stderr)
         return 2
 
 

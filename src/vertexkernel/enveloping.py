@@ -20,7 +20,8 @@ from .errors import InputError, UnsupportedError
 from .lincomb import LinComb, binom, inv_factorial, sign_pow
 from .report import ValidationReport
 
-__all__ = ["VacuumModule", "skew_defect_on", "commutator_defect_on", "jacobi_defect_on"]
+__all__ = ["VacuumModule", "skew_defect_on", "commutator_defect_on", "jacobi_defect_on",
+           "skew_sweep", "commutator_sweep", "jacobi_sweep"]
 
 _ZERO = LinComb()
 
@@ -288,17 +289,6 @@ class VacuumModule:
     def graded_dimension(self, weight, torsion_bound=0):
         return len(self.basis_words(weight, torsion_bound))
 
-    # -- identity checks ---------------------------------------------------------
-
-    def skew_defect(self, u, n, v):
-        return skew_defect_on(self, u, n, v)
-
-    def commutator_defect(self, u, m, v, n, w):
-        return commutator_defect_on(self, u, m, v, n, w)
-
-    def jacobi_defect(self, u, v, w, p, q, r):
-        return jacobi_defect_on(self, u, v, w, p, q, r)
-
     # -- windowed sweeps -----------------------------------------------------------
 
     def _graded_basis_states(self, max_weight, torsion_bound):
@@ -351,53 +341,31 @@ class VacuumModule:
     def check_skew_symmetry(self, max_weight=3, window=3, torsion_bound=1):
         rep = ValidationReport(subject="vacuum-module")
         states = self._graded_basis_states(max_weight, torsion_bound)
-        fails, total = [], 0
-        for u in states:
-            for v in states:
-                for n in range(-window, window + 1):
-                    total += 1
-                    d = self.skew_defect(u, n, v)
-                    if d:
-                        fails.append(f"skew-symmetry fails at "
-                                     f"({self.format_state(u)})_{n}({self.format_state(v)})")
-        rep.record("skew-symmetry", fails, total)
+        total, fails = skew_sweep(self, states, range(-window, window + 1))
+        fmt = self.format_state
+        rep.record("skew-symmetry", [f"skew-symmetry fails at ({fmt(u)})_{n}({fmt(v)})"
+                                     for u, n, v in fails], total)
         return rep
 
     def check_commutator(self, max_weight=4, window=3, torsion_bound=1):
         rep = ValidationReport(subject="vacuum-module")
         states = self._graded_basis_states(max_weight, torsion_bound)
-        fails, total = [], 0
-        for u in states:
-            for v in states:
-                for w in states:
-                    for m in range(-window, window + 1):
-                        for n in range(-window, window + 1):
-                            total += 1
-                            if self.commutator_defect(u, m, v, n, w):
-                                fails.append(
-                                    f"[u({m}),v({n})]w defect at u={self.format_state(u)}, "
-                                    f"v={self.format_state(v)}, w={self.format_state(w)}")
-        rep.record("borcherds-commutator", fails, total)
+        total, fails = commutator_sweep(self, states, range(-window, window + 1))
+        fmt = self.format_state
+        rep.record("borcherds-commutator",
+                   [f"[u({m}),v({n})]w defect at u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"
+                    for u, m, v, n, w in fails], total)
         return rep
 
     def check_jacobi(self, max_weight=3, window=3, torsion_bound=1):
         rep = ValidationReport(subject="vacuum-module")
         states = self._graded_basis_states(max_weight, torsion_bound)
-        rng = range(-window, window + 1)
-        fails, total = [], 0
-        for u in states:
-            for v in states:
-                for w in states:
-                    for p in rng:
-                        for q in rng:
-                            for r in rng:
-                                total += 1
-                                if self.jacobi_defect(u, v, w, p, q, r):
-                                    fails.append(
-                                        f"Jacobi coefficient ({p},{q},{r}) defect at "
-                                        f"u={self.format_state(u)}, v={self.format_state(v)}, "
-                                        f"w={self.format_state(w)}")
-        rep.record("jacobi-identity", fails, total)
+        total, fails = jacobi_sweep(self, states, range(-window, window + 1))
+        fmt = self.format_state
+        rep.record("jacobi-identity",
+                   [f"Jacobi coefficient ({p},{q},{r}) defect at "
+                    f"u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"
+                    for u, v, w, p, q, r in fails], total)
         return rep
 
     # -- formatting ---------------------------------------------------------------
@@ -461,3 +429,130 @@ def jacobi_defect_on(alg, u, v, w, p, q, r):
             out.add_into(alg.state_mode(uv, -q - r - i - 2, w),
                          -sign_pow(i) * binom(q + i, i))
     return out
+
+
+# -- identity sweeps, generic over mode algebras ---------------------------------------
+# Each sweep runs its defect over every instance, in the loop order of the defect's
+# arguments (states outermost, modes innermost), and returns (instances, failing
+# instances); a failing instance is the defect's argument tuple.  Subterms shared
+# between instances are evaluated once.  Each defect is the exact sum of the same
+# terms, with the same coefficients, as its *_defect_on reference.  Cached states are
+# shared, so every defect accumulates into a fresh LinComb.
+
+
+def _products(alg, states):
+    """states[i]_k states[j], keyed by (i, k, j) for a whole sweep."""
+    table = {}
+
+    def prod(i, k, j):
+        key = (i, k, j)
+        out = table.get(key)
+        if out is None:
+            out = table[key] = alg.state_mode(states[i], k, states[j])
+        return out
+    return prod
+
+
+def skew_sweep(alg, states, modes):
+    """skew_defect_on(alg, u, n, v) for u, v in states and n in modes."""
+    prod = _products(alg, states)
+    weights = [alg.state_weight(s) for s in states]
+    total, fails = 0, []
+    for a, u in enumerate(states):
+        for b, v in enumerate(states):
+            bound = weights[a] + weights[b]
+            powers = {}  # k -> [v_k u, D(v_k u), D^2(v_k u), ...]
+            for n in modes:
+                total += 1
+                out = LinComb().add_into(prod(a, n, b))
+                for j in range(0, max(bound - n, 0) + 1):
+                    k = n + j
+                    p = prod(b, k, a)
+                    if p:
+                        ds = powers.get(k)
+                        if ds is None:
+                            ds = powers[k] = [p]
+                        while len(ds) <= j:
+                            ds.append(alg.D(ds[-1]))
+                        out.add_into(ds[j], -sign_pow(k + 1) * inv_factorial(j))
+                if out:
+                    fails.append((u, n, v))
+    return total, fails
+
+
+def commutator_sweep(alg, states, modes):
+    """commutator_defect_on(alg, u, m, v, n, w) for u, v, w in states and m, n in modes."""
+    prod = _products(alg, states)
+    weights = [alg.state_weight(s) for s in states]
+    total, fails = 0, []
+    for a, u in enumerate(states):
+        for b, v in enumerate(states):
+            jmax = weights[a] + weights[b]
+            for c, w in enumerate(states):
+                iterates = {}  # (j, k) -> (u_j v)_k w
+                for m in modes:
+                    for n in modes:
+                        total += 1
+                        out = alg.state_mode(u, m, prod(b, n, c))
+                        out.add_into(alg.state_mode(v, n, prod(a, m, c)), -1)
+                        for j in range(0, jmax):
+                            bj = binom(m, j)
+                            if bj:
+                                key = (j, m + n - j)
+                                t = iterates.get(key)
+                                if t is None:
+                                    ujv = prod(a, j, b)
+                                    t = alg.state_mode(ujv, m + n - j, w) if ujv else _ZERO
+                                    iterates[key] = t
+                                out.add_into(t, -bj)
+                        if out:
+                            fails.append((u, m, v, n, w))
+    return total, fails
+
+
+def jacobi_sweep(alg, states, modes):
+    """jacobi_defect_on(alg, u, v, w, p, q, r) for u, v, w in states and p, q, r in modes."""
+    prod = _products(alg, states)
+    weights = [alg.state_weight(s) for s in states]
+    total, fails = 0, []
+    for a, u in enumerate(states):
+        wu = weights[a]
+        for b, v in enumerate(states):
+            wv = weights[b]
+            for c, w in enumerate(states):
+                ww = weights[c]
+                # u_{-s-i-2}(v_{i-r-1}w) by (p+q, i, r), v_{-s-i-2}(u_{i-q-1}w) by
+                # (p+r, i, q) and (u_{i-p-1}v)_{-s-i-2}w by (p, i, q+r)
+                ta, tb, tc = {}, {}, {}
+                for p in modes:
+                    for q in modes:
+                        for r in modes:
+                            total += 1
+                            out = LinComb()
+                            s = p + q
+                            for i in range(0, max(wv + ww + r, -1) + 1):
+                                t = ta.get((s, i, r))
+                                if t is None:
+                                    inner = prod(b, i - r - 1, c)
+                                    t = alg.state_mode(u, -s - i - 2, inner) if inner else _ZERO
+                                    ta[(s, i, r)] = t
+                                out.add_into(t, sign_pow(i) * binom(-p - 1, i))
+                            s = p + r
+                            for i in range(0, max(wu + ww + q, -1) + 1):
+                                t = tb.get((s, i, q))
+                                if t is None:
+                                    inner = prod(a, i - q - 1, c)
+                                    t = alg.state_mode(v, -s - i - 2, inner) if inner else _ZERO
+                                    tb[(s, i, q)] = t
+                                out.add_into(t, sign_pow(p + i) * binom(-p - 1, i))
+                            s = q + r
+                            for i in range(0, max(wu + wv + p, -1) + 1):
+                                t = tc.get((p, i, s))
+                                if t is None:
+                                    uv = prod(a, i - p - 1, b)
+                                    t = alg.state_mode(uv, -s - i - 2, w) if uv else _ZERO
+                                    tc[(p, i, s)] = t
+                                out.add_into(t, -sign_pow(i) * binom(q + i, i))
+                            if out:
+                                fails.append((u, v, w, p, q, r))
+    return total, fails

@@ -5,7 +5,7 @@ demand.  Everything is dense fraction-exact Gaussian elimination, which is
 plenty for the graded pieces handled here.
 """
 
-from .lincomb import Fraction, LinComb
+from .lincomb import Fraction
 
 __all__ = ["rank_of", "kernel_coefficients"]
 
@@ -73,16 +73,3 @@ def kernel_coefficients(vectors):
             x[pc] = -rows[r][fc]
         basis.append(tuple(x))
     return basis
-
-
-def kernel_states(states):
-    """Kernel of the family as LinComb combinations of the given states."""
-    coeffs = kernel_coefficients(states)
-    return coeffs
-
-
-def combine_states(states, coeffs):
-    out = LinComb()
-    for s, c in zip(states, coeffs):
-        out.add_into(s, c)
-    return out

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vertexkernel import cli
 from vertexkernel.cli import main
 
 
@@ -119,6 +120,38 @@ def test_dims_abelian(tmp_path, capsys):
 def test_dims_rejects_negative_bounds(vir_file, capsys):
     assert main(["dims", "--input", vir_file, "--max-weight", "-1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag,value", [("--max-weight", "-1"), ("--mode-window", "-2"),
+                                        ("--torsion-bound", "-3")])
+def test_check_rejects_negative_bounds(vir_file, capsys, flag, value):
+    assert main(["check", "--input", vir_file, "--suite", "skew", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} must be nonnegative, got {value}\n"
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_resource_errors_exit_two(vir_file, capsys, monkeypatch, exc):
+    def exhausted(args):
+        raise exc()
+    monkeypatch.setattr(cli, "cmd_dims", exhausted)
+    assert main(["dims", "--input", vir_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deep_word_is_not_an_axiom_failure(tmp_path, capsys):
+    # 1100 modes nest deeper than Python's default recursion limit.  Exit 1
+    # is reserved for a failed axiom, and no traceback may escape.
+    p = tmp_path / "heis.json"
+    p.write_text(json.dumps({"builtin": "heisenberg", "rank": 1}))
+    state = "h(-1)" * 1100 + "|0⟩"
+    code = main(["compute", "mode", "h", "1", state, "--input", str(p)])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_check_single_suites(vir_file, capsys):
