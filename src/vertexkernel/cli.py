@@ -109,28 +109,29 @@ def _suite_jobs(suite, pres, rank, group, targets, mw, win, tb):
             raise InputError(f"suite {name!r} needs a construction input file "
                              "(with a \"semigroup\" field)")
 
+    def mw_or(default):
+        return default if mw is None else mw
+
+    def win_or(default):
+        return default if win is None else win
+
     for name in want:
         if name == "validate":
             jobs.append(("validate", pres.validate))
         elif name == "skew":
             jobs.append(("skew", lambda: vm.check_skew_symmetry(
-                max_weight=mw if mw is not None else 5,
-                window=win if win is not None else 4, torsion_bound=tb)))
+                max_weight=mw_or(5), window=win_or(4), torsion_bound=tb)))
         elif name == "commutator":
             jobs.append(("commutator", lambda: vm.check_commutator(
-                max_weight=mw if mw is not None else 3,
-                window=win if win is not None else 4, torsion_bound=tb)))
+                max_weight=mw_or(3), window=win_or(4), torsion_bound=tb)))
         elif name == "jacobi":
             jobs.append(("jacobi", lambda: vm.check_jacobi(
-                max_weight=mw if mw is not None else 2,
-                window=win if win is not None else 2, torsion_bound=tb)))
+                max_weight=mw_or(2), window=win_or(2), torsion_bound=tb)))
         elif name == "coalgebra":
             def coalgebra_job():
-                rep = check_coalgebra(vm, max_weight=mw if mw is not None else 5,
-                                      torsion_bound=tb)
-                rep.merge(check_delta_morphism(
-                    vm, max_weight=mw if mw is not None else 3,
-                    window=win if win is not None else 3, torsion_bound=tb))
+                rep = check_coalgebra(vm, max_weight=mw_or(5), torsion_bound=tb)
+                rep.merge(check_delta_morphism(vm, max_weight=mw_or(3), window=win_or(3),
+                                               torsion_bound=tb))
                 return rep
             jobs.append(("coalgebra", coalgebra_job))
         elif name == "tensor-phi":
@@ -141,27 +142,21 @@ def _suite_jobs(suite, pres, rank, group, targets, mw, win, tb):
                 if not rep.passed:
                     return rep
                 tp = TensorPhiAlgebra(vm, SemigroupL(rank, group), phi)
-                rep.merge(check_tensor_phi_axioms(
-                    tp, max_weight=mw if mw is not None else 1,
-                    window=win if win is not None else 2,
-                    alpha_bound=1, torsion_bound=tb))
-                rep.merge(check_group_like_semigroup(
-                    tp, alpha_bound=3, window=win if win is not None else 4))
+                rep.merge(check_tensor_phi_axioms(tp, max_weight=mw_or(1), window=win_or(2),
+                                                  alpha_bound=1, torsion_bound=tb))
+                rep.merge(check_group_like_semigroup(tp, alpha_bound=3, window=win_or(4)))
                 rep.merge(check_component_structure(
-                    tp, max_weight=mw if mw is not None else 2, alpha_bound=2,
-                    window=win if win is not None else 3, torsion_bound=tb))
+                    tp, max_weight=mw_or(2), alpha_bound=2, window=win_or(3),
+                    torsion_bound=tb))
                 return rep
             jobs.append(("tensor-phi", tensor_phi_job))
         elif name == "bl":
             need_construction(name)
             def bl_job():
                 sg = SemigroupL(rank, group)
-                rep = check_bl_bialgebra(BL(sg),
-                                         max_weight=mw if mw is not None else 3,
-                                         alpha_bound=2)
-                rep.merge(check_bl_equals_tensor_phi(
-                    sg, max_weight=mw if mw is not None else 3, alpha_bound=2,
-                    window=win if win is not None else 4))
+                rep = check_bl_bialgebra(BL(sg), max_weight=mw_or(3), alpha_bound=2)
+                rep.merge(check_bl_equals_tensor_phi(sg, max_weight=mw_or(3), alpha_bound=2,
+                                                     window=win_or(4)))
                 return rep
             jobs.append(("bl", bl_job))
         elif name == "morphism":
@@ -173,16 +168,15 @@ def _suite_jobs(suite, pres, rank, group, targets, mw, win, tb):
                         _, r1 = extend_universal_morphism(
                             bl, bl, bl.group_like,
                             lambda i: bl.monomial([(bl.names[i], -1)]),
-                            max_weight=mw if mw is not None else 2, alpha_bound=1)
+                            max_weight=mw_or(2), alpha_bound=1)
                         rep.merge(r1)
                     except MorphismError as exc:
                         rep.add("morphism-extension-exists", False, witness=str(exc))
                     try:
                         emb = {nm: bl.monomial([(nm, -1)]) for nm in bl.names}
                         _, r2 = induced_vertex_morphism(
-                            bl.pres, emb, bl,
-                            max_weight=mw if mw is not None else 2,
-                            window=win if win is not None else 3, torsion_bound=0)
+                            bl.pres, emb, bl, max_weight=mw_or(2), window=win_or(3),
+                            torsion_bound=0)
                         rep.merge(r2)
                     except MorphismError as exc:
                         rep.add("morphism-induced-exists", False, witness=str(exc))
@@ -194,8 +188,8 @@ def _suite_jobs(suite, pres, rank, group, targets, mw, win, tb):
                         emb = {g.name: vm.embed(pres.element(g.name))
                                for g in pres.generators}
                         _, r = induced_vertex_morphism(
-                            pres, emb, vm, max_weight=mw if mw is not None else 2,
-                            window=win if win is not None else 3, torsion_bound=tb)
+                            pres, emb, vm, max_weight=mw_or(2), window=win_or(3),
+                            torsion_bound=tb)
                         rep.merge(r)
                     except MorphismError as exc:
                         rep.add("morphism-induced-exists", False, witness=str(exc))

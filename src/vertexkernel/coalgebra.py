@@ -8,11 +8,16 @@ and eps as morphisms for every mode product — together with primitive /
 group-like extraction.  It also implements the free divided-power bialgebra
 and the universal enveloping algebra of a finite-dimensional Lie algebra,
 related by the divided-power comparison map psi.
+
+The coalgebra laws, Delta/eps multiplicativity, Delta/eps intertwining and the
+primitive kernel are each written once, over the protocol every model shares
+(delta, eps, product, format_state), and used by all of them.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iproduct
 
+from .enveloping import split_sorted_word
 from .errors import InputError, UnsupportedError
 from .linalg import kernel_coefficients, rank_of
 from .lincomb import LinComb, binom, inv_factorial
@@ -57,21 +62,23 @@ def is_group_like(vm, state):
     return vm.eps(state) == 1 and not group_like_defect(vm, state)
 
 
-def primitive_subspace(vm, weight, torsion_bound=0):
-    """Basis of the primitives in the (weight, <= torsion_bound) graded piece.
+def _combination(states, coeffs):
+    out = LinComb()
+    for s, c in zip(states, coeffs):
+        out.add_into(s, c)
+    return out
 
-    Exact kernel of u |-> Delta(u) - u(x)|0> - |0>(x)u on the graded basis.
-    """
-    words = vm.basis_words(weight, torsion_bound)
-    states = [vm.word_state(w) for w in words]
-    defects = [primitive_defect(vm, s) for s in states]
-    basis = []
-    for coeffs in kernel_coefficients(defects):
-        v = LinComb()
-        for s, c in zip(states, coeffs):
-            v.add_into(s, c)
-        basis.append(v)
-    return basis
+
+def primitive_basis(obj, states):
+    """Basis of the primitives in the span of states: the exact kernel of
+    u |-> Delta(u) - u(x)1 - 1(x)u."""
+    defects = [primitive_defect(obj, s) for s in states]
+    return [_combination(states, coeffs) for coeffs in kernel_coefficients(defects)]
+
+
+def primitive_subspace(vm, weight, torsion_bound=0):
+    """Basis of the primitives in the (weight, <= torsion_bound) graded piece."""
+    return primitive_basis(vm, [vm.word_state(w) for w in vm.basis_words(weight, torsion_bound)])
 
 
 def group_like_scan(obj, basis_states):
@@ -116,13 +123,7 @@ def group_like_scan(obj, basis_states):
         if not all(v.is_Rational for v in vals):
             raise UnsupportedError("group-like solve produced irrational coordinates")
         found.append(tuple(Fraction(int(v.p), int(v.q)) for v in vals))
-    out = []
-    for coeffs in sorted(set(found)):
-        g = LinComb()
-        for s, c in zip(basis_states, coeffs):
-            g.add_into(s, c)
-        out.append(g)
-    return out
+    return [_combination(basis_states, coeffs) for coeffs in sorted(set(found))]
 
 
 # -- coalgebra axiom checks ----------------------------------------------------------
@@ -171,28 +172,77 @@ def d_coderivation_defect(obj, state):
     return lhs - rhs
 
 
-def check_coalgebra(vm, max_weight=5, torsion_bound=1):
-    """Coassociativity, counit laws, cocommutativity and the D-coderivation
-    rule on all basis states up to max_weight."""
-    rep = ValidationReport(subject="coalgebra")
-    states = vm._graded_basis_states(max_weight, torsion_bound)
-    coassoc, counit, cocomm, codev = [], [], [], []
+def coalgebra_laws(obj, states, subject):
+    """Coassociativity, the counit laws and cocommutativity on each state, as a
+    report on subject; witnesses are rendered by obj.format_state."""
+    rep = ValidationReport(subject=subject)
+    coassoc, counit, cocomm = [], [], []
     for s in states:
-        name = vm.format_state(s)
-        if coassociativity_defect(vm, s):
-            coassoc.append(f"coassociativity fails at {name}")
-        dl, dr = counit_law_defects(vm, s)
+        if coassociativity_defect(obj, s):
+            coassoc.append(f"coassociativity fails at {obj.format_state(s)}")
+        dl, dr = counit_law_defects(obj, s)
         if dl or dr:
-            counit.append(f"counit law fails at {name}")
-        if cocommutativity_defect(vm, s):
-            cocomm.append(f"cocommutativity fails at {name}")
-        if d_coderivation_defect(vm, s):
-            codev.append(f"Delta(Du) != (D(x)1 + 1(x)D)Delta(u) at {name}")
+            counit.append(f"counit law fails at {obj.format_state(s)}")
+        if cocommutativity_defect(obj, s):
+            cocomm.append(f"cocommutativity fails at {obj.format_state(s)}")
     rep.record("coassociativity", coassoc, len(states))
     rep.record("counit-law", counit, len(states))
     rep.record("cocommutativity", cocomm, len(states))
-    rep.record("d-coderivation", codev, len(states))
     return rep
+
+
+def check_coalgebra(vm, max_weight=5, torsion_bound=1):
+    """Coassociativity, counit laws, cocommutativity and the D-coderivation
+    rule on all basis states up to max_weight."""
+    states = vm._graded_basis_states(max_weight, torsion_bound)
+    rep = coalgebra_laws(vm, states, "coalgebra")
+    rep.record("d-coderivation",
+               [f"Delta(Du) != (D(x)1 + 1(x)D)Delta(u) at {vm.format_state(s)}"
+                for s in states if d_coderivation_defect(vm, s)], len(states))
+    return rep
+
+
+# -- Delta and eps against products and morphisms ------------------------------------
+
+
+def tensor_product_through(alg, s, t):
+    """(a (x) b)(c (x) d) = ac (x) bd, componentwise through alg.product."""
+    out = LinComb()
+    for (a, b), c1 in s.items():
+        for (e, g), c2 in t.items():
+            left = alg.product(LinComb.single(a), LinComb.single(e))
+            right = alg.product(LinComb.single(b), LinComb.single(g))
+            out.add_into(left.tensor(right), c1 * c2)
+    return out
+
+
+def multiplicativity_failures(alg, pairs):
+    """Witnesses of Delta(uv) != Delta(u)Delta(v) and of eps(uv) != eps(u)eps(v)
+    over the (u, v) pairs, in sweep order: 2 * len(pairs) instances."""
+    fails = []
+    for u, v in pairs:
+        uv = alg.product(u, v)
+        if alg.delta(uv) != tensor_product_through(alg, alg.delta(u), alg.delta(v)):
+            fails.append("Delta not multiplicative")
+        if alg.eps(uv) != alg.eps(u) * alg.eps(v):
+            fails.append("eps not multiplicative")
+    return fails
+
+
+def intertwining_failures(source, target, image_of_key, states, images):
+    """The states s at which Delta f(s) != (f (x) f) Delta s, and those at which
+    eps f(s) != eps s, for the linear map f given on basis keys by image_of_key;
+    images[i] is f(states[i])."""
+    dfails, efails = [], []
+    for s, img in zip(states, images):
+        want = LinComb()
+        for (k1, k2), c in source.delta(s).items():
+            want.add_into(image_of_key(k1).tensor(image_of_key(k2)), c)
+        if target.delta(img) != want:
+            dfails.append(s)
+        if target.eps(img) != source.eps(s):
+            efails.append(s)
+    return dfails, efails
 
 
 # -- Delta and eps against mode products ---------------------------------------------
@@ -317,65 +367,33 @@ class DividedPowerBialgebra:
         return sorted(f for f in iproduct(*(range(degree + 1) for _ in range(self.rank)))
                       if sum(f) == degree)
 
-    def _tensor_product(self, s, t):
-        out = LinComb()
-        for (a, b), c1 in s.items():
-            for (e, g), c2 in t.items():
-                cl, kl = dp_product(a, e)
-                cr, kr = dp_product(b, g)
-                out.add_into(LinComb.single((kl, kr)), c1 * c2 * cl * cr)
-        return out
+    def format_state(self, state):
+        return state.format(str)
 
     def check_bialgebra(self, max_degree=4):
         """All bialgebra axioms on basis elements of total degree <= max_degree."""
-        rep = ValidationReport(subject="divided-power-bialgebra")
         keys = [f for d in range(max_degree + 1) for f in self.basis(d)]
         states = [LinComb.single(f) for f in keys]
+        rep = coalgebra_laws(self, states, "divided-power-bialgebra")
         one = self.unit()
-        assoc, comm, unit = [], [], []
-        coassoc, counit, cocomm = [], [], []
-        compat = []
-        for i, u in enumerate(states):
-            if self.product(one, u) != u or self.product(u, one) != u:
-                unit.append(f"unit law fails at {keys[i]}")
-            du = self.delta(u)
-            if tensor_flip(du) != du:
-                cocomm.append(f"cocommutativity fails at {keys[i]}")
-            left = LinComb()
-            right = LinComb()
-            tri_l = LinComb()
-            tri_r = LinComb()
-            for (f, g), c in du.items():
-                if f == (0,) * self.rank:
-                    left.add_into(LinComb.single(g), c)
-                if g == (0,) * self.rank:
-                    right.add_into(LinComb.single(f), c)
-                tri_l.add_into(dp_delta(f).map_keys(lambda k: (k[0], k[1], g)), c)
-                tri_r.add_into(dp_delta(g).map_keys(lambda k: (f, k[0], k[1])), c)
-            if left != u or right != u:
-                counit.append(f"counit law fails at {keys[i]}")
-            if tri_l != tri_r:
-                coassoc.append(f"coassociativity fails at {keys[i]}")
-        pairs = [(u, v) for u in states for v in states
-                 if sum(next(iter(u.keys()))) + sum(next(iter(v.keys()))) <= max_degree]
+        unit = [f"unit law fails at {self.format_state(u)}" for u in states
+                if self.product(one, u) != u or self.product(u, one) != u]
+        pairs = [(LinComb.single(f), LinComb.single(g)) for f in keys for g in keys
+                 if sum(f) + sum(g) <= max_degree]
+        assoc, comm, t_assoc = [], [], 0
         for u, v in pairs:
             uv = self.product(u, v)
             if uv != self.product(v, u):
                 comm.append("commutativity fails")
-            if self.delta(uv) != self._tensor_product(self.delta(u), self.delta(v)):
-                compat.append("Delta not multiplicative")
-            if self.eps(uv) != self.eps(u) * self.eps(v):
-                compat.append("eps not multiplicative")
             for w in states[:6]:
+                t_assoc += 1
                 if self.product(uv, w) != self.product(u, self.product(v, w)):
                     assoc.append("associativity fails")
-        rep.record("associativity", assoc, len(pairs) * 6)
+        rep.record("associativity", assoc, t_assoc)
         rep.record("commutativity", comm, len(pairs))
         rep.record("unit-law", unit, len(states))
-        rep.record("coassociativity", coassoc, len(states))
-        rep.record("counit-law", counit, len(states))
-        rep.record("cocommutativity", cocomm, len(states))
-        rep.record("bialgebra-compatibility", compat, 2 * len(pairs))
+        rep.record("bialgebra-compatibility", multiplicativity_failures(self, pairs),
+                   2 * len(pairs))
         return rep
 
 
@@ -435,25 +453,6 @@ class LieAlgebra:
         return rep
 
 
-def _split_sorted_word(word):
-    """Subset splittings of a sorted word; runs of equal letters give binomials."""
-    out = LinComb.single(((), ()))
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        letter, count = word[i], j - i
-        nxt = LinComb()
-        for (w1, w2), c in out.items():
-            for a in range(count + 1):
-                key = (w1 + (letter,) * a, w2 + (letter,) * (count - a))
-                nxt.add_into(LinComb.single(key), c * binom(count, a))
-        out = nxt
-        i = j
-    return out
-
-
 class UniversalEnveloping:
     """U(g) of a LieAlgebra, on the PBW basis of nondecreasing index words."""
 
@@ -494,19 +493,16 @@ class UniversalEnveloping:
         out = LinComb()
         for w, c in state.items():
             for ws, cs in self.straighten(w).items():
-                out.add_into(_split_sorted_word(ws), c * cs)
+                out.add_into(split_sorted_word(ws), c * cs)
         return out
 
     def eps(self, state):
         return state.get(())
 
-    def tensor_product(self, s, t):
-        out = LinComb()
-        for (a, b), c1 in s.items():
-            for (e, g), c2 in t.items():
-                out.add_into(self.straighten(a + e).tensor(self.straighten(b + g)),
-                             c1 * c2)
-        return out
+    tensor_product = tensor_product_through
+
+    def format_state(self, state):
+        return state.format(str)
 
     def basis_words(self, degree):
         return list(combinations_with_replacement(range(len(self.lie.names)), degree))
@@ -522,46 +518,15 @@ class UniversalEnveloping:
         return LinComb.single(word, coeff)
 
     def check_bialgebra(self, max_degree=3):
-        """Delta multiplicativity (through straightening), coassociativity,
+        """Delta and eps multiplicativity (through straightening), coassociativity,
         counit laws and cocommutativity on PBW words up to max_degree."""
-        rep = ValidationReport(subject="universal-enveloping")
         words = [w for d in range(max_degree + 1) for w in self.basis_words(d)]
         states = [LinComb.single(w) for w in words]
-        compat, coassoc, counit, cocomm = [], [], [], []
-        for u in states:
-            for v in states:
-                if len(next(iter(u.keys()))) + len(next(iter(v.keys()))) > max_degree:
-                    continue
-                uv = self.product(u, v)
-                if self.delta(uv) != self.tensor_product(self.delta(u), self.delta(v)):
-                    compat.append("Delta not multiplicative")
-                if self.eps(uv) != self.eps(u) * self.eps(v):
-                    compat.append("eps not multiplicative")
-        for i, s in enumerate(states):
-            d = self.delta(s)
-            if tensor_flip(d) != d:
-                cocomm.append(f"cocommutativity fails at {words[i]}")
-            left = LinComb()
-            right = LinComb()
-            tri_l = LinComb()
-            tri_r = LinComb()
-            for (w1, w2), c in d.items():
-                if w1 == ():
-                    left.add_into(LinComb.single(w2), c)
-                if w2 == ():
-                    right.add_into(LinComb.single(w1), c)
-                tri_l.add_into(_split_sorted_word(w1).map_keys(
-                    lambda k: (k[0], k[1], w2)), c)
-                tri_r.add_into(_split_sorted_word(w2).map_keys(
-                    lambda k: (w1, k[0], k[1])), c)
-            if left != s or right != s:
-                counit.append(f"counit law fails at {words[i]}")
-            if tri_l != tri_r:
-                coassoc.append(f"coassociativity fails at {words[i]}")
-        rep.record("delta-multiplicative", compat, 1)
-        rep.record("coassociativity", coassoc, len(states))
-        rep.record("counit-law", counit, len(states))
-        rep.record("cocommutativity", cocomm, len(states))
+        rep = coalgebra_laws(self, states, "universal-enveloping")
+        pairs = [(LinComb.single(a), LinComb.single(b)) for a in words for b in words
+                 if len(a) + len(b) <= max_degree]
+        rep.record("delta-multiplicative", multiplicativity_failures(self, pairs),
+                   2 * len(pairs))
         return rep
 
 
@@ -576,27 +541,21 @@ def check_psi_coalgebra(lie, max_degree=4):
     ue = UniversalEnveloping(lie)
     dp = DividedPowerBialgebra(len(lie.names))
     rep = ValidationReport(subject="psi-comparison")
-    morph, cu, iso = [], [], []
-    total = 0
+    keys = [f for d in range(max_degree + 1) for f in dp.basis(d)]
+    images = [ue.psi(f) for f in keys]
+    morph, cu = intertwining_failures(dp, ue, ue.psi, [LinComb.single(f) for f in keys],
+                                      images)
+    iso = []
     for d in range(max_degree + 1):
-        keys = dp.basis(d)
-        images = []
-        for f in keys:
-            total += 1
-            pf = ue.psi(f)
-            images.append(pf)
-            want = LinComb()
-            for (g, h), c in dp_delta(f).items():
-                want.add_into(ue.psi(g).tensor(ue.psi(h)), c)
-            if ue.delta(pf) != want:
-                morph.append(f"(psi x psi)Delta != Delta psi at {f}")
-            if ue.eps(pf) != dp.eps(LinComb.single(f)):
-                cu.append(f"eps psi != eps at {f}")
-        if rank_of(images) != len(keys):
+        degree_images = [img for f, img in zip(keys, images) if sum(f) == d]
+        if rank_of(degree_images) != len(degree_images):
             iso.append(f"psi not injective in degree {d}")
-        if len(keys) != len(ue.basis_words(d)):
+        if len(degree_images) != len(ue.basis_words(d)):
             iso.append(f"dimension mismatch in degree {d}")
-    rep.record("psi-coalgebra-morphism", morph, total)
-    rep.record("psi-counit", cu, total)
+    rep.record("psi-coalgebra-morphism",
+               [f"(psi x psi)Delta != Delta psi at {dp.format_state(s)}" for s in morph],
+               len(keys))
+    rep.record("psi-counit", [f"eps psi != eps at {dp.format_state(s)}" for s in cu],
+               len(keys))
     rep.record("psi-degreewise-iso", iso, 2 * (max_degree + 1))
     return rep

@@ -21,19 +21,16 @@ refuse inconsistent data with a witness.
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .coalgebra import (coassociativity_defect, cocommutativity_defect,
-                        counit_law_defects, d_coderivation_defect,
-                        group_like_scan, is_group_like, primitive_defect)
+from .coalgebra import (coalgebra_laws, d_coderivation_defect, group_like_scan,
+                        intertwining_failures, is_group_like, multiplicativity_failures,
+                        primitive_basis)
 from .current import Mode, mode_normalize
-from .enveloping import VacuumModule, jacobi_sweep, skew_sweep
+from .enveloping import VacuumModule, jacobi_sweep, skew_sweep, vacuum_creation_sweep
 from .errors import InputError, MorphismError, UnsupportedError
-from .linalg import kernel_coefficients
 from .lincomb import LinComb, binom, inv_factorial
 from .report import ValidationReport
 from .serialize import format_alpha, format_diff_key
 from .vla import abelian
-
-_ZERO = LinComb()
 
 
 def _mode_range(window):
@@ -323,22 +320,8 @@ def check_tensor_phi_axioms(tp, max_weight=2, window=2, alpha_bound=1,
     keys = [k for d in range(max_weight + 1)
             for k in tp.basis_keys(d, torsion_bound, alpha_bound)]
     states = [tp.key_state(k) for k in keys]
-    vac = tp.vacuum()
-    vfails, total_v = [], 0
-    for s in states:
-        total_v += 1
-        if tp.state_mode(s, -1, vac) != s:
-            vfails.append(f"u(-1)|0> != u at {tp.format_state(s)}")
-        for n in range(0, window + 2):
-            total_v += 1
-            if tp.state_mode(s, n, vac):
-                vfails.append(f"u({n})|0> != 0 at {tp.format_state(s)}")
-        for n in _mode_range(window):
-            total_v += 1
-            want = s if n == -1 else _ZERO
-            if tp.state_mode(vac, n, s) != want:
-                vfails.append(f"|0>({n})u wrong at {tp.format_state(s)}")
-    rep.record("tensor-phi-vacuum-creation", vfails, total_v)
+    total, fails = vacuum_creation_sweep(tp, states, range(0, window + 2), _mode_range(window))
+    rep.record("tensor-phi-vacuum-creation", fails, total)
 
     fmt = tp.format_state
     total, fails = skew_sweep(tp, states, _mode_range(window))
@@ -416,16 +399,8 @@ def check_group_like_semigroup(tp, alpha_bound=3, window=4):
 
 def tensor_phi_primitives(tp, weight, torsion_bound=0, alpha_bound=1):
     """Basis of the primitive part of the bounded (weight, alpha) piece."""
-    keys = tp.basis_keys(weight, torsion_bound, alpha_bound)
-    states = [tp.key_state(k) for k in keys]
-    defects = [primitive_defect(tp, s) for s in states]
-    basis = []
-    for coeffs in kernel_coefficients(defects):
-        v = LinComb()
-        for s, c in zip(states, coeffs):
-            v.add_into(s, c)
-        basis.append(v)
-    return basis
+    return primitive_basis(tp, [tp.key_state(k)
+                                for k in tp.basis_keys(weight, torsion_bound, alpha_bound)])
 
 
 def component_of(key):
@@ -495,13 +470,16 @@ class BL:
         self.vm = VacuumModule(self.pres)
         self.names = [g.name for g in self.pres.generators]
 
-    def one(self):
-        return LinComb.single(((), self.semigroup.zero()))
-
-    vacuum = one
-
-    def group_like(self, alpha):
-        return LinComb.single(((), self.semigroup.element(alpha)))
+    # The coalgebra and state bookkeeping are V (x)_phi C[L]'s on the same keys,
+    # aliased rather than inherited: product, D and state_mode are B_L's own and
+    # are the reference the (x)_phi modes are checked against.
+    vacuum = one = TensorPhiAlgebra.vacuum
+    group_like = TensorPhiAlgebra.group_like
+    key_state = TensorPhiAlgebra.key_state
+    state_weight = TensorPhiAlgebra.state_weight
+    delta = TensorPhiAlgebra.delta
+    eps = TensorPhiAlgebra.eps
+    format_state = TensorPhiAlgebra.format_state
 
     def monomial(self, modes, alpha=None):
         """A basis element from (name, -n) pairs and an optional tag."""
@@ -522,12 +500,6 @@ class BL:
             if a:
                 out.add_into(LinComb.single(((Mode(self.names[i], -1),), zero)), a)
         return out
-
-    def key_state(self, key):
-        return LinComb.single(key)
-
-    def state_weight(self, state):
-        return max((self.vm.word_weight(w) for (w, _) in state.keys()), default=-1)
 
     def basis_keys(self, weight, alpha_bound=0):
         return sorted((w, al) for al in self.semigroup.window(alpha_bound)
@@ -561,25 +533,8 @@ class BL:
     def state_mode(self, u, n, v):
         return borcherds_mode(self, u, n, v)
 
-    def delta(self, state):
-        out = LinComb()
-        for (w, al), c in state.items():
-            for (w1, w2), c2 in self.vm.delta_word(w).items():
-                out.add_into(LinComb.single(((w1, al), (w2, al))), c * c2)
-        return out
-
-    def eps(self, state):
-        tot = Fraction(0)
-        for (w, _), c in state.items():
-            if not w:
-                tot += c
-        return tot
-
     def format_key(self, key):
         return format_diff_key(key)
-
-    def format_state(self, state):
-        return state.format(self.format_key)
 
 
 def bl_build(semigroup):
@@ -601,46 +556,24 @@ def check_bl_bialgebra(bl, max_weight=3, alpha_bound=2):
     """Differential-bialgebra axioms on the bounded basis: Delta and eps are
     algebra morphisms, coalgebra axioms hold, del is a coderivation killed by
     eps, and phi(g) = g^{-1} del g is additive over the window."""
-    rep = ValidationReport(subject="bl")
     keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound)]
     states = [bl.key_state(k) for k in keys]
-    coassoc, counit, cocomm, codev, epsd = [], [], [], [], []
-    for i, s in enumerate(states):
-        name = bl.format_key(keys[i])
-        if coassociativity_defect(bl, s):
-            coassoc.append(f"coassociativity fails at {name}")
-        dl, dr = counit_law_defects(bl, s)
-        if dl or dr:
-            counit.append(f"counit law fails at {name}")
-        if cocommutativity_defect(bl, s):
-            cocomm.append(f"cocommutativity fails at {name}")
-        if d_coderivation_defect(bl, s):
-            codev.append(f"Delta(del u) != (del(x)1 + 1(x)del)Delta(u) at {name}")
-        if bl.eps(bl.D(s)):
-            epsd.append(f"eps(del u) != 0 at {name}")
-    rep.record("coassociativity", coassoc, len(states))
-    rep.record("counit-law", counit, len(states))
-    rep.record("cocommutativity", cocomm, len(states))
-    rep.record("d-coderivation", codev, len(states))
-    rep.record("counit-kills-d", epsd, len(states))
+    rep = coalgebra_laws(bl, states, "bl")
+    rep.record("d-coderivation",
+               [f"Delta(del u) != (del(x)1 + 1(x)del)Delta(u) at {bl.format_state(s)}"
+                for s in states if d_coderivation_defect(bl, s)], len(states))
+    rep.record("counit-kills-d", [f"eps(del u) != 0 at {bl.format_state(s)}"
+                                  for s in states if bl.eps(bl.D(s))], len(states))
 
-    mults, emults = [], 0
-    dmul, emul, leib = [], [], []
-    for u in states:
-        for v in states:
-            if bl.state_weight(u) + bl.state_weight(v) > max_weight:
-                continue
-            emults += 1
-            uv = bl.product(u, v)
-            if bl.delta(uv) != _tensor_product_through(bl, bl.delta(u), bl.delta(v)):
-                dmul.append("Delta not multiplicative")
-            if bl.eps(uv) != bl.eps(u) * bl.eps(v):
-                emul.append("eps not multiplicative")
-            if bl.D(uv) != bl.product(bl.D(u), v) + bl.product(u, bl.D(v)):
-                leib.append("del not a derivation")
-    rep.record("delta-multiplicative", dmul, emults)
-    rep.record("counit-multiplicative", emul, emults)
-    rep.record("d-derivation", leib, emults)
+    pairs = [(u, v) for u in states for v in states
+             if bl.state_weight(u) + bl.state_weight(v) <= max_weight]
+    mult = multiplicativity_failures(bl, pairs)
+    rep.record("delta-multiplicative", [f for f in mult if f.startswith("Delta")], len(pairs))
+    rep.record("counit-multiplicative", [f for f in mult if f.startswith("eps")], len(pairs))
+    rep.record("d-derivation",
+               ["del not a derivation" for u, v in pairs
+                if bl.D(bl.product(u, v)) != bl.product(bl.D(u), v) + bl.product(u, bl.D(v))],
+               len(pairs))
 
     addfails, t_add = [], 0
     if bl.semigroup.group:
@@ -654,17 +587,6 @@ def check_bl_bialgebra(bl, max_weight=3, alpha_bound=2):
                     addfails.append(f"phi(e^{al}·e^{be}) != phi(e^{al}) + phi(e^{be})")
         rep.record("bl-phi-additivity", addfails, t_add)
     return rep
-
-
-def _tensor_product_through(alg, s, t):
-    """(a (x) b)(c (x) d) = ac (x) bd, componentwise through alg.product."""
-    out = LinComb()
-    for (a, b), c1 in s.items():
-        for (e, g), c2 in t.items():
-            left = alg.product(LinComb.single(a), LinComb.single(e))
-            right = alg.product(LinComb.single(b), LinComb.single(g))
-            out.add_into(left.tensor(right), c1 * c2)
-    return out
 
 
 def check_bl_equals_tensor_phi(semigroup, max_weight=3, alpha_bound=2, window=4):
@@ -700,11 +622,6 @@ def check_bl_equals_tensor_phi(semigroup, max_weight=3, alpha_bound=2, window=4)
 # -- morphisms ------------------------------------------------------------------------
 
 
-def _unit_of(obj):
-    one = getattr(obj, "one", None)
-    return one() if one is not None else obj.vacuum()
-
-
 def extend_universal_morphism(bl, target, psi, phi_b, max_weight=3, alpha_bound=2):
     """The differential-bialgebra morphism f on B_L with f(e^alpha) = psi(alpha)
     and f(h_i(-1)) = phi_b(i).
@@ -715,7 +632,7 @@ def extend_universal_morphism(bl, target, psi, phi_b, max_weight=3, alpha_bound=
     the bounded basis."""
     window = bl.semigroup.window(alpha_bound)
     psi_img = {al: psi(al) for al in window}
-    unit_t = _unit_of(target)
+    unit_t = target.vacuum()
 
     zero = bl.semigroup.zero()
     if psi_img.get(zero, psi(zero)) != unit_t:
@@ -766,7 +683,7 @@ def extend_universal_morphism(bl, target, psi, phi_b, max_weight=3, alpha_bound=
     keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound)]
     states = [bl.key_state(k) for k in keys]
     images = [f(s) for s in states]
-    palg, pd, pdelta, peps = [], [], [], []
+    palg, pd = [], []
     t_alg = 0
     for i, u in enumerate(states):
         for j, v in enumerate(states):
@@ -777,20 +694,16 @@ def extend_universal_morphism(bl, target, psi, phi_b, max_weight=3, alpha_bound=
                 palg.append(f"f not multiplicative at {bl.format_key(keys[i])},"
                             f" {bl.format_key(keys[j])}")
     for i, s in enumerate(states):
-        name = bl.format_key(keys[i])
         if f(bl.D(s)) != target.D(images[i]):
-            pd.append(f"f does not intertwine del at {name}")
-        want = LinComb()
-        for (k1, k2), c in bl.delta(s).items():
-            want.add_into(f(LinComb.single(k1)).tensor(f(LinComb.single(k2))), c)
-        if target.delta(images[i]) != want:
-            pdelta.append(f"f does not intertwine Delta at {name}")
-        if target.eps(images[i]) != bl.eps(s):
-            peps.append(f"f does not intertwine eps at {name}")
+            pd.append(f"f does not intertwine del at {bl.format_key(keys[i])}")
+    pdelta, peps = intertwining_failures(bl, target, lambda k: f(LinComb.single(k)),
+                                         states, images)
     rep.record("morphism-algebra", palg, t_alg)
     rep.record("morphism-d", pd, len(states))
-    rep.record("morphism-delta", pdelta, len(states))
-    rep.record("morphism-counit", peps, len(states))
+    rep.record("morphism-delta", [f"f does not intertwine Delta at {bl.format_state(s)}"
+                                  for s in pdelta], len(states))
+    rep.record("morphism-counit", [f"f does not intertwine eps at {bl.format_state(s)}"
+                                   for s in peps], len(states))
     return f, rep
 
 
@@ -804,7 +717,7 @@ def induced_vertex_morphism(pres, embedding, target, max_weight=3, window=4,
     The report then samples Psi(u_n v) = Psi(u)_n Psi(v), Delta Psi =
     (Psi x Psi) Delta and eps Psi = eps on the bounded basis."""
     vm = VacuumModule(pres)
-    unit_t = _unit_of(target)
+    unit_t = target.vacuum()
     img = {}
     for g in pres.generators:
         if g.name not in embedding:
@@ -857,17 +770,12 @@ def induced_vertex_morphism(pres, embedding, target, max_weight=3, window=4,
                     mfails.append(f"Psi(u({n})v) != Psi(u)({n})Psi(v) at"
                                   f" u={vm.format_state(u)}, v={vm.format_state(v)}")
     rep.record("morphism-modes", mfails, t_m)
-    dfails, efails = [], []
-    for i, s in enumerate(states):
-        want = LinComb()
-        for (w1, w2), c in vm.delta(s).items():
-            want.add_into(psi(LinComb.single(w1)).tensor(psi(LinComb.single(w2))), c)
-        if target.delta(images[i]) != want:
-            dfails.append(f"Delta Psi != (Psi x Psi) Delta at {vm.format_state(s)}")
-        if target.eps(images[i]) != vm.eps(s):
-            efails.append(f"eps Psi != eps at {vm.format_state(s)}")
-    rep.record("morphism-delta", dfails, len(states))
-    rep.record("morphism-counit", efails, len(states))
+    dfails, efails = intertwining_failures(vm, target, lambda w: psi(LinComb.single(w)),
+                                           states, images)
+    rep.record("morphism-delta", [f"Delta Psi != (Psi x Psi) Delta at {vm.format_state(s)}"
+                                  for s in dfails], len(states))
+    rep.record("morphism-counit", [f"eps Psi != eps at {vm.format_state(s)}"
+                                   for s in efails], len(states))
     return psi, rep
 
 

@@ -20,10 +20,32 @@ from .errors import InputError, UnsupportedError
 from .lincomb import LinComb, binom, inv_factorial, sign_pow
 from .report import ValidationReport
 
-__all__ = ["VacuumModule", "skew_defect_on", "commutator_defect_on", "jacobi_defect_on",
-           "skew_sweep", "commutator_sweep", "jacobi_sweep"]
+__all__ = ["VacuumModule", "split_sorted_word", "skew_defect_on", "commutator_defect_on",
+           "jacobi_defect_on", "vacuum_creation_sweep", "skew_sweep", "commutator_sweep",
+           "jacobi_sweep"]
 
 _ZERO = LinComb()
+
+
+def split_sorted_word(word):
+    """Subset splittings of a sorted word, as a LinComb over (left, right) pairs.
+    Runs of equal letters give binomials; subwords of a sorted word are sorted,
+    so no straightening occurs."""
+    out = LinComb.single(((), ()))
+    i = 0
+    while i < len(word):
+        j = i
+        while j < len(word) and word[j] == word[i]:
+            j += 1
+        run, count = word[i], j - i
+        nxt = LinComb()
+        for (w1, w2), c in out.items():
+            for a in range(count + 1):
+                key = (w1 + (run,) * a, w2 + (run,) * (count - a))
+                nxt.add_into(LinComb.single(key, c * binom(count, a)))
+        out = nxt
+        i = j
+    return out
 
 
 class VacuumModule:
@@ -211,26 +233,10 @@ class VacuumModule:
 
     def delta_word(self, word):
         """Coproduct of a PBW word: every mode is primitive, so Delta splits
-        the word over position subsets; equal modes contribute binomials.
-        Subwords of a sorted word are sorted, no straightening occurs."""
+        the word over position subsets (split_sorted_word)."""
         out = self._delta.get(word)
-        if out is not None:
-            return out
-        out = LinComb.single(((), ()))
-        i = 0
-        while i < len(word):
-            j = i
-            while j < len(word) and word[j] == word[i]:
-                j += 1
-            run, count = word[i], j - i
-            nxt = LinComb()
-            for (w1, w2), c in out.items():
-                for a in range(count + 1):
-                    key = (w1 + (run,) * a, w2 + (run,) * (count - a))
-                    nxt.add_into(LinComb.single(key, c * binom(count, a)))
-            out = nxt
-            i = j
-        self._delta[word] = out
+        if out is None:
+            out = self._delta[word] = split_sorted_word(word)
         return out
 
     def delta(self, state):
@@ -299,22 +305,9 @@ class VacuumModule:
 
     def check_vacuum_creation(self, max_weight=4, torsion_bound=1, window=4):
         rep = ValidationReport(subject="vacuum-module")
-        vac = self.vacuum()
         states = self._graded_basis_states(max_weight, torsion_bound)
-        fails, total = [], 0
-        for s in states:
-            total += 1
-            if self.state_mode(s, -1, vac) != s:
-                fails.append(f"u(-1)|0> != u at {self.format_state(s)}")
-            for n in range(0, window + 1):
-                total += 1
-                if self.state_mode(s, n, vac):
-                    fails.append(f"u({n})|0> != 0 at {self.format_state(s)}")
-            for n in range(-window, window + 1):
-                total += 1
-                want = s if n == -1 else _ZERO
-                if self.state_mode(vac, n, s) != want:
-                    fails.append(f"|0>({n})u wrong at {self.format_state(s)}")
+        total, fails = vacuum_creation_sweep(self, states, range(0, window + 1),
+                                             range(-window, window + 1))
         rep.record("vacuum-creation", fails, total)
         return rep
 
@@ -555,4 +548,29 @@ def jacobi_sweep(alg, states, modes):
                                 out.add_into(t, -sign_pow(i) * binom(q + i, i))
                             if out:
                                 fails.append((u, v, w, p, q, r))
+    return total, fails
+
+
+# -- vacuum axioms, generic over mode algebras ----------------------------------------
+
+
+def vacuum_creation_sweep(alg, states, nonneg, modes):
+    """u_{-1}|0> = u, u_n|0> = 0 for n in nonneg and |0>_n u = delta_{n,-1} u for n in
+    modes, over u in states; returns (instances, witnesses).  alg also provides
+    vacuum() and format_state(state), which renders the witnesses."""
+    vac = alg.vacuum()
+    total, fails = 0, []
+    for s in states:
+        total += 1
+        if alg.state_mode(s, -1, vac) != s:
+            fails.append(f"u(-1)|0> != u at {alg.format_state(s)}")
+        for n in nonneg:
+            total += 1
+            if alg.state_mode(s, n, vac):
+                fails.append(f"u({n})|0> != 0 at {alg.format_state(s)}")
+        for n in modes:
+            total += 1
+            want = s if n == -1 else _ZERO
+            if alg.state_mode(vac, n, s) != want:
+                fails.append(f"|0>({n})u wrong at {alg.format_state(s)}")
     return total, fails

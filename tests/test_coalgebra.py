@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from vertexkernel import coalgebra as co
+from vertexkernel.constructions import BL, SemigroupL, check_bl_bialgebra
 from vertexkernel.current import Mode
 from vertexkernel.enveloping import VacuumModule
 from vertexkernel.errors import UnsupportedError
@@ -20,6 +21,11 @@ def S(word, coeff=1):
 
 def T(w1, w2, coeff=1):
     return LinComb.single((w1, w2), coeff)
+
+
+def outcomes(rep):
+    """check id -> witness of a failed check, or the details of a passed one."""
+    return {c.check_id: c.witness or c.details for c in rep.checks}
 
 
 # -- Delta and eps on the vacuum module ----------------------------------------------
@@ -199,6 +205,12 @@ def test_dp_bialgebra_axioms():
     assert rep.passed, rep.summary()
 
 
+def test_dp_associativity_counts_the_triples_run():
+    # rank 1, degree <= 3: 4 states, 10 pairs, each against all 4 states
+    rep = co.DividedPowerBialgebra(1).check_bialgebra(3)
+    assert outcomes(rep)["associativity"] == "40 instances checked"
+
+
 def test_dp_product_linearized():
     dp = co.DividedPowerBialgebra(1)
     x2 = LinComb.single((2,))
@@ -265,6 +277,12 @@ def test_ue_bialgebra_axioms():
     assert co.UniversalEnveloping(sl2()).check_bialgebra(3).passed
 
 
+def test_ue_multiplicativity_counts_delta_and_eps_per_pair():
+    # sl2 up to degree 3: 84 pairs of PBW words, each checked for Delta and eps
+    rep = co.UniversalEnveloping(sl2()).check_bialgebra(3)
+    assert outcomes(rep)["delta-multiplicative"] == "168 instances checked"
+
+
 def test_psi_values():
     ue = co.UniversalEnveloping(two_dim_nonabelian())
     assert ue.psi((1, 1)) == S((0, 1))
@@ -278,3 +296,57 @@ def test_psi_coalgebra_morphism():
     assert co.check_psi_coalgebra(co.LieAlgebra(["x", "y"]), 4).passed
     assert co.check_psi_coalgebra(two_dim_nonabelian(), 4).passed
     assert co.check_psi_coalgebra(sl2(), 3).passed
+
+
+# -- failure paths of the shared coalgebra checkers -----------------------------------
+
+
+def lopsided(cls, degree):
+    """cls with the x (x) 1 term of Delta(x) doubled for every basis key of degree 1."""
+    class Lopsided(cls):
+        def delta(self, state):
+            out = LinComb().add_into(super().delta(state))
+            for key, c in state.items():
+                if degree(key) == 1:
+                    for (k1, k2), c2 in super().delta(LinComb.single(key)).items():
+                        if k1 == key:
+                            out.add_into(LinComb.single((k1, k2)), c * c2)
+            return out
+    return Lopsided
+
+
+def test_lopsided_dp_coassociativity_uses_its_own_delta_on_both_legs():
+    rep = lopsided(co.DividedPowerBialgebra, sum)(2).check_bialgebra(3)
+    got = outcomes(rep)
+    # degree 1, 2 and 3: 2 + 3 + 4 states, every inner Delta lopsided too
+    assert got["coassociativity"] == "coassociativity fails at (0, 1) (+8 more)"
+    assert got["counit-law"] == "counit law fails at (0, 1) (+1 more)"
+    assert got["cocommutativity"] == "cocommutativity fails at (0, 1) (+1 more)"
+    assert got["bialgebra-compatibility"] == "Delta not multiplicative (+15 more)"
+    assert got["associativity"] == "210 instances checked"
+
+
+def test_lopsided_vacuum_module_coalgebra_report():
+    rep = co.check_coalgebra(lopsided(VacuumModule, len)(heisenberg(1)), max_weight=3)
+    assert outcomes(rep) == {
+        "coassociativity": "coassociativity fails at c(-1)|0⟩ (+12 more)",
+        "counit-law": "counit law fails at c(-1)|0⟩ (+3 more)",
+        "cocommutativity": "cocommutativity fails at c(-1)|0⟩ (+3 more)",
+        "d-coderivation": "14 instances checked",
+    }
+
+
+def test_lopsided_bl_bialgebra_report():
+    bl = lopsided(BL, lambda key: len(key[0]))(SemigroupL(1))
+    rep = check_bl_bialgebra(bl, 2, 1)
+    assert outcomes(rep) == {
+        "coassociativity": "coassociativity fails at h(-1)·e^{(-1)} (+8 more)",
+        "counit-law": "counit law fails at h(-1)·e^{(-1)} (+5 more)",
+        "cocommutativity": "cocommutativity fails at h(-1)·e^{(-1)} (+5 more)",
+        "d-coderivation": "Delta(del u) != (del(x)1 + 1(x)del)Delta(u) at e^{(-1)} (+5 more)",
+        "counit-kills-d": "12 instances checked",
+        "delta-multiplicative": "Delta not multiplicative (+8 more)",
+        "counit-multiplicative": "72 instances checked",
+        "d-derivation": "72 instances checked",
+        "bl-phi-additivity": "9 instances checked",
+    }
