@@ -279,7 +279,7 @@ def delta_morphism_defect(vm, u, n, v):
 def counit_mode_defect(vm, u, n, v):
     """eps(u_n v) - delta_{n,-1} eps(u) eps(v)."""
     lhs = vm.eps(vm.state_mode(u, n, v))
-    rhs = vm.eps(u) * vm.eps(v) if n == -1 else Fraction(0)
+    rhs = vm.eps(u) * vm.eps(v) if n == -1 else 0
     return lhs - rhs
 
 
@@ -385,7 +385,7 @@ class DividedPowerBialgebra:
             uv = self.product(u, v)
             if uv != self.product(v, u):
                 comm.append("commutativity fails")
-            for w in states[:6]:
+            for w in states:
                 t_assoc += 1
                 if self.product(uv, w) != self.product(u, self.product(v, w)):
                     assoc.append("associativity fails")

@@ -296,7 +296,7 @@ class TensorPhiAlgebra:
         return out
 
     def eps(self, state):
-        tot = Fraction(0)
+        tot = 0
         for (w, _), c in state.items():
             if not w:
                 tot += c

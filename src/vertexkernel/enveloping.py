@@ -15,9 +15,11 @@ whose i-sums terminate by the weight grading (every PBW word has weight
 per module instance; cached states are shared and must not be mutated.
 """
 
+from math import factorial
+
 from .current import Mode, bracket, mode_normalize, mode_weight
 from .errors import InputError, UnsupportedError
-from .lincomb import LinComb, binom, inv_factorial, sign_pow
+from .lincomb import ClearedSum, LinComb, binom, cleared, inv_factorial, sign_pow
 from .report import ValidationReport
 
 __all__ = ["VacuumModule", "split_sorted_word", "skew_defect_on", "commutator_defect_on",
@@ -428,9 +430,11 @@ def jacobi_defect_on(alg, u, v, w, p, q, r):
 # Each sweep runs its defect over every instance, in the loop order of the defect's
 # arguments (states outermost, modes innermost), and returns (instances, failing
 # instances); a failing instance is the defect's argument tuple.  Subterms shared
-# between instances are evaluated once.  Each defect is the exact sum of the same
-# terms, with the same coefficients, as its *_defect_on reference.  Cached states are
-# shared, so every defect accumulates into a fresh LinComb.
+# between instances are evaluated once and tabulated in cleared form (lincomb.cleared),
+# and each defect is the exact sum, in a fresh ClearedSum, of the same terms with the
+# same coefficients as its *_defect_on reference: it is zero iff that reference is.
+
+_NIL = (1, {})  # the cleared zero state
 
 
 def _products(alg, states):
@@ -454,21 +458,24 @@ def skew_sweep(alg, states, modes):
     for a, u in enumerate(states):
         for b, v in enumerate(states):
             bound = weights[a] + weights[b]
-            powers = {}  # k -> [v_k u, D(v_k u), D^2(v_k u), ...]
+            powers = {}  # k -> ([D^j(v_k u) for j = 0, 1, ...], their cleared forms)
             for n in modes:
                 total += 1
-                out = LinComb().add_into(prod(a, n, b))
+                acc = ClearedSum(cleared(prod(a, n, b)))
                 for j in range(0, max(bound - n, 0) + 1):
                     k = n + j
                     p = prod(b, k, a)
                     if p:
                         ds = powers.get(k)
                         if ds is None:
-                            ds = powers[k] = [p]
-                        while len(ds) <= j:
-                            ds.append(alg.D(ds[-1]))
-                        out.add_into(ds[j], -sign_pow(k + 1) * inv_factorial(j))
-                if out:
+                            ds = powers[k] = ([p], [cleared(p)])
+                        states_j, forms = ds
+                        while len(states_j) <= j:
+                            states_j.append(alg.D(states_j[-1]))
+                            forms.append(cleared(states_j[-1]))
+                        den, ints = forms[j]
+                        acc.add((den * factorial(j), ints), -sign_pow(k + 1))
+                if acc:
                     fails.append((u, n, v))
     return total, fails
 
@@ -477,6 +484,7 @@ def commutator_sweep(alg, states, modes):
     """commutator_defect_on(alg, u, m, v, n, w) for u, v, w in states and m, n in modes."""
     prod = _products(alg, states)
     weights = [alg.state_weight(s) for s in states]
+    bm = {m: [binom(m, j) for j in range(2 * max(weights, default=0))] for m in modes}
     total, fails = 0, []
     for a, u in enumerate(states):
         for b, v in enumerate(states):
@@ -484,21 +492,25 @@ def commutator_sweep(alg, states, modes):
             for c, w in enumerate(states):
                 iterates = {}  # (j, k) -> (u_j v)_k w
                 for m in modes:
+                    bmj = bm[m]
                     for n in modes:
                         total += 1
-                        out = alg.state_mode(u, m, prod(b, n, c))
-                        out.add_into(alg.state_mode(v, n, prod(a, m, c)), -1)
+                        vnw, umw = prod(b, n, c), prod(a, m, c)
+                        acc = ClearedSum(cleared(alg.state_mode(u, m, vnw)) if vnw else _NIL)
+                        if umw:
+                            acc.add(cleared(alg.state_mode(v, n, umw)), -1)
                         for j in range(0, jmax):
-                            bj = binom(m, j)
+                            bj = bmj[j]
                             if bj:
                                 key = (j, m + n - j)
                                 t = iterates.get(key)
                                 if t is None:
                                     ujv = prod(a, j, b)
-                                    t = alg.state_mode(ujv, m + n - j, w) if ujv else _ZERO
+                                    t = cleared(alg.state_mode(ujv, m + n - j, w)) if ujv else _NIL
                                     iterates[key] = t
-                                out.add_into(t, -bj)
-                        if out:
+                                if t[1]:
+                                    acc.add(t, -bj)
+                        if acc:
                             fails.append((u, m, v, n, w))
     return total, fails
 
@@ -507,6 +519,11 @@ def jacobi_sweep(alg, states, modes):
     """jacobi_defect_on(alg, u, v, w, p, q, r) for u, v, w in states and p, q, r in modes."""
     prod = _products(alg, states)
     weights = [alg.state_weight(s) for s in states]
+    # the coefficient of the i-th term of each sum: ca[p][i], cb[p][i] and cc[q][i]
+    irange = range(2 * max(weights, default=0) + max(modes, default=0) + 1)
+    ca = {p: [sign_pow(i) * binom(-p - 1, i) for i in irange] for p in modes}
+    cb = {p: [sign_pow(p + i) * binom(-p - 1, i) for i in irange] for p in modes}
+    cc = {q: [-sign_pow(i) * binom(q + i, i) for i in irange] for q in modes}
     total, fails = 0, []
     for a, u in enumerate(states):
         wu = weights[a]
@@ -514,39 +531,45 @@ def jacobi_sweep(alg, states, modes):
             wv = weights[b]
             for c, w in enumerate(states):
                 ww = weights[c]
-                # u_{-s-i-2}(v_{i-r-1}w) by (p+q, i, r), v_{-s-i-2}(u_{i-q-1}w) by
-                # (p+r, i, q) and (u_{i-p-1}v)_{-s-i-2}w by (p, i, q+r)
+                # Each table is keyed by the two modes it applies, (k1, k2):
+                # ta[k1, k2] = u_k1(v_k2 w), tb[k1, k2] = v_k1(u_k2 w) and
+                # tc[k1, k2] = (u_k1 v)_k2 w.
                 ta, tb, tc = {}, {}, {}
                 for p in modes:
+                    cap, cbp = ca[p], cb[p]
                     for q in modes:
+                        ccq = cc[q]
                         for r in modes:
                             total += 1
-                            out = LinComb()
-                            s = p + q
+                            acc = ClearedSum()
                             for i in range(0, max(wv + ww + r, -1) + 1):
-                                t = ta.get((s, i, r))
+                                key = (-p - q - i - 2, i - r - 1)
+                                t = ta.get(key)
                                 if t is None:
-                                    inner = prod(b, i - r - 1, c)
-                                    t = alg.state_mode(u, -s - i - 2, inner) if inner else _ZERO
-                                    ta[(s, i, r)] = t
-                                out.add_into(t, sign_pow(i) * binom(-p - 1, i))
-                            s = p + r
+                                    inner = prod(b, key[1], c)
+                                    t = cleared(alg.state_mode(u, key[0], inner)) if inner else _NIL
+                                    ta[key] = t
+                                if t[1]:
+                                    acc.add(t, cap[i])
                             for i in range(0, max(wu + ww + q, -1) + 1):
-                                t = tb.get((s, i, q))
+                                key = (-p - r - i - 2, i - q - 1)
+                                t = tb.get(key)
                                 if t is None:
-                                    inner = prod(a, i - q - 1, c)
-                                    t = alg.state_mode(v, -s - i - 2, inner) if inner else _ZERO
-                                    tb[(s, i, q)] = t
-                                out.add_into(t, sign_pow(p + i) * binom(-p - 1, i))
-                            s = q + r
+                                    inner = prod(a, key[1], c)
+                                    t = cleared(alg.state_mode(v, key[0], inner)) if inner else _NIL
+                                    tb[key] = t
+                                if t[1]:
+                                    acc.add(t, cbp[i])
                             for i in range(0, max(wu + wv + p, -1) + 1):
-                                t = tc.get((p, i, s))
+                                key = (i - p - 1, -q - r - i - 2)
+                                t = tc.get(key)
                                 if t is None:
-                                    uv = prod(a, i - p - 1, b)
-                                    t = alg.state_mode(uv, -s - i - 2, w) if uv else _ZERO
-                                    tc[(p, i, s)] = t
-                                out.add_into(t, -sign_pow(i) * binom(q + i, i))
-                            if out:
+                                    uv = prod(a, key[0], b)
+                                    t = cleared(alg.state_mode(uv, key[1], w)) if uv else _NIL
+                                    tc[key] = t
+                                if t[1]:
+                                    acc.add(t, ccq[i])
+                            if acc:
                                 fails.append((u, v, w, p, q, r))
     return total, fails
 

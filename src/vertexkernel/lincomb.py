@@ -8,11 +8,14 @@ order.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from itertools import repeat
+from math import comb, factorial, gcd, lcm
 
 __all__ = [
     "Fraction",
     "LinComb",
+    "ClearedSum",
+    "cleared",
     "as_rational",
     "binom",
     "falling",
@@ -115,7 +118,7 @@ class LinComb:
         return self.terms.keys()
 
     def get(self, key):
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, 0)
 
     def __eq__(self, other):
         if isinstance(other, LinComb):
@@ -236,3 +239,52 @@ class LinComb:
 
     def __repr__(self):
         return f"LinComb({self.format(repr)})"
+
+
+def cleared(lc):
+    """lc as (den, {key: int}) with lc = ints / den, den the lcm of the
+    coefficient denominators.  An integer-only combination passes through as
+    (1, lc.terms); the dict is shared and must not be mutated."""
+    terms = lc.terms
+    if all(map(isinstance, terms.values(), repeat(int))):
+        return 1, terms
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+class ClearedSum:
+    """An exact sum of terms scale * ints / den, each term a pair (den, ints) from
+    cleared and each scale an int, kept as integer numerators over one common
+    denominator D.  It is zero iff every numerator is 0, since D * sum is exactly
+    the numerators."""
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, term=(1, {})):
+        """Start from one term (default: zero)."""
+        self.den, ints = term
+        self.nums = dict(ints)
+
+    def add(self, term, scale=1):
+        """self += scale * term; returns self."""
+        den, ints = term
+        nums = self.nums
+        if den != self.den:
+            D = self.den
+            if D % den:
+                f = den // gcd(D, den)
+                D = self.den = D * f
+                for k in nums:
+                    nums[k] *= f
+            scale *= D // den
+        get = nums.get
+        if scale == 1:
+            for k, c in ints.items():
+                nums[k] = get(k, 0) + c
+        else:
+            for k, c in ints.items():
+                nums[k] = get(k, 0) + scale * c
+        return self
+
+    def __bool__(self):
+        return any(self.nums.values())

@@ -209,6 +209,10 @@ def test_dp_associativity_counts_the_triples_run():
     # rank 1, degree <= 3: 4 states, 10 pairs, each against all 4 states
     rep = co.DividedPowerBialgebra(1).check_bialgebra(3)
     assert outcomes(rep)["associativity"] == "40 instances checked"
+    # rank 2, degree <= 4: 70 pairs, each against all 15 states, not only the
+    # 6 of degree <= 2
+    rep = co.DividedPowerBialgebra(2).check_bialgebra(4)
+    assert outcomes(rep)["associativity"] == "1050 instances checked"
 
 
 def test_dp_product_linearized():
@@ -323,7 +327,7 @@ def test_lopsided_dp_coassociativity_uses_its_own_delta_on_both_legs():
     assert got["counit-law"] == "counit law fails at (0, 1) (+1 more)"
     assert got["cocommutativity"] == "cocommutativity fails at (0, 1) (+1 more)"
     assert got["bialgebra-compatibility"] == "Delta not multiplicative (+15 more)"
-    assert got["associativity"] == "210 instances checked"
+    assert got["associativity"] == "350 instances checked"
 
 
 def test_lopsided_vacuum_module_coalgebra_report():

@@ -1,7 +1,12 @@
 from fractions import Fraction
+from math import lcm
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vertexkernel.lincomb import (
-    LinComb, binom, falling, format_rational, inv_factorial, parse_rational, sign_pow,
+    ClearedSum, LinComb, binom, cleared, falling, format_rational, inv_factorial,
+    parse_rational, sign_pow,
 )
 
 
@@ -77,3 +82,82 @@ def test_format():
     a = LinComb({"x": Fraction(1), "y": Fraction(-1, 2)})
     assert a.format(str) == "x - 1/2·y"
     assert LinComb().format(str) == "0"
+
+
+def test_get_of_a_missing_key_is_int_zero():
+    assert type(LinComb.single("x", Fraction(1, 2)).get("y")) is int
+
+
+# -- cleared forms and the integer accumulator of the identity sweeps -----------------
+
+
+def test_cleared_forms():
+    ints = LinComb({"x": 3, "y": -2})
+    assert cleared(ints) == (1, ints.terms) and cleared(ints)[1] is ints.terms
+    assert cleared(LinComb({"x": Fraction(4), "y": 1})) == (1, {"x": 4, "y": 1})
+    den, nums = cleared(LinComb({"x": Fraction(1, 4), "y": Fraction(-5, 6), "z": 2}))
+    assert (den, nums) == (12, {"x": 3, "y": -10, "z": 24})
+    assert type(nums["x"]) is int
+    assert cleared(LinComb()) == (1, {})
+
+
+def test_cleared_sum_cancels_across_denominators():
+    acc = ClearedSum()
+    for c in (Fraction(1, 2), Fraction(1, 3)):
+        acc.add(cleared(LinComb.single("x", c)))
+    assert acc and acc.den == 6 and acc.nums == {"x": 5}
+    acc.add(cleared(LinComb.single("x", Fraction(5, 6))), -1)
+    assert not acc and acc.den == 6
+    acc.add((3, {"x": 1}), 2)  # a factor folded into den: 2 * 1/3
+    assert acc.nums == {"x": 4}
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+lincombs = st.dictionaries(st.sampled_from("xyz"), rationals, max_size=3).map(LinComb)
+scaled_terms = st.lists(st.tuples(lincombs, st.integers(-3, 3)), max_size=6)
+
+
+def lincomb_sum(terms):
+    out = LinComb()
+    for lc, scale in terms:
+        out.add_into(lc, scale)
+    return out
+
+
+def cleared_sum(terms):
+    acc = ClearedSum()
+    for lc, scale in terms:
+        acc.add(cleared(lc), scale)
+    return acc
+
+
+def value_of(acc):
+    return {k: Fraction(n, acc.den) for k, n in acc.nums.items() if n}
+
+
+@given(scaled_terms)
+def test_cleared_sum_equals_the_lincomb_sum(terms):
+    acc, total = cleared_sum(terms), lincomb_sum(terms)
+    assert bool(acc) == bool(total)
+    assert value_of(acc) == total.terms
+
+
+@given(scaled_terms)
+def test_cleared_sum_of_a_sum_and_its_negative_is_zero(terms):
+    total = lincomb_sum(terms)
+    acc = cleared_sum(terms + [(total, -1)])
+    assert not acc
+    # the same cancellation split over the keys, one term per key
+    acc = cleared_sum(terms + [(LinComb.single(k, c), -1) for k, c in total.items()])
+    assert not acc
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=5), st.sampled_from([1, -1]))
+def test_cleared_sum_keeps_a_residue_of_one_over_the_common_denominator(dens, sign):
+    """1/d_1 + ... + 1/d_n - (that sum - sign/D) leaves exactly sign/D, D = lcm(d_i)."""
+    D = lcm(*dens)
+    parts = [(LinComb.single("x", Fraction(1, d)), 1) for d in dens]
+    rest = sum(Fraction(1, d) for d in dens) - Fraction(sign, D)
+    acc = cleared_sum(parts + [(LinComb.single("x", rest), -1)])
+    assert acc and acc.den == D and acc.nums == {"x": sign}
+    assert bool(lincomb_sum(parts + [(LinComb.single("x", rest), -1)]))

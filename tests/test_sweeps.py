@@ -5,8 +5,9 @@ per sweep.  Each test here rebuilds the same report with a plain loop over
 the *_defect_on functions, in the original loop order and with the original
 witness strings, and asserts that the report JSON is identical: on passing
 algebras, and on failing ones where the witness and the (+N more) count are
-pinned.  A Hypothesis test checks the E^- memo behind TensorPhiAlgebra's
-modes against the direct sum over k of eminus_apply.
+pinned.  The work count of jacobi_sweep is pinned at one state_mode call per
+distinct product and (k1, k2) table key.  A Hypothesis test checks the E^- memo
+behind TensorPhiAlgebra's modes against the direct sum over k of eminus_apply.
 """
 
 from fractions import Fraction
@@ -214,6 +215,71 @@ def test_tensor_phi_sweeps_fail_like_the_reference():
                     "details": "243 instances checked"}
     assert jacobi["witness"] == ("Jacobi (1,-1,-1) fails at u=|0⟩⊗e^{(-1)}, "
                                  "v=|0⟩⊗e^{(-1)}, w=h(-1)|0⟩⊗e^{(-1)} (+3791 more)")
+
+
+def jacobi_table_calls(tp, states, modes, mode_pair_keys):
+    """state_mode calls of a Jacobi sweep that tabulates its three terms per (u, v, w):
+    one per distinct product states[i]_k states[j], plus one per table entry whose
+    inner product is nonzero.  The entries are keyed by the two modes applied,
+    (k1, k2), or, with mode_pair_keys false, by (p+q, i, r), (p+r, i, q) and
+    (p, i, q+r)."""
+    weights = [tp.state_weight(s) for s in states]
+    nonzero = {}
+
+    def inner(key):
+        if key not in nonzero:
+            i, k, j = key
+            nonzero[key] = bool(tp.state_mode(states[i], k, states[j]))
+        return nonzero[key]
+
+    n = len(states)
+    entries = 0
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                wu, wv, ww = weights[a], weights[b], weights[c]
+                ta, tb, tc = set(), set(), set()
+                for p in modes:
+                    for q in modes:
+                        for r in modes:
+                            for i in range(max(wv + ww + r, -1) + 1):
+                                key = (-p - q - i - 2, i - r - 1)
+                                ta.add((key if mode_pair_keys else (p + q, i, r),
+                                        (b, i - r - 1, c)))
+                            for i in range(max(wu + ww + q, -1) + 1):
+                                key = (-p - r - i - 2, i - q - 1)
+                                tb.add((key if mode_pair_keys else (p + r, i, q),
+                                        (a, i - q - 1, c)))
+                            for i in range(max(wu + wv + p, -1) + 1):
+                                key = (i - p - 1, -q - r - i - 2)
+                                tc.add((key if mode_pair_keys else (p, i, q + r),
+                                        (a, i - p - 1, b)))
+                entries += sum(inner(k) for table in (ta, tb, tc) for _, k in table)
+    return len(nonzero) + entries
+
+
+def test_jacobi_sweep_applies_each_mode_pair_once():
+    """The work count of jacobi_sweep is pinned at one state_mode call per
+    distinct product and per distinct (k1, k2) table key."""
+    def states_of(tp):
+        return [tp.key_state(k) for d in range(2) for k in tp.basis_keys(d, 0, 1)]
+    modes = _mode_range(1)
+    ref = tensor_phi_into(heisenberg(1), "c")
+    want = jacobi_table_calls(ref, states_of(ref), modes, mode_pair_keys=True)
+    # the (p+q, i, r), (p+r, i, q), (p, i, q+r) keys cost 13338 calls here
+    assert want < jacobi_table_calls(ref, states_of(ref), modes, mode_pair_keys=False)
+
+    tp = tensor_phi_into(heisenberg(1), "c")
+    calls = []
+    state_mode = tp.state_mode
+
+    def counted(u, n, w):
+        calls.append(n)
+        return state_mode(u, n, w)
+    tp.state_mode = counted
+    states = states_of(tp)
+    assert jacobi_sweep(tp, states, modes) == (len(states) ** 3 * len(modes) ** 3, [])
+    assert len(calls) == want == 8586
 
 
 # -- the E^- memo behind TensorPhiAlgebra._key_mode ---------------------------------------
