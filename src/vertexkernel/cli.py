@@ -28,9 +28,6 @@ from .enveloping import VacuumModule
 from .errors import InputError, MorphismError, UnsupportedError
 from .report import ValidationReport
 
-SUITES = ("jacobi", "skew", "commutator", "coalgebra", "tensor-phi", "bl",
-          "morphism", "all")
-
 
 def build_parser():
     p = argparse.ArgumentParser(
@@ -94,108 +91,95 @@ def _phi_targets(pres, rank, targets):
     return PhiMap(pres, targets)
 
 
-def _suite_jobs(suite, pres, rank, group, targets, mw, win, tb):
-    """(name, thunk) pairs; each thunk returns a ValidationReport."""
-    vm = VacuumModule(pres)
-    jobs = []
-    construction = rank is not None
-    want = (suite,) if suite != "all" else (
-        ("validate", "skew", "commutator", "jacobi", "coalgebra", "morphism")
-        if not construction else
-        ("validate", "tensor-phi", "bl", "morphism"))
+class _Run:
+    """One check invocation: the loaded input, its vacuum module, and the bounds
+    from the command line (mw and win fall back to each suite's default)."""
 
-    def need_construction(name):
-        if not construction:
-            raise InputError(f"suite {name!r} needs a construction input file "
-                             "(with a \"semigroup\" field)")
+    def __init__(self, args):
+        self.pres, self.rank, self.group, self.targets = _load(args)
+        self.construction = self.rank is not None
+        self.vm = VacuumModule(self.pres)
+        self._mw, self._win, self.tb = args.max_weight, args.mode_window, args.torsion_bound
 
-    def mw_or(default):
-        return default if mw is None else mw
+    def mw(self, default):
+        return default if self._mw is None else self._mw
 
-    def win_or(default):
-        return default if win is None else win
+    def win(self, default):
+        return default if self._win is None else self._win
 
-    for name in want:
-        if name == "validate":
-            jobs.append(("validate", pres.validate))
-        elif name == "skew":
-            jobs.append(("skew", lambda: vm.check_skew_symmetry(
-                max_weight=mw_or(5), window=win_or(4), torsion_bound=tb)))
-        elif name == "commutator":
-            jobs.append(("commutator", lambda: vm.check_commutator(
-                max_weight=mw_or(3), window=win_or(4), torsion_bound=tb)))
-        elif name == "jacobi":
-            jobs.append(("jacobi", lambda: vm.check_jacobi(
-                max_weight=mw_or(2), window=win_or(2), torsion_bound=tb)))
-        elif name == "coalgebra":
-            def coalgebra_job():
-                rep = check_coalgebra(vm, max_weight=mw_or(5), torsion_bound=tb)
-                rep.merge(check_delta_morphism(vm, max_weight=mw_or(3), window=win_or(3),
-                                               torsion_bound=tb))
-                return rep
-            jobs.append(("coalgebra", coalgebra_job))
-        elif name == "tensor-phi":
-            need_construction(name)
-            def tensor_phi_job():
-                phi = _phi_targets(pres, rank, targets)
-                rep = check_phi_central(pres, phi)
-                if not rep.passed:
-                    return rep
-                tp = TensorPhiAlgebra(vm, SemigroupL(rank, group), phi)
-                rep.merge(check_tensor_phi_axioms(tp, max_weight=mw_or(1), window=win_or(2),
-                                                  alpha_bound=1, torsion_bound=tb))
-                rep.merge(check_group_like_semigroup(tp, alpha_bound=3, window=win_or(4)))
-                rep.merge(check_component_structure(
-                    tp, max_weight=mw_or(2), alpha_bound=2, window=win_or(3),
-                    torsion_bound=tb))
-                return rep
-            jobs.append(("tensor-phi", tensor_phi_job))
-        elif name == "bl":
-            need_construction(name)
-            def bl_job():
-                sg = SemigroupL(rank, group)
-                rep = check_bl_bialgebra(BL(sg), max_weight=mw_or(3), alpha_bound=2)
-                rep.merge(check_bl_equals_tensor_phi(sg, max_weight=mw_or(3), alpha_bound=2,
-                                                     window=win_or(4)))
-                return rep
-            jobs.append(("bl", bl_job))
-        elif name == "morphism":
-            if construction:
-                def morphism_job():
-                    rep = ValidationReport(subject="morphisms")
-                    bl = BL(SemigroupL(rank, group))
-                    try:
-                        _, r1 = extend_universal_morphism(
-                            bl, bl, bl.group_like,
-                            lambda i: bl.monomial([(bl.names[i], -1)]),
-                            max_weight=mw_or(2), alpha_bound=1)
-                        rep.merge(r1)
-                    except MorphismError as exc:
-                        rep.add("morphism-extension-exists", False, witness=str(exc))
-                    try:
-                        emb = {nm: bl.monomial([(nm, -1)]) for nm in bl.names}
-                        _, r2 = induced_vertex_morphism(
-                            bl.pres, emb, bl, max_weight=mw_or(2), window=win_or(3),
-                            torsion_bound=0)
-                        rep.merge(r2)
-                    except MorphismError as exc:
-                        rep.add("morphism-induced-exists", False, witness=str(exc))
-                    return rep
-            else:
-                def morphism_job():
-                    rep = ValidationReport(subject="morphisms")
-                    try:
-                        emb = {g.name: vm.embed(pres.element(g.name))
-                               for g in pres.generators}
-                        _, r = induced_vertex_morphism(
-                            pres, emb, vm, max_weight=mw_or(2), window=win_or(3),
-                            torsion_bound=tb)
-                        rep.merge(r)
-                    except MorphismError as exc:
-                        rep.add("morphism-induced-exists", False, witness=str(exc))
-                    return rep
-            jobs.append(("morphism", morphism_job))
-    return jobs
+    def semigroup(self):
+        return SemigroupL(self.rank, self.group)
+
+
+def _coalgebra(run):
+    rep = check_coalgebra(run.vm, max_weight=run.mw(5), torsion_bound=run.tb)
+    return rep.merge(check_delta_morphism(run.vm, max_weight=run.mw(3), window=run.win(3),
+                                          torsion_bound=run.tb))
+
+
+def _tensor_phi(run):
+    phi = _phi_targets(run.pres, run.rank, run.targets)
+    rep = check_phi_central(run.pres, phi)
+    if not rep.passed:
+        return rep
+    tp = TensorPhiAlgebra(run.vm, run.semigroup(), phi)
+    rep.merge(check_tensor_phi_axioms(tp, max_weight=run.mw(1), window=run.win(2),
+                                      alpha_bound=1, torsion_bound=run.tb))
+    rep.merge(check_group_like_semigroup(tp, alpha_bound=3, window=run.win(4)))
+    return rep.merge(check_component_structure(tp, max_weight=run.mw(2), alpha_bound=2,
+                                               window=run.win(3), torsion_bound=run.tb))
+
+
+def _bl(run):
+    sg = run.semigroup()
+    rep = check_bl_bialgebra(BL(sg), max_weight=run.mw(3), alpha_bound=2)
+    return rep.merge(check_bl_equals_tensor_phi(sg, max_weight=run.mw(3), alpha_bound=2,
+                                                window=run.win(4)))
+
+
+def _morphism(run):
+    """The morphism builders; a builder that refuses fails its *-exists check."""
+    if run.construction:
+        bl = BL(run.semigroup())
+        emb = {nm: bl.monomial([(nm, -1)]) for nm in bl.names}
+        builders = [
+            ("morphism-extension-exists", lambda: extend_universal_morphism(
+                bl, bl, bl.group_like, lambda i: bl.monomial([(bl.names[i], -1)]),
+                max_weight=run.mw(2), alpha_bound=1)),
+            ("morphism-induced-exists", lambda: induced_vertex_morphism(
+                bl.pres, emb, bl, max_weight=run.mw(2), window=run.win(3), torsion_bound=0))]
+    else:
+        emb = {g.name: run.vm.embed(run.pres.element(g.name)) for g in run.pres.generators}
+        builders = [("morphism-induced-exists", lambda: induced_vertex_morphism(
+            run.pres, emb, run.vm, max_weight=run.mw(2), window=run.win(3),
+            torsion_bound=run.tb))]
+    rep = ValidationReport(subject="morphisms")
+    for check_id, build in builders:
+        try:
+            rep.merge(build()[1])
+        except MorphismError as exc:
+            rep.add(check_id, False, witness=str(exc))
+    return rep
+
+
+# suite -> (needs a construction input, its job: a function of the _Run)
+_SUITE_TABLE = {
+    "validate": (False, lambda run: run.pres.validate()),
+    "jacobi": (False, lambda run: run.vm.check_jacobi(
+        max_weight=run.mw(2), window=run.win(2), torsion_bound=run.tb)),
+    "skew": (False, lambda run: run.vm.check_skew_symmetry(
+        max_weight=run.mw(5), window=run.win(4), torsion_bound=run.tb)),
+    "commutator": (False, lambda run: run.vm.check_commutator(
+        max_weight=run.mw(3), window=run.win(4), torsion_bound=run.tb)),
+    "coalgebra": (False, _coalgebra),
+    "tensor-phi": (True, _tensor_phi),
+    "bl": (True, _bl),
+    "morphism": (False, _morphism),
+}
+SUITES = tuple(name for name in _SUITE_TABLE if name != "validate") + ("all",)
+# what --suite all runs, for a presentation input and for a construction input
+ALL_PRESENTATION = ("validate", "skew", "commutator", "jacobi", "coalgebra", "morphism")
+ALL_CONSTRUCTION = ("validate", "tensor-phi", "bl", "morphism")
 
 
 def cmd_check(args):
@@ -204,15 +188,20 @@ def cmd_check(args):
                         ("--torsion-bound", args.torsion_bound)):
         if value is not None and value < 0:
             raise InputError(f"{flag} must be nonnegative, got {value}")
-    pres, rank, group, targets = _load(args)
-    jobs = _suite_jobs(args.suite, pres, rank, group, targets,
-                       args.max_weight, args.mode_window, args.torsion_bound)
+    run = _Run(args)
+    if args.suite == "all":
+        names = ALL_CONSTRUCTION if run.construction else ALL_PRESENTATION
+    elif _SUITE_TABLE[args.suite][0] and not run.construction:
+        raise InputError(f"suite {args.suite!r} needs a construction input file "
+                         "(with a \"semigroup\" field)")
+    else:
+        names = (args.suite,)
 
     merged = ValidationReport(subject=f"check:{args.suite}")
     lines = []
-    for name, job in jobs:
+    for name in names:
         t0 = time.perf_counter()
-        merged.merge(job())
+        merged.merge(_SUITE_TABLE[name][1](run))
         lines.append(f"{name}: {(time.perf_counter() - t0) * 1000:.0f} ms")
     lines.append(merged.summary())
     _emit(args, {"command": "check", "suite": args.suite,

@@ -176,30 +176,22 @@ def coalgebra_laws(obj, states, subject):
     """Coassociativity, the counit laws and cocommutativity on each state, as a
     report on subject; witnesses are rendered by obj.format_state."""
     rep = ValidationReport(subject=subject)
-    coassoc, counit, cocomm = [], [], []
-    for s in states:
-        if coassociativity_defect(obj, s):
-            coassoc.append(f"coassociativity fails at {obj.format_state(s)}")
-        dl, dr = counit_law_defects(obj, s)
-        if dl or dr:
-            counit.append(f"counit law fails at {obj.format_state(s)}")
-        if cocommutativity_defect(obj, s):
-            cocomm.append(f"cocommutativity fails at {obj.format_state(s)}")
-    rep.record("coassociativity", coassoc, len(states))
-    rep.record("counit-law", counit, len(states))
-    rep.record("cocommutativity", cocomm, len(states))
-    return rep
+    fmt = obj.format_state
+    rep.tally("coassociativity", zip(states), lambda s: coassociativity_defect(obj, s),
+              lambda s: f"coassociativity fails at {fmt(s)}")
+    rep.tally("counit-law", zip(states), lambda s: any(counit_law_defects(obj, s)),
+              lambda s: f"counit law fails at {fmt(s)}")
+    return rep.tally("cocommutativity", zip(states), lambda s: cocommutativity_defect(obj, s),
+                     lambda s: f"cocommutativity fails at {fmt(s)}")
 
 
 def check_coalgebra(vm, max_weight=5, torsion_bound=1):
     """Coassociativity, counit laws, cocommutativity and the D-coderivation
     rule on all basis states up to max_weight."""
     states = vm._graded_basis_states(max_weight, torsion_bound)
-    rep = coalgebra_laws(vm, states, "coalgebra")
-    rep.record("d-coderivation",
-               [f"Delta(Du) != (D(x)1 + 1(x)D)Delta(u) at {vm.format_state(s)}"
-                for s in states if d_coderivation_defect(vm, s)], len(states))
-    return rep
+    return coalgebra_laws(vm, states, "coalgebra").tally(
+        "d-coderivation", zip(states), lambda s: d_coderivation_defect(vm, s),
+        lambda s: f"Delta(Du) != (D(x)1 + 1(x)D)Delta(u) at {vm.format_state(s)}")
 
 
 # -- Delta and eps against products and morphisms ------------------------------------
@@ -216,33 +208,36 @@ def tensor_product_through(alg, s, t):
     return out
 
 
-def multiplicativity_failures(alg, pairs):
-    """Witnesses of Delta(uv) != Delta(u)Delta(v) and of eps(uv) != eps(u)eps(v)
-    over the (u, v) pairs, in sweep order: 2 * len(pairs) instances."""
-    fails = []
-    for u, v in pairs:
-        uv = alg.product(u, v)
-        if alg.delta(uv) != tensor_product_through(alg, alg.delta(u), alg.delta(v)):
-            fails.append("Delta not multiplicative")
-        if alg.eps(uv) != alg.eps(u) * alg.eps(v):
-            fails.append("eps not multiplicative")
-    return fails
+def delta_multiplicativity_defect(alg, u, v):
+    """Delta(uv) - Delta(u)Delta(v)."""
+    return alg.delta(alg.product(u, v)) - tensor_product_through(alg, alg.delta(u), alg.delta(v))
 
 
-def intertwining_failures(source, target, image_of_key, states, images):
-    """The states s at which Delta f(s) != (f (x) f) Delta s, and those at which
-    eps f(s) != eps s, for the linear map f given on basis keys by image_of_key;
-    images[i] is f(states[i])."""
-    dfails, efails = [], []
-    for s, img in zip(states, images):
-        want = LinComb()
-        for (k1, k2), c in source.delta(s).items():
-            want.add_into(image_of_key(k1).tensor(image_of_key(k2)), c)
-        if target.delta(img) != want:
-            dfails.append(s)
-        if target.eps(img) != source.eps(s):
-            efails.append(s)
-    return dfails, efails
+def counit_multiplicativity_defect(alg, u, v):
+    """eps(uv) - eps(u)eps(v)."""
+    return alg.eps(alg.product(u, v)) - alg.eps(u) * alg.eps(v)
+
+
+def check_multiplicative(rep, check_id, alg, pairs):
+    """Delta and then eps multiplicativity at each (u, v) pair, as one check of
+    2 * len(pairs) instances on rep."""
+    laws = (("Delta", delta_multiplicativity_defect), ("eps", counit_multiplicativity_defect))
+    return rep.tally(check_id, iproduct(pairs, laws), lambda uv, law: law[1](alg, *uv),
+                     lambda uv, law: f"{law[0]} not multiplicative")
+
+
+def delta_intertwining_defect(source, target, image_of_key, s, img):
+    """Delta f(s) - (f (x) f) Delta s, for the linear map f given on basis keys by
+    image_of_key; img is f(s)."""
+    want = LinComb()
+    for (k1, k2), c in source.delta(s).items():
+        want.add_into(image_of_key(k1).tensor(image_of_key(k2)), c)
+    return target.delta(img) - want
+
+
+def counit_intertwining_defect(source, target, s, img):
+    """eps f(s) - eps s; img is f(s)."""
+    return target.eps(img) - source.eps(s)
 
 
 # -- Delta and eps against mode products ---------------------------------------------
@@ -289,23 +284,21 @@ def check_delta_morphism(vm, max_weight=3, window=3, torsion_bound=1, cases=None
     With cases given, only those (u, n, v) triples are checked; otherwise all
     basis pairs up to max_weight with n in [-window, window].
     """
-    rep = ValidationReport(subject="coalgebra")
     if cases is None:
         states = vm._graded_basis_states(max_weight, torsion_bound)
         cases = [(u, n, v) for u in states for v in states
                  for n in range(-window, window + 1)]
     else:
         cases = list(cases)
-    dfails, efails = [], []
-    for u, n, v in cases:
-        spot = f"({vm.format_state(u)})_{n}({vm.format_state(v)})"
-        if delta_morphism_defect(vm, u, n, v):
-            dfails.append(f"Delta not multiplicative at {spot}")
-        if counit_mode_defect(vm, u, n, v):
-            efails.append(f"eps not multiplicative at {spot}")
-    rep.record("delta-mode-morphism", dfails, len(cases))
-    rep.record("counit-mode-morphism", efails, len(cases))
-    return rep
+
+    def spot(u, n, v):
+        return f"({vm.format_state(u)})_{n}({vm.format_state(v)})"
+    rep = ValidationReport(subject="coalgebra")
+    rep.tally("delta-mode-morphism", cases, lambda u, n, v: delta_morphism_defect(vm, u, n, v),
+              lambda u, n, v: f"Delta not multiplicative at {spot(u, n, v)}")
+    return rep.tally("counit-mode-morphism", cases,
+                     lambda u, n, v: counit_mode_defect(vm, u, n, v),
+                     lambda u, n, v: f"eps not multiplicative at {spot(u, n, v)}")
 
 
 # -- divided-power bialgebra ---------------------------------------------------------
@@ -375,26 +368,17 @@ class DividedPowerBialgebra:
         keys = [f for d in range(max_degree + 1) for f in self.basis(d)]
         states = [LinComb.single(f) for f in keys]
         rep = coalgebra_laws(self, states, "divided-power-bialgebra")
-        one = self.unit()
-        unit = [f"unit law fails at {self.format_state(u)}" for u in states
-                if self.product(one, u) != u or self.product(u, one) != u]
+        one, prod = self.unit(), self.product
+        rep.tally("unit-law", zip(states), lambda u: prod(one, u) != u or prod(u, one) != u,
+                  lambda u: f"unit law fails at {self.format_state(u)}")
         pairs = [(LinComb.single(f), LinComb.single(g)) for f in keys for g in keys
                  if sum(f) + sum(g) <= max_degree]
-        assoc, comm, t_assoc = [], [], 0
-        for u, v in pairs:
-            uv = self.product(u, v)
-            if uv != self.product(v, u):
-                comm.append("commutativity fails")
-            for w in states:
-                t_assoc += 1
-                if self.product(uv, w) != self.product(u, self.product(v, w)):
-                    assoc.append("associativity fails")
-        rep.record("associativity", assoc, t_assoc)
-        rep.record("commutativity", comm, len(pairs))
-        rep.record("unit-law", unit, len(states))
-        rep.record("bialgebra-compatibility", multiplicativity_failures(self, pairs),
-                   2 * len(pairs))
-        return rep
+        rep.tally("associativity", ((u, v, w) for u, v in pairs for w in states),
+                  lambda u, v, w: prod(prod(u, v), w) != prod(u, prod(v, w)),
+                  lambda u, v, w: "associativity fails")
+        rep.tally("commutativity", pairs, lambda u, v: prod(u, v) != prod(v, u),
+                  lambda u, v: "commutativity fails")
+        return check_multiplicative(rep, "bialgebra-compatibility", self, pairs)
 
 
 # -- Lie algebras and U(g) -----------------------------------------------------------
@@ -436,21 +420,15 @@ class LieAlgebra:
         return out
 
     def validate(self):
-        rep = ValidationReport(subject="lie-algebra")
-        n = len(self.names)
-        fails = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    xk = LinComb.single(k)
-                    d = self.bracket_states(self.bracket(i, j), xk)
-                    d = d + self.bracket_states(self.bracket(j, k), LinComb.single(i))
-                    d = d + self.bracket_states(self.bracket(k, i), LinComb.single(j))
-                    if d:
-                        fails.append(f"Jacobi fails at ({self.names[i]},"
-                                     f"{self.names[j]},{self.names[k]})")
-        rep.record("lie-jacobi", fails, n ** 3)
-        return rep
+        def jacobi(i, j, k):
+            return (self.bracket_states(self.bracket(i, j), LinComb.single(k))
+                    + self.bracket_states(self.bracket(j, k), LinComb.single(i))
+                    + self.bracket_states(self.bracket(k, i), LinComb.single(j)))
+
+        nm = self.names
+        return ValidationReport(subject="lie-algebra").tally(
+            "lie-jacobi", iproduct(range(len(nm)), repeat=3), jacobi,
+            lambda i, j, k: f"Jacobi fails at ({nm[i]},{nm[j]},{nm[k]})")
 
 
 class UniversalEnveloping:
@@ -522,12 +500,10 @@ class UniversalEnveloping:
         counit laws and cocommutativity on PBW words up to max_degree."""
         words = [w for d in range(max_degree + 1) for w in self.basis_words(d)]
         states = [LinComb.single(w) for w in words]
-        rep = coalgebra_laws(self, states, "universal-enveloping")
         pairs = [(LinComb.single(a), LinComb.single(b)) for a in words for b in words
                  if len(a) + len(b) <= max_degree]
-        rep.record("delta-multiplicative", multiplicativity_failures(self, pairs),
-                   2 * len(pairs))
-        return rep
+        return check_multiplicative(coalgebra_laws(self, states, "universal-enveloping"),
+                                    "delta-multiplicative", self, pairs)
 
 
 def psi_g(f, lie):
@@ -543,19 +519,17 @@ def check_psi_coalgebra(lie, max_degree=4):
     rep = ValidationReport(subject="psi-comparison")
     keys = [f for d in range(max_degree + 1) for f in dp.basis(d)]
     images = [ue.psi(f) for f in keys]
-    morph, cu = intertwining_failures(dp, ue, ue.psi, [LinComb.single(f) for f in keys],
-                                      images)
-    iso = []
-    for d in range(max_degree + 1):
-        degree_images = [img for f, img in zip(keys, images) if sum(f) == d]
-        if rank_of(degree_images) != len(degree_images):
-            iso.append(f"psi not injective in degree {d}")
-        if len(degree_images) != len(ue.basis_words(d)):
-            iso.append(f"dimension mismatch in degree {d}")
-    rep.record("psi-coalgebra-morphism",
-               [f"(psi x psi)Delta != Delta psi at {dp.format_state(s)}" for s in morph],
-               len(keys))
-    rep.record("psi-counit", [f"eps psi != eps at {dp.format_state(s)}" for s in cu],
-               len(keys))
-    rep.record("psi-degreewise-iso", iso, 2 * (max_degree + 1))
-    return rep
+    cases = list(zip([LinComb.single(f) for f in keys], images))
+    rep.tally("psi-coalgebra-morphism", cases,
+              lambda s, img: delta_intertwining_defect(dp, ue, ue.psi, s, img),
+              lambda s, img: f"(psi x psi)Delta != Delta psi at {dp.format_state(s)}")
+    rep.tally("psi-counit", cases, lambda s, img: counit_intertwining_defect(dp, ue, s, img),
+              lambda s, img: f"eps psi != eps at {dp.format_state(s)}")
+
+    def degree_images(d):
+        return [img for f, img in zip(keys, images) if sum(f) == d]
+    laws = (("psi not injective", lambda d, imgs: rank_of(imgs) != len(imgs)),
+            ("dimension mismatch", lambda d, imgs: len(imgs) != len(ue.basis_words(d))))
+    return rep.tally("psi-degreewise-iso", iproduct(range(max_degree + 1), laws),
+                     lambda d, law: law[1](d, degree_images(d)),
+                     lambda d, law: f"{law[0]} in degree {d}")

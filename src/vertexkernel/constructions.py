@@ -19,11 +19,12 @@ refuse inconsistent data with a witness.
 """
 
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
-from .coalgebra import (coalgebra_laws, d_coderivation_defect, group_like_scan,
-                        intertwining_failures, is_group_like, multiplicativity_failures,
-                        primitive_basis)
+from .coalgebra import (coalgebra_laws, counit_intertwining_defect,
+                        counit_multiplicativity_defect, d_coderivation_defect,
+                        delta_intertwining_defect, delta_multiplicativity_defect,
+                        group_like_scan, is_group_like, primitive_basis)
 from .current import Mode, mode_normalize
 from .enveloping import VacuumModule, jacobi_sweep, skew_sweep, vacuum_creation_sweep
 from .errors import InputError, MorphismError, UnsupportedError
@@ -114,20 +115,14 @@ def check_phi_central(pres, phi):
 
     The checked window n < wt(phi) + wt(b) + 1 certifies all n, because
     weight-homogeneous products truncate there."""
-    rep = ValidationReport(subject="phi-centrality")
-    fails, total = [], 0
-    for i, t in enumerate(phi.targets):
-        wt = pres.element_weight(t) if t else 0
-        for g in pres.generators:
-            b = pres.element(g.name)
-            for n in range(0, wt + g.weight + 1):
-                total += 1
-                p = pres.nth_product(t, n, b)
-                if p:
-                    fails.append(f"phi(e_{i + 1})_{n} {g.name}"
-                                 f" = {pres.format_element(p)} != 0")
-    rep.record("phi-centrality", fails, total)
-    return rep
+    def product(i, g, n):
+        return pres.nth_product(phi.targets[i], n, pres.element(g.name))
+
+    cases = ((i, g, n) for i, t in enumerate(phi.targets) for g in pres.generators
+             for n in range(0, (pres.element_weight(t) if t else 0) + g.weight + 1))
+    return ValidationReport(subject="phi-centrality").tally(
+        "phi-centrality", cases, product,
+        lambda i, g, n: f"phi(e_{i + 1})_{n} {g.name} = {pres.format_element(product(i, g, n))} != 0")
 
 
 # -- the half exponential E^-(a, x) ---------------------------------------------------
@@ -175,20 +170,12 @@ def eminus_conjugation_defect(vm, a, w, K, n, v):
 def check_eminus_conjugation(vm, a, max_weight=2, order=3, window=3, torsion_bound=0):
     """The conjugation identity over all basis w, v up to max_weight,
     x0-orders K <= order and x2-modes n in the window."""
-    rep = ValidationReport(subject="eminus")
     states = vm._graded_basis_states(max_weight, torsion_bound)
-    fails, total = [], 0
-    for w in states:
-        for v in states:
-            for K in range(0, order + 1):
-                for n in _mode_range(window):
-                    total += 1
-                    if eminus_conjugation_defect(vm, a, w, K, n, v):
-                        fails.append(
-                            f"conjugation fails at w={vm.format_state(w)},"
-                            f" v={vm.format_state(v)}, K={K}, n={n}")
-    rep.record("eminus-conjugation", fails, total)
-    return rep
+    return ValidationReport(subject="eminus").tally(
+        "eminus-conjugation", iproduct(states, states, range(0, order + 1), _mode_range(window)),
+        lambda w, v, K, n: eminus_conjugation_defect(vm, a, w, K, n, v),
+        lambda w, v, K, n: (f"conjugation fails at w={vm.format_state(w)},"
+                            f" v={vm.format_state(v)}, K={K}, n={n}"))
 
 
 # -- the twisted tensor algebra V (x)_phi C[L] ---------------------------------------
@@ -341,60 +328,35 @@ def check_group_like_semigroup(tp, alpha_bound=3, window=4):
     rep = ValidationReport(subject="tensor-phi-group-likes")
     alphas = tp.semigroup.window(alpha_bound)
     glike = {al: tp.group_like(al) for al in alphas}
-    nonneg, prod, law = [], [], []
-    t_nonneg = t_prod = t_law = 0
-    for al in alphas:
-        g = glike[al]
-        for be in alphas:
-            h = glike[be]
-            for n in range(0, window + 1):
-                t_nonneg += 1
-                if tp.state_mode(g, n, h):
-                    nonneg.append(f"e^{al}({n})e^{be} != 0")
-            gh = tp.state_mode(g, -1, h)
-            t_prod += 1
-            if not is_group_like(tp, gh):
-                prod.append(f"e^{al}·e^{be} not group-like")
-            t_law += 1
-            if gh != glike.get(tp.semigroup.add(al, be),
-                               tp.group_like(tp.semigroup.add(al, be))):
-                law.append(f"e^{al}·e^{be} != e^{tp.semigroup.add(al, be)}")
-    rep.record("group-like-nonneg-modes", nonneg, t_nonneg)
-    rep.record("group-like-product", prod, t_prod)
-    rep.record("group-like-semigroup-law", law, t_law)
+    add = tp.semigroup.add
+    pairs = list(iproduct(alphas, alphas))
 
-    assoc, comm = [], []
-    t_ac = 0
-    for al in alphas:
-        for be in alphas:
-            for ga in alphas:
-                t_ac += 1
-                g, h, k = glike[al], glike[be], glike[ga]
-                left = tp.state_mode(tp.state_mode(g, -1, h), -1, k)
-                right = tp.state_mode(g, -1, tp.state_mode(h, -1, k))
-                if left != right:
-                    assoc.append(f"associativity fails at {al},{be},{ga}")
-            if tp.state_mode(g, -1, glike[be]) != tp.state_mode(glike[be], -1, g):
-                comm.append(f"commutativity fails at {al},{be}")
-    rep.record("group-like-associativity", assoc, t_ac)
-    rep.record("group-like-commutativity", comm, len(alphas) ** 2)
+    def mode(al, n, s):
+        return tp.state_mode(glike[al], n, s)
 
-    mfails, t_m = [], 0
+    rep.tally("group-like-nonneg-modes", iproduct(alphas, alphas, range(0, window + 1)),
+              lambda al, be, n: mode(al, n, glike[be]),
+              lambda al, be, n: f"e^{al}({n})e^{be} != 0")
+    rep.tally("group-like-product", pairs,
+              lambda al, be: not is_group_like(tp, mode(al, -1, glike[be])),
+              lambda al, be: f"e^{al}·e^{be} not group-like")
+    rep.tally("group-like-semigroup-law", pairs,
+              lambda al, be: mode(al, -1, glike[be]) != glike.get(add(al, be),
+                                                                  tp.group_like(add(al, be))),
+              lambda al, be: f"e^{al}·e^{be} != e^{add(al, be)}")
+    rep.tally("group-like-associativity", iproduct(alphas, alphas, alphas),
+              lambda al, be, ga: (tp.state_mode(mode(al, -1, glike[be]), -1, glike[ga])
+                                  != mode(al, -1, mode(be, -1, glike[ga]))),
+              lambda al, be, ga: f"associativity fails at {al},{be},{ga}")
+    rep.tally("group-like-commutativity", pairs,
+              lambda al, be: mode(al, -1, glike[be]) != mode(be, -1, glike[al]),
+              lambda al, be: f"commutativity fails at {al},{be}")
     samples = [tp.key_state(k) for k in tp.basis_keys(1, 0, 1)][:4]
-    for al in alphas:
-        g = glike[al]
-        for be in alphas:
-            h = glike[be]
-            for m in range(-2, 3):
-                for n in range(-2, 3):
-                    for s in samples:
-                        t_m += 1
-                        d = tp.state_mode(g, m, tp.state_mode(h, n, s))
-                        d = d - tp.state_mode(h, n, tp.state_mode(g, m, s))
-                        if d:
-                            mfails.append(f"[e^{al}({m}), e^{be}({n})] != 0")
-    rep.record("group-like-mode-commutation", mfails, t_m)
-    return rep
+    return rep.tally(
+        "group-like-mode-commutation",
+        iproduct(alphas, alphas, range(-2, 3), range(-2, 3), samples),
+        lambda al, be, m, n, s: mode(al, m, mode(be, n, s)) - mode(be, n, mode(al, m, s)),
+        lambda al, be, m, n, s: f"[e^{al}({m}), e^{be}({n})] != 0")
 
 
 def tensor_phi_primitives(tp, weight, torsion_bound=0, alpha_bound=1):
@@ -415,32 +377,25 @@ def check_component_structure(tp, max_weight=2, alpha_bound=2, window=3,
     rep = ValidationReport(subject="components")
     keys = [k for d in range(max_weight + 1)
             for k in tp.basis_keys(d, torsion_bound, alpha_bound)]
-    dfails, modfails, shfails = [], [], []
-    t_d = t_mod = t_sh = 0
     zero_keys = [k for k in keys if k[1] == tp.semigroup.zero()]
-    for k in keys:
-        al = component_of(k)
-        t_d += 1
-        d = tp.delta(tp.key_state(k))
-        if any(component_of(k1) != al or component_of(k2) != al
-               for (k1, k2) in d.keys()):
-            dfails.append(f"Delta leaves component {al}")
-        for z in zero_keys:
-            for n in _mode_range(window):
-                got = tp.state_mode(tp.key_state(z), n, tp.key_state(k))
-                t_mod += 1
-                if any(component_of(k2) != al for k2 in got.keys()):
-                    modfails.append(f"V_0 mode moved component {al}")
-        for ga in tp.semigroup.window(1):
-            t_sh += 1
-            got = tp.state_mode(tp.group_like(ga), -1, tp.key_state(k))
-            want = tp.semigroup.add(ga, al)
-            if any(component_of(k2) != want for k2 in got.keys()):
-                shfails.append(f"e^{ga} did not shift {al} to {want}")
-    rep.record("component-delta", dfails, t_d)
-    rep.record("component-module", modfails, t_mod)
-    rep.record("component-shift", shfails, t_sh)
-    return rep
+    add = tp.semigroup.add
+
+    def leaves(keys, al):
+        return any(component_of(k) != al for k in keys)
+
+    rep.tally("component-delta", zip(keys),
+              lambda k: leaves(chain.from_iterable(tp.delta(tp.key_state(k)).keys()),
+                               component_of(k)),
+              lambda k: f"Delta leaves component {component_of(k)}")
+    rep.tally("component-module", iproduct(keys, zero_keys, _mode_range(window)),
+              lambda k, z, n: leaves(tp.state_mode(tp.key_state(z), n, tp.key_state(k)).keys(),
+                                     component_of(k)),
+              lambda k, z, n: f"V_0 mode moved component {component_of(k)}")
+    return rep.tally(
+        "component-shift", iproduct(keys, tp.semigroup.window(1)),
+        lambda k, ga: leaves(tp.state_mode(tp.group_like(ga), -1, tp.key_state(k)).keys(),
+                             add(ga, component_of(k))),
+        lambda k, ga: f"e^{ga} did not shift {component_of(k)} to {add(ga, component_of(k))}")
 
 
 # -- the differential bialgebra B_L ---------------------------------------------------
@@ -558,34 +513,28 @@ def check_bl_bialgebra(bl, max_weight=3, alpha_bound=2):
     eps, and phi(g) = g^{-1} del g is additive over the window."""
     keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound)]
     states = [bl.key_state(k) for k in keys]
+    fmt = bl.format_state
     rep = coalgebra_laws(bl, states, "bl")
-    rep.record("d-coderivation",
-               [f"Delta(del u) != (del(x)1 + 1(x)del)Delta(u) at {bl.format_state(s)}"
-                for s in states if d_coderivation_defect(bl, s)], len(states))
-    rep.record("counit-kills-d", [f"eps(del u) != 0 at {bl.format_state(s)}"
-                                  for s in states if bl.eps(bl.D(s))], len(states))
+    rep.tally("d-coderivation", zip(states), lambda s: d_coderivation_defect(bl, s),
+              lambda s: f"Delta(del u) != (del(x)1 + 1(x)del)Delta(u) at {fmt(s)}")
+    rep.tally("counit-kills-d", zip(states), lambda s: bl.eps(bl.D(s)),
+              lambda s: f"eps(del u) != 0 at {fmt(s)}")
 
     pairs = [(u, v) for u in states for v in states
              if bl.state_weight(u) + bl.state_weight(v) <= max_weight]
-    mult = multiplicativity_failures(bl, pairs)
-    rep.record("delta-multiplicative", [f for f in mult if f.startswith("Delta")], len(pairs))
-    rep.record("counit-multiplicative", [f for f in mult if f.startswith("eps")], len(pairs))
-    rep.record("d-derivation",
-               ["del not a derivation" for u, v in pairs
-                if bl.D(bl.product(u, v)) != bl.product(bl.D(u), v) + bl.product(u, bl.D(v))],
-               len(pairs))
-
-    addfails, t_add = [], 0
+    rep.tally("delta-multiplicative", pairs, lambda u, v: delta_multiplicativity_defect(bl, u, v),
+              lambda u, v: "Delta not multiplicative")
+    rep.tally("counit-multiplicative", pairs, lambda u, v: counit_multiplicativity_defect(bl, u, v),
+              lambda u, v: "eps not multiplicative")
+    rep.tally("d-derivation", pairs,
+              lambda u, v: bl.D(bl.product(u, v)) != bl.product(bl.D(u), v) + bl.product(u, bl.D(v)),
+              lambda u, v: "del not a derivation")
     if bl.semigroup.group:
         window = bl.semigroup.window(alpha_bound)
-        for al in window:
-            for be in window:
-                t_add += 1
-                lhs = bl_phi(bl, bl.group_like(bl.semigroup.add(al, be)))
-                rhs = bl_phi(bl, bl.group_like(al)) + bl_phi(bl, bl.group_like(be))
-                if lhs != rhs:
-                    addfails.append(f"phi(e^{al}·e^{be}) != phi(e^{al}) + phi(e^{be})")
-        rep.record("bl-phi-additivity", addfails, t_add)
+        rep.tally("bl-phi-additivity", iproduct(window, window),
+                  lambda al, be: (bl_phi(bl, bl.group_like(bl.semigroup.add(al, be)))
+                                  != bl_phi(bl, bl.group_like(al)) + bl_phi(bl, bl.group_like(be))),
+                  lambda al, be: f"phi(e^{al}·e^{be}) != phi(e^{al}) + phi(e^{be})")
     return rep
 
 
@@ -598,25 +547,16 @@ def check_bl_equals_tensor_phi(semigroup, max_weight=3, alpha_bound=2, window=4)
     rep = ValidationReport(subject="bl-vs-tensor-phi")
     keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound)]
     states = [bl.key_state(k) for k in keys]
-    mfails, t_m = [], 0
-    for u in states:
-        for v in states:
-            for n in _mode_range(window):
-                t_m += 1
-                if bl.state_mode(u, n, v) != tp.state_mode(u, n, v):
-                    mfails.append(
-                        f"modes differ at ({bl.format_state(u)})_{n}"
-                        f"({bl.format_state(v)})")
-    rep.record("bl-equals-tensor-phi-modes", mfails, t_m)
-    dfails, ofails = [], []
-    for i, s in enumerate(states):
-        if bl.D(s) != tp.D(s):
-            dfails.append(f"derivations differ at {bl.format_key(keys[i])}")
-        if bl.delta(s) != tp.delta(s) or bl.eps(s) != tp.eps(s):
-            ofails.append(f"coalgebra maps differ at {bl.format_key(keys[i])}")
-    rep.record("bl-equals-tensor-phi-d", dfails, len(states))
-    rep.record("bl-equals-tensor-phi-coalgebra", ofails, len(states))
-    return rep
+    fmt = bl.format_state
+    rep.tally("bl-equals-tensor-phi-modes", iproduct(states, states, _mode_range(window)),
+              lambda u, v, n: bl.state_mode(u, n, v) != tp.state_mode(u, n, v),
+              lambda u, v, n: f"modes differ at ({fmt(u)})_{n}({fmt(v)})")
+    rep.tally("bl-equals-tensor-phi-d", zip(keys, states), lambda k, s: bl.D(s) != tp.D(s),
+              lambda k, s: f"derivations differ at {bl.format_key(k)}")
+    return rep.tally(
+        "bl-equals-tensor-phi-coalgebra", zip(keys, states),
+        lambda k, s: bl.delta(s) != tp.delta(s) or bl.eps(s) != tp.eps(s),
+        lambda k, s: f"coalgebra maps differ at {bl.format_key(k)}")
 
 
 # -- morphisms ------------------------------------------------------------------------
@@ -683,27 +623,24 @@ def extend_universal_morphism(bl, target, psi, phi_b, max_weight=3, alpha_bound=
     keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound)]
     states = [bl.key_state(k) for k in keys]
     images = [f(s) for s in states]
-    palg, pd = [], []
-    t_alg = 0
-    for i, u in enumerate(states):
-        for j, v in enumerate(states):
-            if bl.state_weight(u) + bl.state_weight(v) > max_weight:
-                continue
-            t_alg += 1
-            if f(bl.product(u, v)) != target.product(images[i], images[j]):
-                palg.append(f"f not multiplicative at {bl.format_key(keys[i])},"
-                            f" {bl.format_key(keys[j])}")
-    for i, s in enumerate(states):
-        if f(bl.D(s)) != target.D(images[i]):
-            pd.append(f"f does not intertwine del at {bl.format_key(keys[i])}")
-    pdelta, peps = intertwining_failures(bl, target, lambda k: f(LinComb.single(k)),
-                                         states, images)
-    rep.record("morphism-algebra", palg, t_alg)
-    rep.record("morphism-d", pd, len(states))
-    rep.record("morphism-delta", [f"f does not intertwine Delta at {bl.format_state(s)}"
-                                  for s in pdelta], len(states))
-    rep.record("morphism-counit", [f"f does not intertwine eps at {bl.format_state(s)}"
-                                   for s in peps], len(states))
+    idx = range(len(states))
+    key_fmt = bl.format_key
+    rep.tally("morphism-algebra",
+              ((i, j) for i in idx for j in idx
+               if bl.state_weight(states[i]) + bl.state_weight(states[j]) <= max_weight),
+              lambda i, j: (f(bl.product(states[i], states[j]))
+                            != target.product(images[i], images[j])),
+              lambda i, j: f"f not multiplicative at {key_fmt(keys[i])}, {key_fmt(keys[j])}")
+    rep.tally("morphism-d", zip(keys, states, images),
+              lambda k, s, img: f(bl.D(s)) != target.D(img),
+              lambda k, s, img: f"f does not intertwine del at {key_fmt(k)}")
+    rep.tally("morphism-delta", zip(states, images),
+              lambda s, img: delta_intertwining_defect(bl, target, lambda k: f(LinComb.single(k)),
+                                                       s, img),
+              lambda s, img: f"f does not intertwine Delta at {bl.format_state(s)}")
+    rep.tally("morphism-counit", zip(states, images),
+              lambda s, img: counit_intertwining_defect(bl, target, s, img),
+              lambda s, img: f"f does not intertwine eps at {bl.format_state(s)}")
     return f, rep
 
 
@@ -760,22 +697,20 @@ def induced_vertex_morphism(pres, embedding, target, max_weight=3, window=4,
     rep = ValidationReport(subject="induced-morphism")
     states = vm._graded_basis_states(max_weight, torsion_bound)
     images = [psi(s) for s in states]
-    mfails, t_m = [], 0
-    for i, u in enumerate(states):
-        for j, v in enumerate(states):
-            for n in _mode_range(window):
-                t_m += 1
-                if psi(vm.state_mode(u, n, v)) != target.state_mode(
-                        images[i], n, images[j]):
-                    mfails.append(f"Psi(u({n})v) != Psi(u)({n})Psi(v) at"
-                                  f" u={vm.format_state(u)}, v={vm.format_state(v)}")
-    rep.record("morphism-modes", mfails, t_m)
-    dfails, efails = intertwining_failures(vm, target, lambda w: psi(LinComb.single(w)),
-                                           states, images)
-    rep.record("morphism-delta", [f"Delta Psi != (Psi x Psi) Delta at {vm.format_state(s)}"
-                                  for s in dfails], len(states))
-    rep.record("morphism-counit", [f"eps Psi != eps at {vm.format_state(s)}"
-                                   for s in efails], len(states))
+    idx = range(len(states))
+    fmt = vm.format_state
+    rep.tally("morphism-modes", iproduct(idx, idx, _mode_range(window)),
+              lambda i, j, n: (psi(vm.state_mode(states[i], n, states[j]))
+                               != target.state_mode(images[i], n, images[j])),
+              lambda i, j, n: (f"Psi(u({n})v) != Psi(u)({n})Psi(v) at"
+                               f" u={fmt(states[i])}, v={fmt(states[j])}"))
+    rep.tally("morphism-delta", zip(states, images),
+              lambda s, img: delta_intertwining_defect(vm, target, lambda w: psi(LinComb.single(w)),
+                                                       s, img),
+              lambda s, img: f"Delta Psi != (Psi x Psi) Delta at {fmt(s)}")
+    rep.tally("morphism-counit", zip(states, images),
+              lambda s, img: counit_intertwining_defect(vm, target, s, img),
+              lambda s, img: f"eps Psi != eps at {fmt(s)}")
     return psi, rep
 
 

@@ -10,6 +10,7 @@ into a falling-factorial shift.  The bracket is
 finite because the product table is.
 """
 
+from itertools import product as iproduct
 from typing import NamedTuple
 
 from .lincomb import LinComb, binom, falling
@@ -91,25 +92,14 @@ def check_lie_axioms(pres, window=3):
     """Antisymmetry and Jacobi for all generator modes with |n| <= window."""
     rep = ValidationReport(subject="current-algebra")
     menu = _mode_menu(pres, window)
+    br = {(a, b): bracket(pres, a, b) for a, b in iproduct(menu, repeat=2)}
+    rep.tally("bracket-antisymmetry", br, lambda a, b: br[a, b] != (-1) * br[b, a],
+              lambda a, b: f"[{a},{b}] + [{b},{a}] != 0")
 
-    fails = []
-    for a in menu:
-        for b in menu:
-            lhs = bracket(pres, a, b)
-            rhs = bracket(pres, b, a)
-            if lhs != (-1) * rhs:
-                fails.append(f"[{a},{b}] + [{b},{a}] != 0")
-    rep.record("bracket-antisymmetry", fails, len(menu) ** 2)
+    def jacobi(a, b, c):
+        rhs = bracket_combo(pres, LinComb.single(a), br[b, c])
+        rhs.add_into(bracket_combo(pres, LinComb.single(b), br[a, c]), -1)
+        return bracket_combo(pres, br[a, b], LinComb.single(c)) != rhs
 
-    fails = []
-    for a in menu:
-        for b in menu:
-            ab = bracket(pres, a, b)
-            for c in menu:
-                lhs = bracket_combo(pres, ab, LinComb.single(c))
-                rhs = bracket_combo(pres, LinComb.single(a), bracket(pres, b, c))
-                rhs.add_into(bracket_combo(pres, LinComb.single(b), bracket(pres, a, c)), -1)
-                if lhs != rhs:
-                    fails.append(f"Jacobi fails at [[{a},{b}],{c}]")
-    rep.record("bracket-jacobi", fails, len(menu) ** 3)
-    return rep
+    return rep.tally("bracket-jacobi", iproduct(menu, repeat=3), jacobi,
+                     lambda a, b, c: f"Jacobi fails at [[{a},{b}],{c}]")

@@ -2,7 +2,9 @@
 
 Every checker in the package returns a ValidationReport: a list of named
 CheckResults, each carrying the formula identifier it verified and, on
-failure, a witness string pinpointing the first offending instance.
+failure, a witness string pinpointing the first offending instance.  A
+checker states each identity as a defect over a sequence of cases and runs
+it through ValidationReport.tally, which does the counting.
 Reports serialize to JSON deterministically (checks sorted by id, no
 wall-clock fields).
 """
@@ -49,6 +51,19 @@ class ValidationReport:
         else:
             self.add(check_id, True, details=details or f"{total} instances checked")
         return self
+
+    def tally(self, check_id, cases, defect, witness, details=""):
+        """Run one check over cases, counting exactly the cases it ran.
+
+        Each case is an argument tuple: a case fails when defect(*case) is
+        nonzero (a LinComb, a number or a bool), and only a failing case is
+        rendered, by witness(*case).  The result goes through record."""
+        total, failures = 0, []
+        for case in cases:
+            total += 1
+            if defect(*case):
+                failures.append(witness(*case))
+        return self.record(check_id, failures, total, details)
 
     def merge(self, other):
         self.checks.extend(other.checks)

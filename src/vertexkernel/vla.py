@@ -17,6 +17,7 @@ Element keys are (generator name, d) meaning D^d applied to the generator;
 torsion generators only ever carry d = 0.
 """
 
+from itertools import product as iproduct
 from typing import NamedTuple
 
 from .errors import InputError
@@ -175,56 +176,51 @@ class Presentation:
         rep = ValidationReport(subject="presentation")
         nmax = max(self.max_table_n, 2 * self.max_weight - 1) + 2
 
-        fails = []
-        for (l, r, n), res in sorted(self._table.items()):
-            want = self.weight_of(l) + self.weight_of(r) - n - 1
-            for key, _ in res.items():
-                if self.key_weight(key) != want:
-                    fails.append(f"({l})_{n}({r}): term D^{key[1]}{key[0]} has weight "
-                                 f"{self.key_weight(key)}, expected {want}")
-        rep.record("weight-homogeneity", fails, len(self._table))
+        rows = [(l, r, n, res) for (l, r, n), res in sorted(self._table.items())]
 
-        fails = []
-        for (l, r, n), res in sorted(self._table.items()):
-            if (self.is_torsion(l) or self.is_torsion(r)) and res:
-                fails.append(f"({l})_{n}({r}) nonzero but a factor is torsion")
-        rep.record("torsion-rows-zero", fails, len(self._table))
+        def want(l, r, n):
+            return self.weight_of(l) + self.weight_of(r) - n - 1
+
+        def off_weight(l, r, n, res):
+            """The terms of a table row whose weight is not want(l, r, n)."""
+            return [key for key, _ in res.items() if self.key_weight(key) != want(l, r, n)]
+
+        def weight_witness(l, r, n, res):
+            key = off_weight(l, r, n, res)[0]
+            return (f"({l})_{n}({r}): term D^{key[1]}{key[0]} has weight "
+                    f"{self.key_weight(key)}, expected {want(l, r, n)}")
+
+        rep.tally("weight-homogeneity", rows, off_weight, weight_witness)
+        rep.tally("torsion-rows-zero", rows,
+                  lambda l, r, n, res: (self.is_torsion(l) or self.is_torsion(r)) and res,
+                  lambda l, r, n, res: f"({l})_{n}({r}) nonzero but a factor is torsion")
 
         names = [g.name for g in self.generators]
-        fails = []
-        total = 0
-        for lu in names:
-            for lv in names:
-                u, v = self.element(lu), self.element(lv)
-                for n in range(0, nmax + 1):
-                    total += 1
-                    lhs = self.nth_product(u, n, v)
-                    rhs = self.skew_expansion(u, n, v)
-                    if lhs != rhs:
-                        fails.append(f"skew-symmetry at ({lu})_{n}({lv}): "
-                                     f"{self.format_element(lhs)} vs {self.format_element(rhs)}")
-        rep.record("skew-symmetry", fails, total)
+        elt = {nm: self.element(nm) for nm in names}
+        span = range(0, nmax + 1)
 
-        fails = []
-        total = 0
-        for lu in names:
-            for lv in names:
-                for lw in names:
-                    u, v, w = self.element(lu), self.element(lv), self.element(lw)
-                    for m in range(0, nmax + 1):
-                        for n in range(0, nmax + 1):
-                            total += 1
-                            lhs = self.nth_product(u, m, self.nth_product(v, n, w))
-                            lhs.add_into(self.nth_product(v, n, self.nth_product(u, m, w)), -1)
-                            rhs = LinComb()
-                            for j in range(0, m + 1):
-                                b = binom(m, j)
-                                if b:
-                                    rhs.add_into(
-                                        self.nth_product(self.nth_product(u, j, v), m + n - j, w), b)
-                            if lhs != rhs:
-                                fails.append(f"half-Jacobi at ({lu})_{m}(({lv})_{n}({lw}))")
-        rep.record("half-jacobi", fails, total)
+        def skew_witness(lu, lv, n):
+            lhs = self.nth_product(elt[lu], n, elt[lv])
+            rhs = self.skew_expansion(elt[lu], n, elt[lv])
+            return (f"skew-symmetry at ({lu})_{n}({lv}): "
+                    f"{self.format_element(lhs)} vs {self.format_element(rhs)}")
+
+        rep.tally("skew-symmetry", iproduct(names, names, span),
+                  lambda lu, lv, n: (self.nth_product(elt[lu], n, elt[lv])
+                                     != self.skew_expansion(elt[lu], n, elt[lv])),
+                  skew_witness)
+
+        def half_jacobi(lu, lv, lw, m, n):
+            """u_m(v_n w) - v_n(u_m w) - sum_j binom(m, j) (u_j v)_{m+n-j} w."""
+            u, v, w = elt[lu], elt[lv], elt[lw]
+            out = self.nth_product(u, m, self.nth_product(v, n, w))
+            out.add_into(self.nth_product(v, n, self.nth_product(u, m, w)), -1)
+            for j in range(0, m + 1):
+                out.add_into(self.nth_product(self.nth_product(u, j, v), m + n - j, w), -binom(m, j))
+            return out
+
+        rep.tally("half-jacobi", iproduct(names, names, names, span, span), half_jacobi,
+                  lambda lu, lv, lw, m, n: f"half-Jacobi at ({lu})_{m}(({lv})_{n}({lw}))")
 
         # Which sign of the derivation rule u_n(Dv) = D(u_n v) +/- n u_{n-1} v
         # agrees with the skew-symmetry route (which only uses the left rule)?

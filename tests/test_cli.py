@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -220,3 +221,53 @@ def test_seed_flag_accepted(vir_file, capsys):
     assert main(["check", "--input", vir_file, "--suite", "coalgebra",
                  "--seed", "7"]) == 0
     capsys.readouterr()
+
+
+# -- byte-identity snapshots of check --suite all ------------------------------------------
+
+HEIS = {"builtin": "heisenberg", "rank": 1}
+ABELIAN = {"builtin": "abelian", "rank": 1}
+H_PHI = [[{"coeff": "1", "d": 0, "gen": "h"}]]
+VIR_DOUBLED_L0 = {
+    "generators": [{"name": "L", "weight": 2}, {"name": "c", "weight": 0, "torsion": True}],
+    "products": [{"left": "L", "right": "L", "n": 0, "result": [{"coeff": "2", "d": 1, "gen": "L"}]},
+                 {"left": "L", "right": "L", "n": 1, "result": [{"coeff": "2", "d": 0, "gen": "L"}]},
+                 {"left": "L", "right": "L", "n": 3, "result": [{"coeff": "1/2", "d": 0, "gen": "c"}]}]}
+
+# (input, --max-weight, --mode-window, exit code, sha256 of the JSON report)
+SNAPSHOTS = {
+    "heisenberg": (HEIS, 2, 1, 0,
+                   "281792addc8370fb557e71fb8707e9556726aacffce5f87488b1e5b4a99f276c"),
+    "heisenberg-centre": ({"presentation": HEIS, "semigroup": {"rank": 1, "group": True},
+                           "phi": [[{"gen": "c", "coeff": "1"}]]}, 1, 1, 0,
+                          "19341b8d4436ecd1f87e914449a33796646c91c83ef57a72a7b431704e9c1569"),
+    "virasoro": ({"builtin": "virasoro"}, 2, 1, 0,
+                 "1797ae869d9467b580c6c6e9400fa47821c03281f4e013afbe204144b9835ecc"),
+    "abelian-z": ({"presentation": ABELIAN, "semigroup": {"rank": 1, "group": True},
+                   "phi": H_PHI}, 1, 1, 0,
+                  "2955bbdc60a598eace6ed1801296760cdccaed03523256e1a80db4e858767365"),
+    "abelian-n": ({"presentation": ABELIAN, "semigroup": {"rank": 1, "group": False},
+                   "phi": H_PHI}, 1, 1, 0,
+                  "1b8b768ed3260cddab2cadad803b3f1048f8d16cb9e154ab135eff8e9e80a1a2"),
+    "virasoro-doubled-l0": (VIR_DOUBLED_L0, 2, 1, 1,
+                            "1f0224ca826cc07210627c72ab228f7721968a04efd5112f354af4d6f6271e57"),
+    "heisenberg-phi-h": ({"presentation": HEIS, "semigroup": {"rank": 1, "group": True},
+                          "phi": H_PHI}, 1, 1, 1,
+                         "2f89c3a7d9a3fb84e312ad190308fe62185fd3dd265cb18c0f2eb36be5b7b292"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOTS))
+def test_check_all_json_snapshot(tmp_path, capsys, name):
+    data, mw, win, code, digest = SNAPSHOTS[name]
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(data))
+    assert main(["check", "--input", str(p), "--suite", "all", "--format", "json",
+                 "--max-weight", str(mw), "--mode-window", str(win)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_suites_are_the_table_rows():
+    assert cli.SUITES == tuple(n for n in cli._SUITE_TABLE if n != "validate") + ("all",)
+    assert set(cli.ALL_PRESENTATION + cli.ALL_CONSTRUCTION) <= set(cli._SUITE_TABLE)

@@ -260,6 +260,24 @@ def test_vacuum_creation_and_d_translation_sweeps():
         assert vm.check_d_translation(max_weight=3, torsion_bound=1, window=3).passed
 
 
+class DoubledTranslation(VacuumModule):
+    """A vacuum module whose D is twice the true one."""
+
+    def D(self, state, power=1):
+        return super().D(state, power) * 2 ** power
+
+
+def test_d_translation_is_exhaustive_and_fails_on_a_doubled_d():
+    # every (u, v, n) with v over all basis states, not a sample of them
+    rep = VacuumModule(virasoro()).check_d_translation()
+    assert rep.checks[0].details == "910 instances checked"
+    rep = DoubledTranslation(virasoro()).check_d_translation(max_weight=3, torsion_bound=1,
+                                                             window=2)
+    (check,) = rep.checks
+    assert check.check_id == "d-translation" and not check.passed
+    assert check.witness == "Du != u(-2)|0> at L(-1)|0⟩ (+75 more)"
+
+
 def test_format_state():
     vm = VacuumModule(virasoro())
     s = 2 * S(W(("L", -2), ("L", -1))) + S(W(("c", -1)), Fraction(-1, 2))

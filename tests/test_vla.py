@@ -139,6 +139,14 @@ def test_validate_catches_wrong_weight_entry():
     assert any(not c.passed and c.check_id == "weight-homogeneity" for c in rep.checks)
 
 
+def test_weight_homogeneity_counts_a_row_once():
+    # both terms of the one row have the wrong weight: one failing instance of one
+    pres = Presentation([Generator("a", 1), Generator("b", 2)],
+                        {("a", "b", 0): {("a", 0): 1, ("a", 2): 1}})
+    (check,) = [c for c in pres.validate().checks if c.check_id == "weight-homogeneity"]
+    assert check.witness == "(a)_0(b): term D^0a has weight 1, expected 2"
+
+
 def test_validate_catches_torsion_row():
     pres = Presentation(
         [Generator("h", 1), Generator("c", 0, torsion=True)],
