@@ -26,7 +26,8 @@ from .coalgebra import (coalgebra_laws, counit_intertwining_defect,
                         delta_intertwining_defect, delta_multiplicativity_defect,
                         group_like_scan, is_group_like, primitive_basis)
 from .current import Mode, mode_normalize
-from .enveloping import VacuumModule, jacobi_sweep, skew_sweep, vacuum_creation_sweep
+from .enveloping import (VacuumModule, jacobi_sweep, skew_sweep, sweep_defect,
+                         vacuum_creation_sweep)
 from .errors import InputError, MorphismError, UnsupportedError
 from .lincomb import LinComb, binom, inv_factorial
 from .report import ValidationReport
@@ -307,18 +308,15 @@ def check_tensor_phi_axioms(tp, max_weight=2, window=2, alpha_bound=1,
     keys = [k for d in range(max_weight + 1)
             for k in tp.basis_keys(d, torsion_bound, alpha_bound)]
     states = [tp.key_state(k) for k in keys]
-    total, fails = vacuum_creation_sweep(tp, states, range(0, window + 2), _mode_range(window))
-    rep.record("tensor-phi-vacuum-creation", fails, total)
-
+    vacuum_creation_sweep(rep, "tensor-phi-vacuum-creation", tp, states, range(0, window + 2),
+                          _mode_range(window))
     fmt = tp.format_state
-    total, fails = skew_sweep(tp, states, _mode_range(window))
-    rep.record("tensor-phi-skew-symmetry",
-               [f"skew fails at ({fmt(u)})_{n}({fmt(v)})" for u, n, v in fails], total)
-    total, fails = jacobi_sweep(tp, states, _mode_range(window))
-    rep.record("tensor-phi-jacobi",
-               [f"Jacobi ({p},{q},{r}) fails at u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"
-                for u, v, w, p, q, r in fails], total)
-    return rep
+    rep.tally("tensor-phi-skew-symmetry", skew_sweep(tp, states, _mode_range(window)),
+              sweep_defect, lambda u, n, v, _: f"skew fails at ({fmt(u)})_{n}({fmt(v)})")
+    return rep.tally("tensor-phi-jacobi", jacobi_sweep(tp, states, _mode_range(window)),
+                     sweep_defect,
+                     lambda u, v, w, p, q, r, _: (f"Jacobi ({p},{q},{r}) fails at "
+                                                  f"u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"))
 
 
 def check_group_like_semigroup(tp, alpha_bound=3, window=4):

@@ -25,7 +25,7 @@ from .report import ValidationReport
 
 __all__ = ["VacuumModule", "split_sorted_word", "skew_defect_on", "commutator_defect_on",
            "jacobi_defect_on", "vacuum_creation_sweep", "skew_sweep", "commutator_sweep",
-           "jacobi_sweep"]
+           "jacobi_sweep", "sweep_defect"]
 
 _ZERO = LinComb()
 
@@ -307,12 +307,10 @@ class VacuumModule:
         return out
 
     def check_vacuum_creation(self, max_weight=4, torsion_bound=1, window=4):
-        rep = ValidationReport(subject="vacuum-module")
         states = self._graded_basis_states(max_weight, torsion_bound)
-        total, fails = vacuum_creation_sweep(self, states, range(0, window + 1),
-                                             range(-window, window + 1))
-        rep.record("vacuum-creation", fails, total)
-        return rep
+        return vacuum_creation_sweep(ValidationReport(subject="vacuum-module"),
+                                     "vacuum-creation", self, states, range(0, window + 1),
+                                     range(-window, window + 1))
 
     def check_d_translation(self, max_weight=4, torsion_bound=1, window=4):
         """D u = u_{-2}|0> for every basis state u, then (D u)_n v = -n u_{n-1} v
@@ -335,34 +333,29 @@ class VacuumModule:
                                                                witness)
 
     def check_skew_symmetry(self, max_weight=3, window=3, torsion_bound=1):
-        rep = ValidationReport(subject="vacuum-module")
         states = self._graded_basis_states(max_weight, torsion_bound)
-        total, fails = skew_sweep(self, states, range(-window, window + 1))
         fmt = self.format_state
-        rep.record("skew-symmetry", [f"skew-symmetry fails at ({fmt(u)})_{n}({fmt(v)})"
-                                     for u, n, v in fails], total)
-        return rep
+        return ValidationReport(subject="vacuum-module").tally(
+            "skew-symmetry", skew_sweep(self, states, range(-window, window + 1)), sweep_defect,
+            lambda u, n, v, _: f"skew-symmetry fails at ({fmt(u)})_{n}({fmt(v)})")
 
     def check_commutator(self, max_weight=4, window=3, torsion_bound=1):
-        rep = ValidationReport(subject="vacuum-module")
         states = self._graded_basis_states(max_weight, torsion_bound)
-        total, fails = commutator_sweep(self, states, range(-window, window + 1))
         fmt = self.format_state
-        rep.record("borcherds-commutator",
-                   [f"[u({m}),v({n})]w defect at u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"
-                    for u, m, v, n, w in fails], total)
-        return rep
+        return ValidationReport(subject="vacuum-module").tally(
+            "borcherds-commutator", commutator_sweep(self, states, range(-window, window + 1)),
+            sweep_defect,
+            lambda u, m, v, n, w, _: (f"[u({m}),v({n})]w defect at "
+                                      f"u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"))
 
     def check_jacobi(self, max_weight=3, window=3, torsion_bound=1):
-        rep = ValidationReport(subject="vacuum-module")
         states = self._graded_basis_states(max_weight, torsion_bound)
-        total, fails = jacobi_sweep(self, states, range(-window, window + 1))
         fmt = self.format_state
-        rep.record("jacobi-identity",
-                   [f"Jacobi coefficient ({p},{q},{r}) defect at "
-                    f"u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"
-                    for u, v, w, p, q, r in fails], total)
-        return rep
+        return ValidationReport(subject="vacuum-module").tally(
+            "jacobi-identity", jacobi_sweep(self, states, range(-window, window + 1)),
+            sweep_defect,
+            lambda u, v, w, p, q, r, _: (f"Jacobi coefficient ({p},{q},{r}) defect at "
+                                         f"u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"))
 
     # -- formatting ---------------------------------------------------------------
 
@@ -428,14 +421,19 @@ def jacobi_defect_on(alg, u, v, w, p, q, r):
 
 
 # -- identity sweeps, generic over mode algebras ---------------------------------------
-# Each sweep runs its defect over every instance, in the loop order of the defect's
-# arguments (states outermost, modes innermost), and returns (instances, failing
-# instances); a failing instance is the defect's argument tuple.  Subterms shared
+# Each sweep yields every instance, in the loop order of the defect's arguments (states
+# outermost, modes innermost), as the defect's argument tuple followed by its defect, for
+# ValidationReport.tally to count with sweep_defect as the defect.  Subterms shared
 # between instances are evaluated once and tabulated in cleared form (lincomb.cleared),
 # and each defect is the exact sum, in a fresh ClearedSum, of the same terms with the
 # same coefficients as its *_defect_on reference: it is zero iff that reference is.
 
 _NIL = (1, {})  # the cleared zero state
+
+
+def sweep_defect(*case):
+    """The defect of a sweep's case: its last element."""
+    return case[-1]
 
 
 def _products(alg, states):
@@ -455,13 +453,11 @@ def skew_sweep(alg, states, modes):
     """skew_defect_on(alg, u, n, v) for u, v in states and n in modes."""
     prod = _products(alg, states)
     weights = [alg.state_weight(s) for s in states]
-    total, fails = 0, []
     for a, u in enumerate(states):
         for b, v in enumerate(states):
             bound = weights[a] + weights[b]
             powers = {}  # k -> ([D^j(v_k u) for j = 0, 1, ...], their cleared forms)
             for n in modes:
-                total += 1
                 acc = ClearedSum(cleared(prod(a, n, b)))
                 for j in range(0, max(bound - n, 0) + 1):
                     k = n + j
@@ -476,9 +472,7 @@ def skew_sweep(alg, states, modes):
                             forms.append(cleared(states_j[-1]))
                         den, ints = forms[j]
                         acc.add((den * factorial(j), ints), -sign_pow(k + 1))
-                if acc:
-                    fails.append((u, n, v))
-    return total, fails
+                yield u, n, v, acc
 
 
 def commutator_sweep(alg, states, modes):
@@ -486,7 +480,6 @@ def commutator_sweep(alg, states, modes):
     prod = _products(alg, states)
     weights = [alg.state_weight(s) for s in states]
     bm = {m: [binom(m, j) for j in range(2 * max(weights, default=0))] for m in modes}
-    total, fails = 0, []
     for a, u in enumerate(states):
         for b, v in enumerate(states):
             jmax = weights[a] + weights[b]
@@ -495,7 +488,6 @@ def commutator_sweep(alg, states, modes):
                 for m in modes:
                     bmj = bm[m]
                     for n in modes:
-                        total += 1
                         vnw, umw = prod(b, n, c), prod(a, m, c)
                         acc = ClearedSum(cleared(alg.state_mode(u, m, vnw)) if vnw else _NIL)
                         if umw:
@@ -511,9 +503,7 @@ def commutator_sweep(alg, states, modes):
                                     iterates[key] = t
                                 if t[1]:
                                     acc.add(t, -bj)
-                        if acc:
-                            fails.append((u, m, v, n, w))
-    return total, fails
+                        yield u, m, v, n, w, acc
 
 
 def jacobi_sweep(alg, states, modes):
@@ -525,7 +515,6 @@ def jacobi_sweep(alg, states, modes):
     ca = {p: [sign_pow(i) * binom(-p - 1, i) for i in irange] for p in modes}
     cb = {p: [sign_pow(p + i) * binom(-p - 1, i) for i in irange] for p in modes}
     cc = {q: [-sign_pow(i) * binom(q + i, i) for i in irange] for q in modes}
-    total, fails = 0, []
     for a, u in enumerate(states):
         wu = weights[a]
         for b, v in enumerate(states):
@@ -541,7 +530,6 @@ def jacobi_sweep(alg, states, modes):
                     for q in modes:
                         ccq = cc[q]
                         for r in modes:
-                            total += 1
                             acc = ClearedSum()
                             for i in range(0, max(wv + ww + r, -1) + 1):
                                 key = (-p - q - i - 2, i - r - 1)
@@ -570,31 +558,22 @@ def jacobi_sweep(alg, states, modes):
                                     tc[key] = t
                                 if t[1]:
                                     acc.add(t, ccq[i])
-                            if acc:
-                                fails.append((u, v, w, p, q, r))
-    return total, fails
+                            yield u, v, w, p, q, r, acc
 
 
 # -- vacuum axioms, generic over mode algebras ----------------------------------------
 
 
-def vacuum_creation_sweep(alg, states, nonneg, modes):
-    """u_{-1}|0> = u, u_n|0> = 0 for n in nonneg and |0>_n u = delta_{n,-1} u for n in
-    modes, over u in states; returns (instances, witnesses).  alg also provides
+def vacuum_creation_sweep(rep, check_id, alg, states, nonneg, modes):
+    """Tally into rep, as check_id, u_{-1}|0> = u, then u_n|0> = 0 for n in nonneg, then
+    |0>_n u = delta_{n,-1} u for n in modes, for each u in states.  alg also provides
     vacuum() and format_state(state), which renders the witnesses."""
     vac = alg.vacuum()
-    total, fails = 0, []
-    for s in states:
-        total += 1
-        if alg.state_mode(s, -1, vac) != s:
-            fails.append(f"u(-1)|0> != u at {alg.format_state(s)}")
-        for n in nonneg:
-            total += 1
-            if alg.state_mode(s, n, vac):
-                fails.append(f"u({n})|0> != 0 at {alg.format_state(s)}")
-        for n in modes:
-            total += 1
-            want = s if n == -1 else _ZERO
-            if alg.state_mode(vac, n, s) != want:
-                fails.append(f"|0>({n})u wrong at {alg.format_state(s)}")
-    return total, fails
+    defects = (lambda u, n: alg.state_mode(u, n, vac) != u,
+               lambda u, n: alg.state_mode(u, n, vac),
+               lambda u, n: alg.state_mode(vac, n, u) != (u if n == -1 else _ZERO))
+    witnesses = ("u(-1)|0> != u at {u}", "u({n})|0> != 0 at {u}", "|0>({n})u wrong at {u}")
+    cases = ((law, u, n) for u in states
+             for law, ns in enumerate(((-1,), nonneg, modes)) for n in ns)
+    return rep.tally(check_id, cases, lambda law, u, n: defects[law](u, n),
+                     lambda law, u, n: witnesses[law].format(u=alg.format_state(u), n=n))

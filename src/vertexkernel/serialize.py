@@ -17,7 +17,7 @@ import re
 from .current import Mode
 from .errors import InputError
 from .lincomb import Fraction, LinComb, parse_rational
-from .vla import Presentation, builtin
+from .vla import Presentation, builtin, json_bool, json_int, json_terms
 
 _MODE_RE = re.compile(r"^([A-Za-z_]\w*)\((-?\d+)\)$")
 _WORD_RE = re.compile(r"([A-Za-z_]\w*)\((-?\d+)\)")
@@ -45,7 +45,7 @@ def mode_to_json(mode):
 
 def mode_from_json(data):
     try:
-        return Mode(str(data["gen"]), int(data["n"]))
+        return Mode(str(data["gen"]), json_int(data["n"], "n"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed mode JSON: {exc}") from exc
 
@@ -107,11 +107,8 @@ def element_to_json(elt):
 
 
 def element_from_json(pres, rows):
-    terms = {}
     try:
-        for t in rows:
-            k = (str(t["gen"]), int(t.get("d", 0)))
-            terms[k] = terms.get(k, 0) + parse_rational(t["coeff"])
+        terms = json_terms(rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed element JSON: {exc}") from exc
     return pres.make_element(terms)
@@ -125,6 +122,7 @@ def parse_state(vm, text):
     text = text.strip()
     if text == "0":
         return LinComb()
+    names = {g.name for g in vm.pres.generators}
     out = LinComb()
     for sign, term in _split_signed(text):
         coeff, body = _coeff_split(term)
@@ -134,6 +132,8 @@ def parse_state(vm, text):
                              f"(expected like \"L(-2)L(-1)|0⟩\")")
         s = vm.vacuum()
         for gen, n in reversed(_WORD_RE.findall(m.group(1))):
+            if gen not in names:
+                raise InputError(f"unknown generator {gen!r} in state term {body!r}")
             s = vm.mode_apply(gen, int(n), s)
         out.add_into(s, sign * coeff)
     return out
@@ -256,7 +256,7 @@ def load_presentation(data):
         raise InputError("presentation must be a JSON object")
     if "builtin" in data:
         try:
-            return builtin(str(data["builtin"]), int(data.get("rank", 1)))
+            return builtin(str(data["builtin"]), json_int(data.get("rank", 1), "rank"))
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed builtin reference: {exc}") from exc
     return Presentation.from_json(data)
@@ -281,8 +281,8 @@ def load_construction(data):
     if not isinstance(sg, dict):
         raise InputError("construction file needs a \"semigroup\" object")
     try:
-        rank = int(sg["rank"])
-        group = bool(sg.get("group", True))
+        rank = json_int(sg["rank"], "rank")
+        group = json_bool(sg.get("group", True), "group")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed semigroup block: {exc}") from exc
     phi_rows = data.get("phi")

@@ -271,19 +271,37 @@ class Presentation:
     @classmethod
     def from_json(cls, data):
         try:
-            gens = [Generator(str(g["name"]), int(g["weight"]), bool(g.get("torsion", False)))
+            gens = [Generator(str(g["name"]), json_int(g["weight"], "weight"),
+                              json_bool(g.get("torsion", False), "torsion"))
                     for g in data["generators"]]
-            products = {}
-            for p in data.get("products", []):
-                key = (str(p["left"]), str(p["right"]), int(p["n"]))
-                terms = {}
-                for t in p["result"]:
-                    k = (str(t["gen"]), int(t.get("d", 0)))
-                    terms[k] = terms.get(k, 0) + parse_rational(t["coeff"])
-                products[key] = terms
+            products = {(str(p["left"]), str(p["right"]), json_int(p["n"], "n")):
+                        json_terms(p["result"]) for p in data.get("products", [])}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed presentation JSON: {exc}") from exc
         return cls(gens, products)
+
+
+def json_int(value, name):
+    """An integer field of input JSON; a bool or a non-integral number is refused."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def json_bool(value, name):
+    """A true/false field of input JSON; anything but a JSON boolean is refused."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def json_terms(rows):
+    """Element terms {(gen, d): coefficient} from JSON rows {"gen", "d", "coeff"}."""
+    terms = {}
+    for t in rows:
+        k = (str(t["gen"]), json_int(t.get("d", 0), "d"))
+        terms[k] = terms.get(k, 0) + parse_rational(t["coeff"])
+    return terms
 
 
 # -- builtin presentations ----------------------------------------------------

@@ -77,6 +77,20 @@ def test_compute_product(vir_file, capsys):
     assert capsys.readouterr().out.strip() == "product L 1 L → 2·L"
 
 
+@pytest.mark.parametrize("field, value", [("weight", 1.5), ("torsion", "no")])
+def test_coerced_json_values_exit_two(tmp_path, capsys, field, value):
+    # a weight of 1.5 used to read as 1 and a torsion flag "no" as true, so this
+    # file validated as PASS as if it were Heisenberg
+    gens = [{"name": "h", "weight": 1}, {"name": "c", "weight": 0, "torsion": True}]
+    gens[0 if field == "weight" else 1][field] = value
+    p = tmp_path / "heis.json"
+    p.write_text(json.dumps({"generators": gens, "products": [
+        {"left": "h", "right": "h", "n": 1, "result": [{"coeff": "1", "d": 0, "gen": "c"}]}]}))
+    assert main(["validate", "--input", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_compute_json_value(vir_file, capsys):
     assert main(["compute", "bracket", "L(3)", "L(-1)", "--input", vir_file,
                  "--format", "json"]) == 0
@@ -91,6 +105,15 @@ def test_compute_errors(vir_file, capsys):
     assert main(["compute", "bracket", "L(1)", "--input", vir_file]) == 2
     assert main(["compute", "mode", "L", "x", "L(-1)|0>", "--input", vir_file]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, term", [
+    (["mode", "L", "-1", "x(-1)|0>"], "x(-1)|0>"),
+    (["delta", "x(-1)|0>"], "x(-1)|0>"),
+    (["delta", "L(-2)|0> + 2*L(-1)x(-1)|0>"], "L(-1)x(-1)|0>")])
+def test_compute_unknown_generator_in_state_exits_two(vir_file, capsys, argv, term):
+    assert main(["compute", *argv, "--input", vir_file]) == 2
+    assert capsys.readouterr().err == f"error: unknown generator 'x' in state term {term!r}\n"
 
 
 def test_dims_virasoro(vir_file, capsys):

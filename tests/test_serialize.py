@@ -180,6 +180,29 @@ def test_load_construction_defaults_and_errors():
                                "phi": [[{"coeff": "1", "d": 0, "gen": "h"}]]})
 
 
+@pytest.mark.parametrize("semigroup, message", [
+    ({"rank": 1, "group": "false"}, "group must be true or false, got 'false'"),
+    ({"rank": 1, "group": 0}, "group must be true or false, got 0"),
+    ({"rank": 1.5, "group": True}, "rank must be an integer, got 1.5"),
+    ({"rank": True}, "rank must be an integer, got True")])
+def test_load_construction_refuses_coerced_semigroup(semigroup, message):
+    with pytest.raises(InputError) as err:
+        ser.load_construction({"presentation": {"builtin": "abelian"}, "semigroup": semigroup})
+    assert str(err.value) == f"malformed semigroup block: {message}"
+
+
+def test_json_integers_refuse_fractions_and_booleans():
+    pres = abelian(1)
+    assert ser.element_from_json(pres, [{"coeff": "1", "d": 2.0, "gen": "h"}]) == \
+        pres.make_element({("h", 2): 1})
+    with pytest.raises(InputError, match="d must be an integer, got 1.5"):
+        ser.element_from_json(pres, [{"coeff": "1", "d": 1.5, "gen": "h"}])
+    with pytest.raises(InputError, match="n must be an integer, got -1.5"):
+        ser.mode_from_json({"gen": "h", "n": -1.5})
+    with pytest.raises(InputError, match="rank must be an integer, got 1.5"):
+        ser.load_presentation({"builtin": "heisenberg", "rank": 1.5})
+
+
 def test_read_json_file_errors(tmp_path):
     with pytest.raises(InputError):
         ser.read_json_file(tmp_path / "missing.json")

@@ -6,8 +6,10 @@ the *_defect_on functions, in the original loop order and with the original
 witness strings, and asserts that the report JSON is identical: on passing
 algebras, and on failing ones where the witness and the (+N more) count are
 pinned.  The work count of jacobi_sweep is pinned at one state_mode call per
-distinct product and (k1, k2) table key.  A Hypothesis test checks the E^- memo
-behind TensorPhiAlgebra's modes against the direct sum over k of eminus_apply.
+distinct product and (k1, k2) table key.  The vacuum axioms fail on purpose on an
+algebra with shifted modes at the vacuum, which pins the order of their three laws.
+A Hypothesis test checks the E^- memo behind TensorPhiAlgebra's modes against the
+direct sum over k of eminus_apply.
 """
 
 from fractions import Fraction
@@ -177,21 +179,47 @@ class ScaledTranslation:
         return self.vm.D(state, power) * 2 ** power
 
 
+def failing_cases(cases):
+    """The argument tuples of the cases a sweep yields with a nonzero defect."""
+    return [case[:-1] for case in cases if case[-1]]
+
+
 def test_sweeps_return_the_reference_instances():
     vm = VacuumModule(heisenberg(1))
     states = vm._graded_basis_states(2, 1)
     modes = range(-2, 3)
     alg = ScaledTranslation(vm)
     fails = skew_reference(alg, states, modes)
-    assert skew_sweep(alg, states, modes) == (len(states) ** 2 * len(modes), fails)
+    cases = list(skew_sweep(alg, states, modes))
+    assert len(cases) == len(states) ** 2 * len(modes)
+    assert failing_cases(cases) == fails
     assert len(fails) == 108
     vir = VacuumModule(virasoro_doubled_l0())
     states = vir._graded_basis_states(3, 1)
     for sweep, reference, n_modes in ((commutator_sweep, commutator_reference, 2),
                                       (jacobi_sweep, jacobi_reference, 3)):
-        total, fails = sweep(vir, states, modes)
-        assert total == len(states) ** 3 * len(modes) ** n_modes
+        cases = list(sweep(vir, states, modes))
+        assert len(cases) == len(states) ** 3 * len(modes) ** n_modes
+        fails = failing_cases(cases)
         assert fails == reference(vir, states, modes) and fails
+
+
+def shifted_at_vacuum(alg, from_n):
+    """alg with u_n|0> read as u_{n-1}|0> for n >= from_n: a wrong state_mode at the
+    vacuum.  With from_n = -1 the creation law u_{-1}|0> = u fails first; with
+    from_n = 0 it holds, and u_0|0> = 0 fails before |0>_0|0> = 0 does."""
+    state_mode, vac = alg.state_mode, alg.vacuum()
+    alg.state_mode = lambda u, n, v: state_mode(u, n - 1 if n >= from_n and v == vac else n, v)
+    return alg
+
+
+@pytest.mark.parametrize("from_n, want", [
+    (-1, "u(-1)|0> != u at |0⟩ (+17 more)"),
+    (0, "u(0)|0> != 0 at |0⟩ (+8 more)")])
+def test_vacuum_creation_fails_in_law_order(from_n, want):
+    vm = shifted_at_vacuum(VacuumModule(heisenberg(1)), from_n)
+    rep = vm.check_vacuum_creation(max_weight=2, torsion_bound=1, window=2)
+    assert witness(rep.to_json()) == want
 
 
 # -- TensorPhiAlgebra sweeps ---------------------------------------------------------
@@ -278,8 +306,20 @@ def test_jacobi_sweep_applies_each_mode_pair_once():
         return state_mode(u, n, w)
     tp.state_mode = counted
     states = states_of(tp)
-    assert jacobi_sweep(tp, states, modes) == (len(states) ** 3 * len(modes) ** 3, [])
+    cases = list(jacobi_sweep(tp, states, modes))
+    assert len(cases) == len(states) ** 3 * len(modes) ** 3
+    assert failing_cases(cases) == []
     assert len(calls) == want == 8586
+
+
+@pytest.mark.parametrize("from_n, want", [
+    (-1, "u(-1)|0> != u at |0⟩⊗e^{(-1)} (+13 more)"),
+    (0, "u(0)|0> != 0 at |0⟩⊗e^{(-1)} (+6 more)")])
+def test_tensor_phi_vacuum_creation_fails_in_law_order(from_n, want):
+    tp = shifted_at_vacuum(tensor_phi_into(heisenberg(1), "c"), from_n)
+    checks = check_tensor_phi_axioms(tp, max_weight=1, window=1, alpha_bound=1).checks
+    (check,) = [c for c in checks if c.check_id == "tensor-phi-vacuum-creation"]
+    assert check.witness == want
 
 
 # -- the E^- memo behind TensorPhiAlgebra._key_mode ---------------------------------------

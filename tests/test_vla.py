@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from vertexkernel.errors import InputError
@@ -196,3 +198,41 @@ def test_from_json_malformed():
         Presentation.from_json({"generators": [{"name": "a", "weight": 1}],
                                 "products": [{"left": "a", "right": "a", "n": 0,
                                               "result": [{"coeff": "x!", "gen": "a"}]}]})
+
+
+HEIS_JSON = {"generators": [{"name": "h", "weight": 1}, {"name": "c", "weight": 0, "torsion": True}],
+             "products": [{"left": "h", "right": "h", "n": 1,
+                           "result": [{"coeff": "1", "d": 0, "gen": "c"}]}]}
+
+
+def with_value(data, path, value):
+    """A deep copy of JSON data with the value at path replaced."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return data
+
+
+def test_from_json_reads_exact_integers_and_booleans():
+    assert Presentation.from_json(HEIS_JSON).to_json() == heisenberg(1).to_json()
+    # an integral float or integer string still reads as its integer
+    pres = Presentation.from_json(with_value(HEIS_JSON, ("generators", 0, "weight"), 1.0))
+    assert pres.to_json() == heisenberg(1).to_json()
+    pres = Presentation.from_json(with_value(HEIS_JSON, ("products", 0, "n"), "1"))
+    assert pres.to_json() == heisenberg(1).to_json()
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("generators", 0, "weight"), 1.5, "weight must be an integer, got 1.5"),
+    (("generators", 0, "weight"), True, "weight must be an integer, got True"),
+    (("products", 0, "n"), 1.2, "n must be an integer, got 1.2"),
+    (("products", 0, "result", 0, "d"), 0.5, "d must be an integer, got 0.5"),
+    (("generators", 1, "torsion"), "no", "torsion must be true or false, got 'no'"),
+    (("generators", 1, "torsion"), 1, "torsion must be true or false, got 1")])
+def test_from_json_refuses_coercion(path, value, message):
+    with pytest.raises(InputError) as err:
+        Presentation.from_json(with_value(HEIS_JSON, path, value))
+    assert str(err.value) == f"malformed presentation JSON: {message}"
+
