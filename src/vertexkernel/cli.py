@@ -5,9 +5,7 @@ generator/product JSON) or constructions ({"presentation": ..., "semigroup":
 {"rank": 1, "group": true}, "phi": [[...]]}).  Exit codes: 0 all checks pass,
 1 some check failed, 2 malformed input, a negative bound, or an input too
 large or too deep to evaluate.  JSON reports are byte-deterministic
-for identical inputs (timings appear only in text output); every sweep is
-exhaustive over its window, so --seed is accepted only for interface
-stability.
+for identical inputs (timings appear only in text output).
 """
 
 import argparse
@@ -39,8 +37,6 @@ def build_parser():
     def common(sp):
         sp.add_argument("--input", required=True, help="presentation or construction JSON file")
         sp.add_argument("--format", choices=("json", "text"), default="text")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="accepted for interface stability; all sweeps are exhaustive")
 
     sp = sub.add_parser("validate", help="vertex Lie algebra axioms on the product table")
     common(sp)

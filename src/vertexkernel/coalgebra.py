@@ -335,7 +335,7 @@ class DividedPowerBialgebra:
             raise InputError("rank must be nonnegative")
         self.rank = rank
 
-    def unit(self):
+    def vacuum(self):
         return LinComb.single((0,) * self.rank)
 
     def product(self, u, v):
@@ -368,7 +368,7 @@ class DividedPowerBialgebra:
         keys = [f for d in range(max_degree + 1) for f in self.basis(d)]
         states = [LinComb.single(f) for f in keys]
         rep = coalgebra_laws(self, states, "divided-power-bialgebra")
-        one, prod = self.unit(), self.product
+        one, prod = self.vacuum(), self.product
         rep.tally("unit-law", zip(states), lambda u: prod(one, u) != u or prod(u, one) != u,
                   lambda u: f"unit law fails at {self.format_state(u)}")
         pairs = [(LinComb.single(f), LinComb.single(g)) for f in keys for g in keys
@@ -438,7 +438,7 @@ class UniversalEnveloping:
         self.lie = lie
         self._straight = {}
 
-    def unit(self):
+    def vacuum(self):
         return LinComb.single(())
 
     def straighten(self, word):

@@ -426,7 +426,7 @@ class BL:
     # The coalgebra and state bookkeeping are V (x)_phi C[L]'s on the same keys,
     # aliased rather than inherited: product, D and state_mode are B_L's own and
     # are the reference the (x)_phi modes are checked against.
-    vacuum = one = TensorPhiAlgebra.vacuum
+    vacuum = TensorPhiAlgebra.vacuum
     group_like = TensorPhiAlgebra.group_like
     key_state = TensorPhiAlgebra.key_state
     state_weight = TensorPhiAlgebra.state_weight

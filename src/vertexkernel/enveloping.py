@@ -2,10 +2,11 @@
 
 States are exact linear combinations of PBW words: tuples of negative modes
 g(n), n <= -1, sorted by |n| descending, ties by generator index, torsion
-modes last, acting on the vacuum |0>.  Straightening rewrites an arbitrary
-word into this basis using the current-algebra bracket (which stays inside
-negative modes).  Vertex operator modes of arbitrary states are computed by
-the iterate recursion
+modes last, acting on the vacuum |0>.  A mode acts on a basis word by
+insertion: it moves past each letter that sorts before it, adding the
+current-algebra bracket with that letter, and straightening an arbitrary word
+applies its modes to the vacuum from right to left.  Vertex operator modes of
+arbitrary states are computed by the iterate recursion
 
     (a(m)w)_n = sum_i (-1)^i binom(m,i) [ a(m-i) (w_{n+i} v)
                                           - (-1)^m  w_{m+n-i} (a(i) v) ],
@@ -101,65 +102,53 @@ class VacuumModule:
             self._bracket[key] = out
         return out
 
-    # -- straightening --------------------------------------------------------
-
-    def straighten(self, word):
-        """Rewrite a word of negative modes into the PBW basis."""
-        word = tuple(word)
-        out = self._straight.get(word)
-        if out is not None:
-            return out
-        pos = -1
-        for i in range(len(word) - 1):
-            if self.sort_key(word[i]) > self.sort_key(word[i + 1]):
-                pos = i
-                break
-        if pos < 0:
-            out = LinComb.single(word)
-        else:
-            a, b = word[pos], word[pos + 1]
-            out = LinComb()
-            out.add_into(self.straighten(word[:pos] + (b, a) + word[pos + 2:]))
-            for m, c in self.bracket(a, b).items():
-                out.add_into(self.straighten(word[:pos] + (m,) + word[pos + 2:]), c)
-        self._straight[word] = out
-        return out
-
-    def _prepend(self, mode, state):
-        out = LinComb()
-        for w, c in state.items():
-            out.add_into(self.straighten((mode,) + w), c)
-        return out
-
-    # -- mode action ----------------------------------------------------------
+    # -- mode action and straightening -------------------------------------------
 
     def _apply_word(self, mode, word):
-        """mode acting on a basis word; mode may have either sign."""
+        """mode acting on a basis word; mode may have either sign.  A creation mode
+        that sorts first is prepended; otherwise mode moves past the head h of the
+        word: a(m) h w = h (a(m) w) + [a(m), h] w."""
         if self.pres.is_torsion(mode.gen) and mode.n != -1:
             return _ZERO
         key = (mode, word)
         out = self._apply.get(key)
         if out is not None:
             return out
-        if mode.n <= -1:
-            out = self.straighten((mode,) + word)
+        if mode.n <= -1 and (not word or self.sort_key(mode) <= self.sort_key(word[0])):
+            out = LinComb.single((mode,) + word)
         elif not word:
             out = _ZERO
         else:
             head, rest = word[0], word[1:]
-            out = self._prepend(head, self._apply_word(mode, rest))
+            out = LinComb()
+            for w, c in self._apply_word(mode, rest).items():
+                out.add_into(self._apply_word(head, w), c)
             for m, c in self.bracket(mode, head).items():
                 out.add_into(self._apply_word(m, rest), c)
         self._apply[key] = out
         return out
 
-    def mode_apply(self, gen, n, state):
-        """The current-algebra action g(n) on a state."""
-        mode = Mode(gen, n)
+    def _act(self, mode, state):
         out = LinComb()
         for w, c in state.items():
             out.add_into(self._apply_word(mode, w), c)
         return out
+
+    def straighten(self, word):
+        """Rewrite a word of negative modes into the PBW basis: its modes act on
+        the vacuum from right to left."""
+        word = tuple(word)
+        out = self._straight.get(word)
+        if out is None:
+            out = self.vacuum()
+            for mode in reversed(word):
+                out = self._act(mode, out)
+            self._straight[word] = out
+        return out
+
+    def mode_apply(self, gen, n, state):
+        """The current-algebra action g(n) on a state."""
+        return self._act(Mode(gen, n), state)
 
     def combo_apply(self, combo, state):
         """A mode combination (LinComb over Mode) acting on a state."""
@@ -436,17 +425,28 @@ def sweep_defect(*case):
     return case[-1]
 
 
+class _Table(dict):
+    """A table that fills a missing entry once, as fill(*key): table[k1, k2]."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        out = self[key] = self.fill(*key)
+        return out
+
+
 def _products(alg, states):
     """states[i]_k states[j], keyed by (i, k, j) for a whole sweep."""
-    table = {}
+    return _Table(lambda i, k, j: alg.state_mode(states[i], k, states[j]))
 
-    def prod(i, k, j):
-        key = (i, k, j)
-        out = table.get(key)
-        if out is None:
-            out = table[key] = alg.state_mode(states[i], k, states[j])
-        return out
-    return prod
+
+def _cleared_mode(alg, x, k, y):
+    """x_k y in cleared form, or the cleared zero when x or y is zero."""
+    return cleared(alg.state_mode(x, k, y)) if x and y else _NIL
 
 
 def skew_sweep(alg, states, modes):
@@ -456,21 +456,15 @@ def skew_sweep(alg, states, modes):
     for a, u in enumerate(states):
         for b, v in enumerate(states):
             bound = weights[a] + weights[b]
-            powers = {}  # k -> ([D^j(v_k u) for j = 0, 1, ...], their cleared forms)
+            # dpow[k, j] = D^j(v_k u) and forms[k, j] its cleared form
+            dpow = _Table(lambda k, j: alg.D(dpow[k, j - 1]) if j else prod[b, k, a])
+            forms = _Table(lambda k, j: cleared(dpow[k, j]))
             for n in modes:
-                acc = ClearedSum(cleared(prod(a, n, b)))
+                acc = ClearedSum(cleared(prod[a, n, b]))
                 for j in range(0, max(bound - n, 0) + 1):
                     k = n + j
-                    p = prod(b, k, a)
-                    if p:
-                        ds = powers.get(k)
-                        if ds is None:
-                            ds = powers[k] = ([p], [cleared(p)])
-                        states_j, forms = ds
-                        while len(states_j) <= j:
-                            states_j.append(alg.D(states_j[-1]))
-                            forms.append(cleared(states_j[-1]))
-                        den, ints = forms[j]
+                    if prod[b, k, a]:
+                        den, ints = forms[k, j]
                         acc.add((den * factorial(j), ints), -sign_pow(k + 1))
                 yield u, n, v, acc
 
@@ -484,23 +478,19 @@ def commutator_sweep(alg, states, modes):
         for b, v in enumerate(states):
             jmax = weights[a] + weights[b]
             for c, w in enumerate(states):
-                iterates = {}  # (j, k) -> (u_j v)_k w
+                # iterates[j, k] = (u_j v)_k w
+                iterates = _Table(lambda j, k: _cleared_mode(alg, prod[a, j, b], k, w))
                 for m in modes:
                     bmj = bm[m]
                     for n in modes:
-                        vnw, umw = prod(b, n, c), prod(a, m, c)
-                        acc = ClearedSum(cleared(alg.state_mode(u, m, vnw)) if vnw else _NIL)
+                        vnw, umw = prod[b, n, c], prod[a, m, c]
+                        acc = ClearedSum(_cleared_mode(alg, u, m, vnw))
                         if umw:
                             acc.add(cleared(alg.state_mode(v, n, umw)), -1)
                         for j in range(0, jmax):
                             bj = bmj[j]
                             if bj:
-                                key = (j, m + n - j)
-                                t = iterates.get(key)
-                                if t is None:
-                                    ujv = prod(a, j, b)
-                                    t = cleared(alg.state_mode(ujv, m + n - j, w)) if ujv else _NIL
-                                    iterates[key] = t
+                                t = iterates[j, m + n - j]
                                 if t[1]:
                                     acc.add(t, -bj)
                         yield u, m, v, n, w, acc
@@ -524,7 +514,9 @@ def jacobi_sweep(alg, states, modes):
                 # Each table is keyed by the two modes it applies, (k1, k2):
                 # ta[k1, k2] = u_k1(v_k2 w), tb[k1, k2] = v_k1(u_k2 w) and
                 # tc[k1, k2] = (u_k1 v)_k2 w.
-                ta, tb, tc = {}, {}, {}
+                ta = _Table(lambda k1, k2: _cleared_mode(alg, u, k1, prod[b, k2, c]))
+                tb = _Table(lambda k1, k2: _cleared_mode(alg, v, k1, prod[a, k2, c]))
+                tc = _Table(lambda k1, k2: _cleared_mode(alg, prod[a, k1, b], k2, w))
                 for p in modes:
                     cap, cbp = ca[p], cb[p]
                     for q in modes:
@@ -532,30 +524,15 @@ def jacobi_sweep(alg, states, modes):
                         for r in modes:
                             acc = ClearedSum()
                             for i in range(0, max(wv + ww + r, -1) + 1):
-                                key = (-p - q - i - 2, i - r - 1)
-                                t = ta.get(key)
-                                if t is None:
-                                    inner = prod(b, key[1], c)
-                                    t = cleared(alg.state_mode(u, key[0], inner)) if inner else _NIL
-                                    ta[key] = t
+                                t = ta[-p - q - i - 2, i - r - 1]
                                 if t[1]:
                                     acc.add(t, cap[i])
                             for i in range(0, max(wu + ww + q, -1) + 1):
-                                key = (-p - r - i - 2, i - q - 1)
-                                t = tb.get(key)
-                                if t is None:
-                                    inner = prod(a, key[1], c)
-                                    t = cleared(alg.state_mode(v, key[0], inner)) if inner else _NIL
-                                    tb[key] = t
+                                t = tb[-p - r - i - 2, i - q - 1]
                                 if t[1]:
                                     acc.add(t, cbp[i])
                             for i in range(0, max(wu + wv + p, -1) + 1):
-                                key = (i - p - 1, -q - r - i - 2)
-                                t = tc.get(key)
-                                if t is None:
-                                    uv = prod(a, key[0], b)
-                                    t = cleared(alg.state_mode(uv, key[1], w)) if uv else _NIL
-                                    tc[key] = t
+                                t = tc[i - p - 1, -q - r - i - 2]
                                 if t[1]:
                                     acc.add(t, ccq[i])
                             yield u, v, w, p, q, r, acc

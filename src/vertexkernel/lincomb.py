@@ -65,8 +65,11 @@ def inv_factorial(j):
 
 
 def parse_rational(s):
-    """Parse "p/q" or "p" into a Fraction; raises ValueError on junk."""
-    return Fraction(str(s).strip())
+    """Parse "p/q" or "p" into a Fraction; raises ValueError on junk or a zero q."""
+    try:
+        return Fraction(str(s).strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {s!r}") from exc
 
 
 def format_rational(q):

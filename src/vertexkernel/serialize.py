@@ -17,7 +17,7 @@ import re
 from .current import Mode
 from .errors import InputError
 from .lincomb import Fraction, LinComb, parse_rational
-from .vla import Presentation, builtin, json_bool, json_int, json_terms
+from .vla import Presentation, builtin, json_bool, json_int, json_name, json_terms
 
 _MODE_RE = re.compile(r"^([A-Za-z_]\w*)\((-?\d+)\)$")
 _WORD_RE = re.compile(r"([A-Za-z_]\w*)\((-?\d+)\)")
@@ -45,7 +45,7 @@ def mode_to_json(mode):
 
 def mode_from_json(data):
     try:
-        return Mode(str(data["gen"]), json_int(data["n"], "n"))
+        return Mode(json_name(data["gen"], "gen"), json_int(data["n"], "n"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed mode JSON: {exc}") from exc
 
@@ -76,7 +76,10 @@ def _split_signed(text):
 def _coeff_split(term):
     m = _COEFF_RE.match(term)
     if m:
-        return parse_rational(m.group(1)), m.group(2).strip()
+        try:
+            return parse_rational(m.group(1)), m.group(2).strip()
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
     return Fraction(1), term
 
 

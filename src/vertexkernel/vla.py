@@ -17,6 +17,7 @@ Element keys are (generator name, d) meaning D^d applied to the generator;
 torsion generators only ever carry d = 0.
 """
 
+import re
 from itertools import product as iproduct
 from typing import NamedTuple
 
@@ -271,10 +272,11 @@ class Presentation:
     @classmethod
     def from_json(cls, data):
         try:
-            gens = [Generator(str(g["name"]), json_int(g["weight"], "weight"),
+            gens = [Generator(json_name(g["name"], "name"), json_int(g["weight"], "weight"),
                               json_bool(g.get("torsion", False), "torsion"))
                     for g in data["generators"]]
-            products = {(str(p["left"]), str(p["right"]), json_int(p["n"], "n")):
+            products = {(json_name(p["left"], "left"), json_name(p["right"], "right"),
+                         json_int(p["n"], "n")):
                         json_terms(p["result"]) for p in data.get("products", [])}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed presentation JSON: {exc}") from exc
@@ -295,11 +297,22 @@ def json_bool(value, name):
     return value
 
 
+_NAME_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+def json_name(value, name):
+    """A generator-name field of input JSON: an identifier string, as the text forms
+    of modes and states spell it."""
+    if not isinstance(value, str) or not _NAME_RE.fullmatch(value):
+        raise ValueError(f"{name} must be an identifier, got {value!r}")
+    return value
+
+
 def json_terms(rows):
     """Element terms {(gen, d): coefficient} from JSON rows {"gen", "d", "coeff"}."""
     terms = {}
     for t in rows:
-        k = (str(t["gen"]), json_int(t.get("d", 0), "d"))
+        k = (json_name(t["gen"], "gen"), json_int(t.get("d", 0), "d"))
         terms[k] = terms.get(k, 0) + parse_rational(t["coeff"])
     return terms
 

@@ -116,6 +116,43 @@ def test_compute_unknown_generator_in_state_exits_two(vir_file, capsys, argv, te
     assert capsys.readouterr().err == f"error: unknown generator 'x' in state term {term!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "mode", "1/0*L", "-1", "|0>"],
+    ["compute", "delta", "1/0*L(-2)|0>"]])
+def test_compute_zero_denominator_exits_two(vir_file, capsys, argv):
+    assert main([*argv, "--input", vir_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: zero denominator in '1/0'\n"
+
+
+def test_validate_zero_denominator_exits_two(tmp_path, capsys):
+    p = tmp_path / "vir.json"
+    p.write_text(json.dumps({
+        "generators": [{"name": "L", "weight": 2}, {"name": "c", "weight": 0, "torsion": True}],
+        "products": [{"left": "L", "right": "L", "n": 3,
+                      "result": [{"coeff": "1/0", "d": 0, "gen": "c"}]}]}))
+    assert main(["validate", "--input", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("field, value", [("name", 5), ("left", "5h"), ("right", 1), ("gen", "c-1")])
+def test_non_identifier_names_exit_two(tmp_path, capsys, field, value):
+    # {"name": 5} used to read as a generator "5", which no state or mode text can name
+    data = {"generators": [{"name": "h", "weight": 1}, {"name": "c", "weight": 0, "torsion": True}],
+            "products": [{"left": "h", "right": "h", "n": 1,
+                          "result": [{"coeff": "1", "d": 0, "gen": "c"}]}]}
+    row = data["generators"][0] if field == "name" else data["products"][0]
+    (row["result"][0] if field == "gen" else row)[field] = value
+    p = tmp_path / "heis.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", "--input", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: malformed presentation JSON: {field} must be an "
+                                 f"identifier, got {value!r}\n")
+
+
 def test_dims_virasoro(vir_file, capsys):
     assert main(["dims", "--input", vir_file, "--max-weight", "6",
                  "--format", "json"]) == 0
@@ -240,10 +277,11 @@ def test_check_json_deterministic(ab_construction, capsys, monkeypatch):
     assert "timings" not in first and data["passed"] is True
 
 
-def test_seed_flag_accepted(vir_file, capsys):
-    assert main(["check", "--input", vir_file, "--suite", "coalgebra",
-                 "--seed", "7"]) == 0
-    capsys.readouterr()
+def test_seed_flag_refused(vir_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--input", vir_file, "--suite", "coalgebra", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 # -- byte-identity snapshots of check --suite all ------------------------------------------

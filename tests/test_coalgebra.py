@@ -220,7 +220,15 @@ def test_dp_product_linearized():
     x2 = LinComb.single((2,))
     x3 = LinComb.single((3,))
     assert dp.product(x2, x3) == LinComb.single((5,), 10)
-    assert dp.eps(dp.unit()) == 1
+    assert dp.eps(dp.vacuum()) == 1
+
+
+def test_dp_primitive_basis_is_degree_one():
+    dp = co.DividedPowerBialgebra(2)
+    states = [LinComb.single(f) for d in range(4) for f in dp.basis(d)]
+    got = co.primitive_basis(dp, states)
+    assert sorted(tuple(s.items()) for s in got) == [(((0, 1), 1),), (((1, 0), 1),)]
+    assert all(co.is_primitive(dp, s) for s in got)
 
 
 # -- Lie algebras and U(g) ------------------------------------------------------------
@@ -253,6 +261,13 @@ def test_ue_straighten_two_dim():
     ue = co.UniversalEnveloping(two_dim_nonabelian())
     # y·x = x·y - y
     assert ue.straighten((1, 0)) == S((0, 1)) - S((1,))
+
+
+def test_ue_primitive_basis_is_degree_one():
+    ue = co.UniversalEnveloping(two_dim_nonabelian())
+    words = [(), (0,), (1,), (0, 0), (0, 1), (1, 1), (0, 0, 1)]
+    got = co.primitive_basis(ue, [LinComb.single(w) for w in words])
+    assert sorted(tuple(s.items()) for s in got) == [(((0,), 1),), (((1,), 1),)]
 
 
 def test_ue_product_commutator():
@@ -291,7 +306,7 @@ def test_psi_values():
     ue = co.UniversalEnveloping(two_dim_nonabelian())
     assert ue.psi((1, 1)) == S((0, 1))
     assert ue.psi((2, 0)) == S((0, 0), Fraction(1, 2))
-    assert ue.psi((0, 0)) == ue.unit()
+    assert ue.psi((0, 0)) == ue.vacuum()
     abel = co.LieAlgebra(["x"])
     assert co.psi_g((3,), abel) == S((0, 0, 0), Fraction(1, 6))
 

@@ -352,9 +352,9 @@ def test_borcherds_modes():
     assert not borcherds_mode(bl, u, 0, u)
     assert borcherds_mode(bl, u, -1, u) == bl.product(u, u)
     # a_{-2} b = (del a) b
-    got = borcherds_mode(bl, bl.one(), -2, bl.group_like((1,)))
+    got = borcherds_mode(bl, bl.vacuum(), -2, bl.group_like((1,)))
     assert not got
-    got = borcherds_mode(bl, bl.group_like((1,)), -2, bl.one())
+    got = borcherds_mode(bl, bl.group_like((1,)), -2, bl.vacuum())
     assert got == S((W(("h", -1)), (1,)))
 
 
@@ -362,7 +362,7 @@ def test_bl_phi_values():
     bl = bl_build(SemigroupL(2))
     got = bl_phi(bl, bl.group_like((1, 2)))
     assert got == bl.bar_state((1, 2))
-    assert not bl_phi(bl, bl.one())
+    assert not bl_phi(bl, bl.vacuum())
 
 
 def test_bl_phi_rejects_non_group_like():
@@ -456,7 +456,7 @@ def test_extend_universal_morphism_rejects_non_group_like():
 
     def psi(al):
         if al == (0,):
-            return bl.one()
+            return bl.vacuum()
         return bl.group_like(al) + bl.monomial([("h", -1)], al)
 
     with pytest.raises(MorphismError):
@@ -510,7 +510,7 @@ def test_induced_morphism_rejects_broken_products():
     pres = virasoro()
     bl = bl_build(SemigroupL(1))
     img = {"L": bl.monomial([("h", -1), ("h", -1)], ) * Fraction(1, 2),
-           "c": bl.one() * 0}
+           "c": bl.vacuum() * 0}
     with pytest.raises(MorphismError):
         induced_vertex_morphism(pres, img, bl, max_weight=2, window=2)
 

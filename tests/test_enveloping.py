@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from vertexkernel.current import Mode
 from vertexkernel.enveloping import VacuumModule
 from vertexkernel.lincomb import LinComb
@@ -83,6 +86,33 @@ def test_straighten_confluent():
             assert vm.straighten(p) == straighten_reference(vm, p), p
 
 
+def _word_modes(pres):
+    """Every mode of a generator with index in [-4, -1]; torsion generators at -1 only."""
+    return [Mode(g.name, n) for g in pres.generators
+            for n in ([-1] if g.torsion else range(-4, 0))]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_straighten_matches_reference_and_mode_action(data):
+    pres = data.draw(st.sampled_from([virasoro(), heisenberg(2)]))
+    word = tuple(data.draw(st.lists(st.sampled_from(_word_modes(pres)), max_size=6)))
+    vm = VacuumModule(pres)
+    got = vm.straighten(word)
+    assert got == straighten_reference(vm, word)
+    state = vm.vacuum()
+    for m in reversed(word):
+        state = vm.mode_apply(m.gen, m.n, state)
+    assert state == got
+
+
+def test_straighten_long_reversed_word():
+    # h(-1)h(-2)...h(-150): 11175 inversions, one sorted word, no recursion limit
+    vm = VacuumModule(heisenberg(1))
+    word = W(*[("h", -n) for n in range(1, 151)])
+    assert vm.straighten(word) == S(word[::-1])
+
+
 def test_straighten_is_multiplicative():
     # straighten(u ++ v) equals acting with u's modes on straighten(v)
     vm = VacuumModule(virasoro())
@@ -91,7 +121,7 @@ def test_straighten_is_multiplicative():
     lhs = vm.straighten(u + v)
     rhs = vm.straighten(v)
     for m in reversed(u):
-        rhs = vm._prepend(m, rhs)
+        rhs = vm.mode_apply(m.gen, m.n, rhs)
     assert lhs == rhs
 
 
@@ -142,7 +172,7 @@ def test_D_operator():
     assert not vm.D(S(W(("c", -1))))
     # Leibniz on a length-2 word
     got = vm.D(S(W(("L", -2), ("L", -1))))
-    want = 2 * S(W(("L", -3), ("L", -1))) + vm._prepend(Mode("L", -2), S(W(("L", -2))))
+    want = 2 * S(W(("L", -3), ("L", -1))) + vm.mode_apply("L", -2, S(W(("L", -2))))
     assert got == want
 
 

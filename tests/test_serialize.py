@@ -199,6 +199,8 @@ def test_json_integers_refuse_fractions_and_booleans():
         ser.element_from_json(pres, [{"coeff": "1", "d": 1.5, "gen": "h"}])
     with pytest.raises(InputError, match="n must be an integer, got -1.5"):
         ser.mode_from_json({"gen": "h", "n": -1.5})
+    with pytest.raises(InputError, match="gen must be an identifier, got 7"):
+        ser.mode_from_json({"gen": 7, "n": -1})
     with pytest.raises(InputError, match="rank must be an integer, got 1.5"):
         ser.load_presentation({"builtin": "heisenberg", "rank": 1.5})
 
