@@ -11,10 +11,13 @@ related by the divided-power comparison map psi.
 
 The coalgebra laws, Delta/eps multiplicativity, Delta/eps intertwining and the
 primitive kernel are each written once, over the protocol every model shares
-(delta, eps, product, format_state), and used by all of them.
+(delta, eps, product, format_state), and used by all of them.  Delta and eps as
+morphisms for the mode products read state_mode and state_weight as well, so
+they run on every mode algebra: the vacuum module, V (x)_phi C[L] and B_L.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, product as iproduct
 
 from .enveloping import split_sorted_word
@@ -243,61 +246,64 @@ def counit_intertwining_defect(source, target, s, img):
 # -- Delta and eps against mode products ---------------------------------------------
 
 
-def delta_morphism_defect(vm, u, n, v):
+def delta_morphism_defect(alg, u, n, v):
     """Defect of Delta(u_n v) = sum_m (u'_m v') (x) (u''_{n-m-1} v'').
 
     The m window is finite: the left factor vanishes once m exceeds
     wt(u') + wt(v') - 1 and the right one once m drops below
     n - wt(u'') - wt(v'').
     """
-    lhs = vm.delta(vm.state_mode(u, n, v))
+    def legs(state):
+        """(left, its weight, right, its weight, coefficient) per term of Delta."""
+        out = []
+        for (k1, k2), c in alg.delta(state).items():
+            s1, s2 = LinComb.single(k1), LinComb.single(k2)
+            out.append((s1, alg.state_weight(s1), s2, alg.state_weight(s2), c))
+        return out
+
+    lhs = alg.delta(alg.state_mode(u, n, v))
     rhs = LinComb()
-    du = vm.delta(u)
-    dv = vm.delta(v)
-    for (u1, u2), cu in du.items():
-        s1, s2 = LinComb.single(u1), LinComb.single(u2)
-        wu1, wu2 = vm.word_weight(u1), vm.word_weight(u2)
-        for (v1, v2), cv in dv.items():
-            t1, t2 = LinComb.single(v1), LinComb.single(v2)
-            lo = n - wu2 - vm.word_weight(v2)
-            hi = wu1 + vm.word_weight(v1) - 1
-            for m in range(lo, hi + 1):
-                left = vm.state_mode(s1, m, t1)
+    dv = legs(v)
+    for s1, wu1, s2, wu2, cu in legs(u):
+        for t1, wv1, t2, wv2, cv in dv:
+            for m in range(n - wu2 - wv2, wu1 + wv1):
+                left = alg.state_mode(s1, m, t1)
                 if not left:
                     continue
-                right = vm.state_mode(s2, n - m - 1, t2)
+                right = alg.state_mode(s2, n - m - 1, t2)
                 if right:
                     rhs.add_into(left.tensor(right), cu * cv)
     return lhs - rhs
 
 
-def counit_mode_defect(vm, u, n, v):
+def counit_mode_defect(alg, u, n, v):
     """eps(u_n v) - delta_{n,-1} eps(u) eps(v)."""
-    lhs = vm.eps(vm.state_mode(u, n, v))
-    rhs = vm.eps(u) * vm.eps(v) if n == -1 else 0
+    lhs = alg.eps(alg.state_mode(u, n, v))
+    rhs = alg.eps(u) * alg.eps(v) if n == -1 else 0
     return lhs - rhs
 
 
-def check_delta_morphism(vm, max_weight=3, window=3, torsion_bound=1, cases=None):
+def check_delta_morphism(alg, max_weight=3, window=3, torsion_bound=1, cases=None):
     """Delta and eps are morphisms for every mode product in the window.
 
-    With cases given, only those (u, n, v) triples are checked; otherwise all
-    basis pairs up to max_weight with n in [-window, window].
+    With cases given, only those (u, n, v) triples are checked, on any mode
+    algebra; otherwise alg is a vacuum module and every pair of its basis
+    states up to max_weight is checked with n in [-window, window].
     """
     if cases is None:
-        states = vm._graded_basis_states(max_weight, torsion_bound)
+        states = alg._graded_basis_states(max_weight, torsion_bound)
         cases = [(u, n, v) for u in states for v in states
                  for n in range(-window, window + 1)]
     else:
         cases = list(cases)
 
     def spot(u, n, v):
-        return f"({vm.format_state(u)})_{n}({vm.format_state(v)})"
+        return f"({alg.format_state(u)})_{n}({alg.format_state(v)})"
     rep = ValidationReport(subject="coalgebra")
-    rep.tally("delta-mode-morphism", cases, lambda u, n, v: delta_morphism_defect(vm, u, n, v),
+    rep.tally("delta-mode-morphism", cases, lambda u, n, v: delta_morphism_defect(alg, u, n, v),
               lambda u, n, v: f"Delta not multiplicative at {spot(u, n, v)}")
     return rep.tally("counit-mode-morphism", cases,
-                     lambda u, n, v: counit_mode_defect(vm, u, n, v),
+                     lambda u, n, v: counit_mode_defect(alg, u, n, v),
                      lambda u, n, v: f"eps not multiplicative at {spot(u, n, v)}")
 
 
@@ -347,10 +353,7 @@ class DividedPowerBialgebra:
         return out
 
     def delta(self, state):
-        out = LinComb()
-        for f, c in state.items():
-            out.add_into(dp_delta(f), c)
-        return out
+        return state.bind(dp_delta)
 
     def eps(self, state):
         return state.get((0,) * self.rank)
@@ -437,26 +440,38 @@ class UniversalEnveloping:
     def __init__(self, lie):
         self.lie = lie
         self._straight = {}
+        self._apply = {}
 
     def vacuum(self):
         return LinComb.single(())
 
+    def _apply_letter(self, i, word):
+        """x_i times a sorted word: prepended if it sorts first, otherwise moved
+        past the head h by x_i h w = h (x_i w) + [x_i, h] w."""
+        key = (i, word)
+        out = self._apply.get(key)
+        if out is None:
+            if not word or i <= word[0]:
+                out = LinComb.single((i,) + word)
+            else:
+                head, rest = word[0], word[1:]
+                out = LinComb()
+                for w, c in self._apply_letter(i, rest).items():
+                    out.add_into(self._apply_letter(head, w), c)
+                for k, c in self.lie.bracket(i, head).items():
+                    out.add_into(self._apply_letter(k, rest), c)
+            self._apply[key] = out
+        return out
+
     def straighten(self, word):
-        """Normal form: swap out-of-order neighbours, bracket as correction."""
+        """PBW normal form: the word's letters act on the empty word from right
+        to left."""
         out = self._straight.get(word)
-        if out is not None:
-            return out
-        bad = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
-        if bad is None:
-            out = LinComb.single(word)
-        else:
-            i = bad
-            out = self.straighten(word[:i] + (word[i + 1], word[i]) + word[i + 2:])
-            corr = LinComb()
-            for k, c in self.lie.bracket(word[i], word[i + 1]).items():
-                corr.add_into(self.straighten(word[:i] + (k,) + word[i + 2:]), c)
-            out = out + corr
-        self._straight[word] = out
+        if out is None:
+            out = self.vacuum()
+            for i in reversed(word):
+                out = out.bind(partial(self._apply_letter, i))
+            self._straight[word] = out
         return out
 
     def product(self, u, v):
@@ -468,11 +483,7 @@ class UniversalEnveloping:
 
     def delta(self, state):
         """Generators are primitive; on sorted words Delta splits subsets."""
-        out = LinComb()
-        for w, c in state.items():
-            for ws, cs in self.straighten(w).items():
-                out.add_into(split_sorted_word(ws), c * cs)
-        return out
+        return state.bind(lambda w: self.straighten(w).bind(split_sorted_word))
 
     def eps(self, state):
         return state.get(())

@@ -24,7 +24,8 @@ from itertools import chain, product as iproduct
 from .coalgebra import (coalgebra_laws, counit_intertwining_defect,
                         counit_multiplicativity_defect, d_coderivation_defect,
                         delta_intertwining_defect, delta_multiplicativity_defect,
-                        group_like_scan, is_group_like, primitive_basis)
+                        group_like_scan, is_group_like, primitive_basis,
+                        tensor_product_through)
 from .current import Mode, mode_normalize
 from .enveloping import (VacuumModule, jacobi_sweep, skew_sweep, sweep_defect,
                          vacuum_creation_sweep)
@@ -141,7 +142,7 @@ def eminus_apply(vm, a, v, order):
         acc = LinComb()
         for n in range(1, k + 1):
             acc.add_into(vm.combo_apply(combos[n - 1], out[k - n]))
-        out.append(Fraction(1, k) * acc)
+        out.append(acc if k == 1 else Fraction(1, k) * acc)  # T_1 keeps int coefficients
     return out
 
 
@@ -266,14 +267,13 @@ class TensorPhiAlgebra:
     def D(self, state, power=1):
         """Translation: D(v (x) e^a) = (Dv + phi(a)(-1) v) (x) e^a."""
         for _ in range(power):
-            out = LinComb()
-            for (w, al), c in state.items():
-                s = LinComb.single(w)
-                d = self.vm.D(s) + self.vm.combo_apply(
-                    mode_normalize(self.vm.pres, self.phi.of(al), -1), s)
-                out.add_into(d.map_keys(lambda w2: (w2, al)), c)
-            state = out
+            state = state.bind(self._d_key)
         return state
+
+    def _d_key(self, key):
+        w, al = key  # E_1(phi(al)) = phi(al)(-1)
+        d = self.vm.D(LinComb.single(w)) + self._eminus_word(al, w, 1)
+        return d.map_keys(lambda w2: (w2, al))
 
     def delta(self, state):
         """e^alpha is group-like: both legs of the word splitting keep the tag."""
@@ -430,7 +430,7 @@ class BL:
     group_like = TensorPhiAlgebra.group_like
     key_state = TensorPhiAlgebra.key_state
     state_weight = TensorPhiAlgebra.state_weight
-    delta = TensorPhiAlgebra.delta
+    basis_keys = TensorPhiAlgebra.basis_keys
     eps = TensorPhiAlgebra.eps
     format_state = TensorPhiAlgebra.format_state
 
@@ -453,10 +453,6 @@ class BL:
             if a:
                 out.add_into(LinComb.single(((Mode(self.names[i], -1),), zero)), a)
         return out
-
-    def basis_keys(self, weight, alpha_bound=0):
-        return sorted((w, al) for al in self.semigroup.window(alpha_bound)
-                      for w in self.vm.basis_words(weight))
 
     def product(self, u, v):
         out = LinComb()
@@ -486,6 +482,21 @@ class BL:
     def state_mode(self, u, n, v):
         return borcherds_mode(self, u, n, v)
 
+    def delta(self, state):
+        """The algebra map for product with h_i(-n) primitive and e^alpha
+        group-like."""
+        zero = self.semigroup.zero()
+        one = ((), zero)
+
+        def of_key(key):
+            word, al = key
+            out = LinComb.single((((), al), ((), al)))
+            for m in word:
+                h = ((m,), zero)
+                out = tensor_product_through(self, LinComb({(h, one): 1, (one, h): 1}), out)
+            return out
+        return state.bind(of_key)
+
     def format_key(self, key):
         return format_diff_key(key)
 
@@ -509,7 +520,7 @@ def check_bl_bialgebra(bl, max_weight=3, alpha_bound=2):
     """Differential-bialgebra axioms on the bounded basis: Delta and eps are
     algebra morphisms, coalgebra axioms hold, del is a coderivation killed by
     eps, and phi(g) = g^{-1} del g is additive over the window."""
-    keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound)]
+    keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound=alpha_bound)]
     states = [bl.key_state(k) for k in keys]
     fmt = bl.format_state
     rep = coalgebra_laws(bl, states, "bl")
@@ -543,7 +554,7 @@ def check_bl_equals_tensor_phi(semigroup, max_weight=3, alpha_bound=2, window=4)
     phi = PhiMap(bl.pres, [bl.pres.element(nm) for nm in bl.names])
     tp = TensorPhiAlgebra(bl.vm, semigroup, phi)
     rep = ValidationReport(subject="bl-vs-tensor-phi")
-    keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound)]
+    keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound=alpha_bound)]
     states = [bl.key_state(k) for k in keys]
     fmt = bl.format_state
     rep.tally("bl-equals-tensor-phi-modes", iproduct(states, states, _mode_range(window)),
@@ -605,20 +616,20 @@ def extend_universal_morphism(bl, target, psi, phi_b, max_weight=3, alpha_bound=
             gen_img[(gen, n)] = img
         return img
 
+    def f_key(key):
+        w, al = key
+        img = psi_img.get(al)
+        if img is None:
+            img = psi_img[al] = psi(al)
+        for m in w:
+            img = target.product(line_image(m.gen, -m.n), img)
+        return img
+
     def f(state):
-        out = LinComb()
-        for (w, al), c in state.items():
-            img = psi_img.get(al)
-            if img is None:
-                img = psi(al)
-                psi_img[al] = img
-            for m in w:
-                img = target.product(line_image(m.gen, -m.n), img)
-            out.add_into(img, c)
-        return out
+        return state.bind(f_key)
 
     rep = ValidationReport(subject="universal-morphism")
-    keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound)]
+    keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound=alpha_bound)]
     states = [bl.key_state(k) for k in keys]
     images = [f(s) for s in states]
     idx = range(len(states))
@@ -633,8 +644,7 @@ def extend_universal_morphism(bl, target, psi, phi_b, max_weight=3, alpha_bound=
               lambda k, s, img: f(bl.D(s)) != target.D(img),
               lambda k, s, img: f"f does not intertwine del at {key_fmt(k)}")
     rep.tally("morphism-delta", zip(states, images),
-              lambda s, img: delta_intertwining_defect(bl, target, lambda k: f(LinComb.single(k)),
-                                                       s, img),
+              lambda s, img: delta_intertwining_defect(bl, target, f_key, s, img),
               lambda s, img: f"f does not intertwine Delta at {bl.format_state(s)}")
     rep.tally("morphism-counit", zip(states, images),
               lambda s, img: counit_intertwining_defect(bl, target, s, img),
@@ -662,10 +672,7 @@ def induced_vertex_morphism(pres, embedding, target, max_weight=3, window=4,
 
     def elt_image(elt):
         """A C element sum c·D^d g mapped through D_target and the embedding."""
-        out = LinComb()
-        for (gname, d), c in elt.items():
-            out.add_into(target.D(img[gname], d) if d else img[gname], c)
-        return out
+        return elt.bind(lambda key: target.D(img[key[0]], key[1]))
 
     for a in pres.generators:
         for b in pres.generators:
@@ -683,14 +690,14 @@ def induced_vertex_morphism(pres, embedding, target, max_weight=3, window=4,
             raise MorphismError(f"image of torsion {a.name} is not D-constant",
                                 witness=a.name)
 
-    def psi(state):
-        out = LinComb()
-        for w, c in state.items():
-            cur = unit_t
-            for m in reversed(w):
-                cur = target.state_mode(img[m.gen], m.n, cur)
-            out.add_into(cur, c)
+    def psi_word(w):
+        out = unit_t
+        for m in reversed(w):
+            out = target.state_mode(img[m.gen], m.n, out)
         return out
+
+    def psi(state):
+        return state.bind(psi_word)
 
     rep = ValidationReport(subject="induced-morphism")
     states = vm._graded_basis_states(max_weight, torsion_bound)
@@ -703,8 +710,7 @@ def induced_vertex_morphism(pres, embedding, target, max_weight=3, window=4,
               lambda i, j, n: (f"Psi(u({n})v) != Psi(u)({n})Psi(v) at"
                                f" u={fmt(states[i])}, v={fmt(states[j])}"))
     rep.tally("morphism-delta", zip(states, images),
-              lambda s, img: delta_intertwining_defect(vm, target, lambda w: psi(LinComb.single(w)),
-                                                       s, img),
+              lambda s, img: delta_intertwining_defect(vm, target, psi_word, s, img),
               lambda s, img: f"Delta Psi != (Psi x Psi) Delta at {fmt(s)}")
     rep.tally("morphism-counit", zip(states, images),
               lambda s, img: counit_intertwining_defect(vm, target, s, img),

@@ -173,13 +173,9 @@ class VacuumModule:
         return out
 
     def D(self, state, power=1):
-        out = state
         for _ in range(power):
-            nxt = LinComb()
-            for w, c in out.items():
-                nxt.add_into(self._d_word(w), c)
-            out = nxt
-        return out
+            state = state.bind(self._d_word)
+        return state
 
     # -- vertex operator modes -------------------------------------------------
 
@@ -232,10 +228,7 @@ class VacuumModule:
         return out
 
     def delta(self, state):
-        out = LinComb()
-        for w, c in state.items():
-            out.add_into(self.delta_word(w), c)
-        return out
+        return state.bind(self.delta_word)
 
     def eps(self, state):
         return state.get(())

@@ -134,32 +134,10 @@ class LinComb:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return LinComb._raw(out)
+        return LinComb._raw(dict(self.terms)).add_into(other)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = -c
-            else:
-                s = s - c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return LinComb._raw(out)
+        return LinComb._raw(dict(self.terms)).add_into(other, -1)
 
     def __neg__(self):
         return LinComb._raw({k: -c for k, c in self.terms.items()})
@@ -173,32 +151,34 @@ class LinComb:
     __rmul__ = __mul__
 
     def add_into(self, other, scale=1):
-        """Destructive self += scale * other; returns self.  Hot-loop helper."""
+        """Destructive self += scale * other; returns self.  The one merge loop:
+        +, - and bind go through it."""
+        terms = self.terms
         if scale == 1:
             for k, c in other.terms.items():
-                s = self.terms.get(k)
+                s = terms.get(k)
                 if s is None:
-                    self.terms[k] = c
+                    terms[k] = c
                 else:
                     s = s + c
                     if s:
-                        self.terms[k] = s
+                        terms[k] = s
                     else:
-                        del self.terms[k]
+                        del terms[k]
         else:
             sc = as_rational(scale)
             if not sc:
                 return self
             for k, c in other.terms.items():
-                s = self.terms.get(k)
+                s = terms.get(k)
                 if s is None:
-                    self.terms[k] = c * sc
+                    terms[k] = c * sc
                 else:
                     s = s + c * sc
                     if s:
-                        self.terms[k] = s
+                        terms[k] = s
                     else:
-                        del self.terms[k]
+                        del terms[k]
         return self
 
     def map_keys(self, fn):
@@ -225,10 +205,10 @@ class LinComb:
     def sorted_items(self):
         return sorted(self.terms.items())
 
-    def format(self, key_fmt, zero="0"):
+    def format(self, key_fmt):
         """Render as "c1·k1 + c2·k2 - ...", suppressing unit coefficients."""
         if not self.terms:
-            return zero
+            return "0"
         parts = []
         for k, c in self.sorted_items():
             body = key_fmt(k)

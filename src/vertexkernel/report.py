@@ -43,16 +43,16 @@ class ValidationReport:
         self.checks.append(CheckResult(check_id, bool(passed), witness, details))
         return self
 
-    def record(self, check_id, failures, total, details=""):
+    def record(self, check_id, failures, total):
         """Summarize a sweep: failures is a list of witness strings."""
         if failures:
             w = failures[0] if len(failures) == 1 else f"{failures[0]} (+{len(failures) - 1} more)"
-            self.add(check_id, False, witness=w, details=details)
+            self.add(check_id, False, witness=w)
         else:
-            self.add(check_id, True, details=details or f"{total} instances checked")
+            self.add(check_id, True, details=f"{total} instances checked")
         return self
 
-    def tally(self, check_id, cases, defect, witness, details=""):
+    def tally(self, check_id, cases, defect, witness):
         """Run one check over cases, counting exactly the cases it ran.
 
         Each case is an argument tuple: a case fails when defect(*case) is
@@ -63,7 +63,7 @@ class ValidationReport:
             total += 1
             if defect(*case):
                 failures.append(witness(*case))
-        return self.record(check_id, failures, total, details)
+        return self.record(check_id, failures, total)
 
     def merge(self, other):
         self.checks.extend(other.checks)

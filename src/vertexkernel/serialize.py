@@ -50,36 +50,49 @@ def mode_from_json(data):
         raise InputError(f"malformed mode JSON: {exc}") from exc
 
 
-def _split_signed(text):
-    """Top-level (sign, chunk) pairs of a sum; +/- inside brackets are atoms."""
-    chunks, buf, sign, depth = [], [], 1, 0
+def _top_level(text, seps):
+    """(chunk, separator) pairs of text cut at the characters of seps that sit
+    outside brackets; the last chunk's separator is None."""
+    out, buf, depth = [], [], 0
     for ch in text:
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        if depth == 0 and ch in "+-":
-            if "".join(buf).strip():
-                chunks.append((sign, "".join(buf).strip()))
-                buf, sign = [], (1 if ch == "+" else -1)
-            else:
-                sign = sign if ch == "+" else -sign
+        if depth == 0 and ch in seps:
+            out.append(("".join(buf).strip(), ch))
+            buf = []
         else:
             buf.append(ch)
-    last = "".join(buf).strip()
-    if not last:
-        raise InputError(f"dangling sign in {text!r}")
-    chunks.append((sign, last))
+    out.append(("".join(buf).strip(), None))
+    return out
+
+
+def _split_signed(text):
+    """Top-level (sign, chunk) pairs of a sum; +/- inside brackets are atoms."""
+    chunks, sign = [], 1
+    for chunk, sep in _top_level(text, "+-"):
+        if chunk:
+            chunks.append((sign, chunk))
+            sign = 1
+        elif sep is None:
+            raise InputError(f"dangling sign in {text!r}")
+        if sep == "-":
+            sign = -sign
     return chunks
+
+
+def _coeff(text):
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _coeff_split(term):
     m = _COEFF_RE.match(term)
     if m:
-        try:
-            return parse_rational(m.group(1)), m.group(2).strip()
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return _coeff(m.group(1)), m.group(2).strip()
     return Fraction(1), term
 
 
@@ -199,7 +212,8 @@ def parse_diff_element(bl, text):
         coeff = Fraction(1)
         modes = []
         alpha = None
-        for i, chunk in enumerate(_split_dots(term)):
+        chunks = [chunk for chunk, _ in _top_level(term, "·*") if chunk]
+        for i, chunk in enumerate(chunks):
             am = _ALPHA_RE.match(chunk)
             if am:
                 if alpha is not None:
@@ -211,28 +225,12 @@ def parse_diff_element(bl, text):
                 modes.extend([(pm.group(1), int(pm.group(2)))] * int(pm.group(3) or 1))
                 continue
             if i == 0:
-                coeff = parse_rational(chunk)
+                coeff = _coeff(chunk)
                 continue
             raise InputError(f"cannot parse {chunk!r} in diff element {term!r}")
         al = bl.semigroup.zero() if alpha is None else alpha
         out.add_into(bl.monomial(modes, al), sign * coeff)
     return out
-
-
-def _split_dots(term):
-    chunks, buf, depth = [], [], 0
-    for ch in term:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if depth == 0 and ch in "·*":
-            chunks.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
-    chunks.append("".join(buf).strip())
-    return [c for c in chunks if c]
 
 
 def diff_state_to_json(state):

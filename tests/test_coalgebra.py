@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexkernel import coalgebra as co
 from vertexkernel.constructions import BL, SemigroupL, check_bl_bialgebra
@@ -261,6 +263,38 @@ def test_ue_straighten_two_dim():
     ue = co.UniversalEnveloping(two_dim_nonabelian())
     # y·x = x·y - y
     assert ue.straighten((1, 0)) == S((0, 1)) - S((1,))
+
+
+def bubble_sort_straighten(lie, word):
+    """Reference PBW normal form: swap the first out-of-order neighbours and add
+    the bracket as a correction, until every word is sorted."""
+    out, todo = LinComb(), LinComb.single(tuple(word))
+    while todo:
+        nxt = LinComb()
+        for w, c in todo.items():
+            i = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
+            if i is None:
+                out.add_into(LinComb.single(w, c))
+                continue
+            nxt.add_into(LinComb.single(w[:i] + (w[i + 1], w[i]) + w[i + 2:], c))
+            for k, ck in lie.bracket(w[i], w[i + 1]).items():
+                nxt.add_into(LinComb.single(w[:i] + (k,) + w[i + 2:], c * ck))
+        todo = nxt
+    return out
+
+
+@settings(deadline=None)
+@given(st.sampled_from([two_dim_nonabelian(), sl2()]), st.data())
+def test_ue_straighten_equals_bubble_sort(lie, data):
+    word = data.draw(st.lists(st.integers(0, len(lie.names) - 1), max_size=6))
+    assert co.UniversalEnveloping(lie).straighten(tuple(word)) == bubble_sort_straighten(lie, word)
+
+
+def test_ue_straighten_long_unsorted_word():
+    # the bubble sort recursed once per inversion: 1600 of them here
+    got = co.UniversalEnveloping(two_dim_nonabelian()).straighten((1,) * 40 + (0,) * 40)
+    assert len(got) == 41
+    assert got.get((0,) * 40 + (1,) * 40) == 1
 
 
 def test_ue_primitive_basis_is_degree_one():

@@ -18,6 +18,7 @@ from vertexkernel.constructions import (BL, PhiMap, SemigroupL,
                                         induced_vertex_morphism,
                                         tensor_phi_group_like_scan,
                                         tensor_phi_primitives)
+from vertexkernel.coalgebra import check_delta_morphism
 from vertexkernel.current import Mode
 from vertexkernel.enveloping import VacuumModule
 from vertexkernel.errors import InputError, MorphismError, UnsupportedError
@@ -418,6 +419,66 @@ def test_bl_equals_tensor_phi_rank_two():
     rep = check_bl_equals_tensor_phi(SemigroupL(2), max_weight=1,
                                      alpha_bound=1, window=3)
     assert rep.passed
+
+
+def test_bl_equals_tensor_phi_compares_two_coproducts(monkeypatch):
+    # B_L's Delta is multiplied out through its own product, so a product that
+    # drops every word of length >= 2 no longer matches the split of V (x)_phi C[L]
+    product = BL.product
+
+    def truncated(self, u, v):
+        return LinComb({k: c for k, c in product(self, u, v).items() if len(k[0]) < 2})
+    monkeypatch.setattr(BL, "product", truncated)
+    rep = check_bl_equals_tensor_phi(SemigroupL(1), max_weight=2, alpha_bound=1, window=2)
+    assert "bl-equals-tensor-phi-coalgebra" in {c.check_id for c in rep.failures()}
+
+
+# -- Delta and eps as vertex-algebra morphisms on V (x)_phi C[L] and B_L ------------
+
+
+def heisenberg_centre():
+    pres = heisenberg(1)
+    return TensorPhiAlgebra(VacuumModule(pres), SemigroupL(1), PhiMap(pres, [pres.element("c")]))
+
+
+def morphism_cases(alg, keys, window=2):
+    states = [alg.key_state(k) for k in keys]
+    return [(u, n, v) for u in states for v in states for n in range(-window, window + 1)]
+
+
+def test_delta_morphism_on_tensor_phi_heisenberg_centre():
+    tp = heisenberg_centre()
+    keys = [k for d in range(2) for k in tp.basis_keys(d, torsion_bound=1, alpha_bound=1)]
+    rep = check_delta_morphism(tp, cases=morphism_cases(tp, keys))
+    assert rep.passed, rep.summary()
+    assert {c.details for c in rep.checks} == {"720 instances checked"}
+
+
+def test_delta_morphism_on_bl():
+    bl = bl_build(SemigroupL(1))
+    keys = [k for d in range(3) for k in bl.basis_keys(d, alpha_bound=1)]
+    rep = check_delta_morphism(bl, cases=morphism_cases(bl, keys))
+    assert rep.passed, rep.summary()
+    assert {c.details for c in rep.checks} == {"720 instances checked"}
+
+
+class RightLegUntagged(TensorPhiAlgebra):
+    """V (x)_phi C[L] whose Delta tags the right leg e^0 instead of e^alpha: still
+    coassociative, but not a morphism for the twisted modes."""
+
+    def delta(self, state):
+        zero = self.semigroup.zero()
+        return super().delta(state).map_keys(lambda k: (k[0], (k[1][0], zero)))
+
+
+def test_delta_morphism_fails_when_delta_drops_a_tag():
+    tp = heisenberg_centre()
+    bad = RightLegUntagged(tp.vm, tp.semigroup, tp.phi)
+    keys = [k for d in range(2) for k in bad.basis_keys(d, torsion_bound=1, alpha_bound=1)]
+    rep = check_delta_morphism(bad, cases=morphism_cases(bad, keys))
+    failed = {c.check_id: c.witness for c in rep.failures()}
+    assert failed == {"delta-mode-morphism": "Delta not multiplicative at "
+                      "(|0⟩⊗e^{(-1)})_-2(|0⟩⊗e^{(-1)}) (+143 more)"}
 
 
 # -- universal extension from B_L ----------------------------------------------------

@@ -161,3 +161,33 @@ def test_cleared_sum_keeps_a_residue_of_one_over_the_common_denominator(dens, si
     acc = cleared_sum(parts + [(LinComb.single("x", rest), -1)])
     assert acc and acc.den == D and acc.nums == {"x": sign}
     assert bool(lincomb_sum(parts + [(LinComb.single("x", rest), -1)]))
+
+
+# -- the one merge loop: add, subtract and bind against a plain-dict reference ------------
+
+int_or_fraction = st.one_of(st.integers(-3, 3), rationals)
+mixed_lincombs = st.dictionaries(st.sampled_from("wxyz"), int_or_fraction, max_size=4).map(LinComb)
+images = st.dictionaries(st.sampled_from("wxyz"), mixed_lincombs)
+
+
+def dict_sum(*scaled):
+    """sum of scale * terms over (scale, terms) pairs, zero coefficients dropped."""
+    out = {}
+    for scale, terms in scaled:
+        for k, c in terms.items():
+            out[k] = out.get(k, 0) + scale * c
+    return {k: c for k, c in out.items() if c}
+
+
+@given(mixed_lincombs, mixed_lincombs, images)
+def test_add_sub_and_bind_match_a_dict_reference_and_leave_operands_alone(a, b, f):
+    before = [dict(x.terms) for x in (a, b, *f.values())]
+    assert (a + b).terms == dict_sum((1, a.terms), (1, b.terms))
+    assert (a - b).terms == dict_sum((1, a.terms), (-1, b.terms))
+    bound = a.bind(lambda k: f.get(k, LinComb()))
+    assert bound.terms == dict_sum(*((c, f[k].terms) for k, c in a.items() if k in f))
+    assert [x.terms for x in (a, b, *f.values())] == before
+    # a merge into a fresh dict: mutating a result never reaches an operand
+    for out in (a + b, a - b, a.bind(lambda k: f.get(k, LinComb()))):
+        out.add_into(LinComb.single("w", 1))
+    assert [x.terms for x in (a, b, *f.values())] == before

@@ -138,6 +138,10 @@ def test_parse_diff_element_rejects_junk():
         ser.parse_diff_element(bl, "h(-1)·q")
     with pytest.raises(InputError):
         ser.parse_diff_element(bl, "e^{(1)}·e^{(2)}")
+    # a bad leading coefficient is bad input, not a bare ValueError
+    for text in ("x·h(-1)", "1/0·h(-1)"):
+        with pytest.raises(InputError):
+            ser.parse_diff_element(bl, text)
 
 
 def test_load_presentation_builtin_and_inline():
