@@ -19,10 +19,11 @@ they run on every mode algebra: the vacuum module, V (x)_phi C[L] and B_L.
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, product as iproduct
+from math import isqrt, lcm
 
 from .enveloping import split_sorted_word
 from .errors import InputError, UnsupportedError
-from .linalg import kernel_coefficients, rank_of
+from .linalg import kernel_coefficients, rank_of, row_reduce
 from .lincomb import LinComb, binom, inv_factorial
 from .report import ValidationReport
 
@@ -84,49 +85,87 @@ def primitive_subspace(vm, weight, torsion_bound=0):
     return primitive_basis(vm, [vm.word_state(w) for w in vm.basis_words(weight, torsion_bound)])
 
 
-def group_like_scan(obj, basis_states):
-    """All group-like elements in the span of basis_states, by exact solve.
+def _within(z, t, keys):
+    """sum_ab z(k_a, k_b) t_a (x) t_b for t in reduced echelon form over the
+    pivot keys k: equal to z exactly when z lies in span(t) (x) span(t)."""
+    out, at = LinComb(), dict(zip(keys, t))
+    for (k1, k2), c in z.items():
+        if k1 in at and k2 in at:
+            out.add_into(at[k1].tensor(at[k2]), c)
+    return out
 
-    Delta(u) = u (x) u, eps(u) = 1 is a quadratic system in the coordinates;
-    it is handed to sympy whole.  Spans of dimension > 6 and solution sets
-    that are parametric or irrational are refused rather than truncated.
+
+def _rational_eigenvalues(m):
+    """Eigenvalues of the matrix whose column a is m[a] (a LinComb over row
+    indices): the roots of its minimal polynomial, found by the rational root
+    theorem.  An eigenvalue outside Q is refused."""
+    # M^j as one LinComb over (column, row) pairs, for j = 0, ..., len(m)
+    powers = [LinComb({(a, a): 1 for a in range(len(m))})]
+    for _ in m:
+        powers.append(powers[-1].bind(lambda k: m[k[1]].map_keys(lambda r: (k[0], r))))
+    # the first kernel vector is (c_0, ..., c_{d-1}, 1, 0, ..., 0): the monic
+    # relation of least degree d, read here highest degree first
+    poly = kernel_coefficients(powers)[0][::-1]
+    poly = poly[poly.index(1):]
+    den = lcm(*(c.denominator for c in poly))
+    low = int(den * next(c for c in reversed(poly) if c))
+    roots = set()
+    for r in sorted({0} | {s * Fraction(p, q) for p in _divisors(low) for q in _divisors(den)
+                           for s in (1, -1)}):
+        while True:  # divide out x - r while it divides
+            acc, quotient = 0, []
+            for c in poly:
+                acc = acc * r + c
+                quotient.append(acc)
+            if acc:
+                break
+            poly = quotient[:-1]
+            roots.add(r)
+    if len(poly) > 1:
+        raise UnsupportedError("the span has group-likes with coordinates outside Q")
+    return sorted(roots)
+
+
+def _divisors(n):
+    return {d for p in range(1, isqrt(abs(n)) + 1) if n % p == 0 for d in (p, abs(n) // p)}
+
+
+def group_like_scan(obj, basis_states):
+    """All group-like elements in the span of basis_states, sorted by their
+    coordinates over basis_states; exact linear algebra over Q.
+
+    The span is shrunk to its largest subcoalgebra T and put in reduced
+    echelon form t_a over pivot keys k_a.  With M_c x = (id (x) k_c*)Delta x, a
+    group-like g has M_c g = g(k_c) g, and a common eigenvector v with
+    M_c v = chi_c v has Delta v = v (x) sum_c chi_c t_c, which makes
+    sum_c chi_c t_c group-like: each common eigenspace gives one candidate.
+    A dependent span, and an M_c with an eigenvalue outside Q (for a
+    cocommutative obj: a group-like with irrational coordinates), are refused.
     """
     basis_states = list(basis_states)
     n = len(basis_states)
-    if n == 0:
-        return []
-    if n > 6:
-        raise UnsupportedError(
-            f"group-like scan limited to spans of dimension <= 6, got {n}")
-    import sympy
-
-    xs = sympy.symbols(f"gl0:{n}")
-    coord = {}
-    for i, s in enumerate(basis_states):
-        for w, c in s.items():
-            coord[w] = coord.get(w, 0) + sympy.Rational(c.numerator, c.denominator) * xs[i]
-    lhs = {}
-    for i, s in enumerate(basis_states):
-        for key, c in obj.delta(s).items():
-            lhs[key] = lhs.get(key, 0) + sympy.Rational(c.numerator, c.denominator) * xs[i]
-    keys = set(lhs) | {(w1, w2) for w1 in coord for w2 in coord}
-    eqs = [sympy.expand(lhs.get((w1, w2), 0) - coord.get(w1, 0) * coord.get(w2, 0))
-           for (w1, w2) in keys]
-    e = -1
-    for i, s in enumerate(basis_states):
-        c = obj.eps(s)
-        e += sympy.Rational(c.numerator, c.denominator) * xs[i]
-    eqs.append(e)
-
-    found = []
-    for sol in sympy.solve(eqs, list(xs), dict=True):
-        vals = [sympy.together(sol.get(x, x)) for x in xs]
-        if any(v.free_symbols for v in vals):
-            raise UnsupportedError("group-like locus is parametric within the span")
-        if not all(v.is_Rational for v in vals):
-            raise UnsupportedError("group-like solve produced irrational coordinates")
-        found.append(tuple(Fraction(int(v.p), int(v.q)) for v in vals))
-    return [_combination(basis_states, coeffs) for coeffs in sorted(set(found))]
+    t, keys = row_reduce(basis_states)
+    if len(t) < n:
+        raise UnsupportedError("group-like scan needs linearly independent states")
+    while True:  # keep the x with Delta x in T (x) T until T is stable
+        deltas = [obj.delta(x) for x in t]
+        inside = kernel_coefficients([d - _within(d, t, keys) for d in deltas])
+        if len(inside) == len(t):
+            break
+        t, keys = row_reduce([_combination(t, x) for x in inside])
+    pieces = [([LinComb.single(a) for a in range(len(t))], ())]
+    for kc in keys:  # M_c t_b = sum_a Delta t_b(k_a, k_c) t_a, on coordinates
+        m = [LinComb({a: d.get((ka, kc)) for a, ka in enumerate(keys)}) for d in deltas]
+        refined = []
+        for lam in _rational_eigenvalues(m):
+            for w, chi in pieces:
+                ker = kernel_coefficients([v.bind(m.__getitem__) - lam * v for v in w])
+                if ker:
+                    refined.append(([_combination(w, x) for x in ker], chi + (lam,)))
+        pieces = refined
+    found = [g for g in (_combination(t, chi) for _, chi in pieces) if is_group_like(obj, g)]
+    coords = sorted(tuple(-c for c in x[:n]) for x in kernel_coefficients(basis_states + found))
+    return [_combination(basis_states, x) for x in coords]
 
 
 # -- coalgebra axiom checks ----------------------------------------------------------

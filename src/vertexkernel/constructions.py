@@ -548,8 +548,9 @@ def check_bl_bialgebra(bl, max_weight=3, alpha_bound=2):
 
 
 def check_bl_equals_tensor_phi(semigroup, max_weight=3, alpha_bound=2, window=4):
-    """Borcherds modes on B_L match the (x)_phi modes on the abelian vacuum
-    module with phi(e_i) = h_i, key for key, along with D, Delta and eps."""
+    """Borcherds modes, D and Delta on B_L match the (x)_phi ones on the abelian
+    vacuum module with phi(e_i) = h_i, key for key.  eps is not compared by two
+    routes: BL.eps is an alias of TensorPhiAlgebra.eps."""
     bl = BL(semigroup)
     phi = PhiMap(bl.pres, [bl.pres.element(nm) for nm in bl.names])
     tp = TensorPhiAlgebra(bl.vm, semigroup, phi)
@@ -719,5 +720,5 @@ def induced_vertex_morphism(pres, embedding, target, max_weight=3, window=4,
 
 
 def tensor_phi_group_like_scan(tp, alphas):
-    """Brute-force group-like scan over the span of {e^alpha : alpha in alphas}."""
+    """The exact group-like scan over the span of {e^alpha : alpha in alphas}."""
     return group_like_scan(tp, [tp.group_like(al) for al in alphas])

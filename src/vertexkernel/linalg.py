@@ -5,9 +5,9 @@ demand.  Everything is dense fraction-exact Gaussian elimination, which is
 plenty for the graded pieces handled here.
 """
 
-from .lincomb import Fraction
+from .lincomb import Fraction, LinComb
 
-__all__ = ["rank_of", "kernel_coefficients"]
+__all__ = ["rank_of", "row_reduce", "kernel_coefficients"]
 
 
 def _echelon(rows):
@@ -39,15 +39,19 @@ def _matrix(vectors):
     return rows
 
 
+def row_reduce(vectors):
+    """Reduced echelon basis of the span of vectors, with its pivot keys (in
+    sorted key order): basis vector i is 1 at pivot key i and 0 at the others."""
+    keys = sorted({k for v in vectors for k in v.keys()})
+    rows = [[v.get(k) for k in keys] for v in vectors]
+    pivots = _echelon(rows)
+    basis = [LinComb(dict(zip(keys, row))) for row in rows[:len(pivots)]]
+    return basis, [keys[c] for c in pivots]
+
+
 def rank_of(vectors):
     """Rank of a family of LinComb vectors."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    rows = _matrix(vectors)
-    if not rows:
-        return 0
-    return len(_echelon(rows))
+    return len(row_reduce(list(vectors))[0])
 
 
 def kernel_coefficients(vectors):

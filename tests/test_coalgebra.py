@@ -121,13 +121,48 @@ def test_group_like_scan_abelian_span():
     assert co.group_like_scan(vm, span) == [vm.vacuum()]
 
 
-def test_group_like_scan_dimension_cap():
+def test_group_like_scan_has_no_dimension_cap():
     vm = VacuumModule(abelian(3))
     span = [vm.vacuum()] + [vm.word_state(w) for w in vm.basis_words(1, 0)]
     span += [vm.word_state(w) for w in vm.basis_words(2, 0)]
-    assert len(span) > 6
+    assert len(span) == 13
+    assert co.group_like_scan(vm, span) == [vm.vacuum()]
+
+
+def test_group_like_scan_refuses_a_dependent_span():
+    vm = VacuumModule(abelian(1))
     with pytest.raises(UnsupportedError):
-        co.group_like_scan(vm, span)
+        co.group_like_scan(vm, [vm.vacuum(), 2 * vm.vacuum()])
+
+
+class SqrtTwoCoalgebra:
+    """Keys "1" and "s" with Delta 1 = 1(x)1 + 2 s(x)s, Delta s = 1(x)s + s(x)1
+    and eps(1) = 1: cocommutative, with group-likes 1 +- sqrt(2) s, which are not
+    rational."""
+
+    _delta = {"1": T("1", "1") + T("s", "s", 2), "s": T("1", "s") + T("s", "1")}
+
+    def delta(self, state):
+        return state.bind(self._delta.__getitem__)
+
+    def eps(self, state):
+        return state.get("1")
+
+
+def test_group_like_scan_refuses_irrational_group_likes():
+    toy = SqrtTwoCoalgebra()
+    assert not co.coassociativity_defect(toy, S("1") + S("s"))
+    with pytest.raises(UnsupportedError):
+        co.group_like_scan(toy, [S("1"), S("s")])
+
+
+def test_group_like_scan_finds_only_the_unit_of_dp_and_ue():
+    dp = co.DividedPowerBialgebra(2)
+    span = [S(f) for d in range(3) for f in dp.basis(d)]
+    assert co.group_like_scan(dp, span) == [dp.vacuum()]
+    ue = co.UniversalEnveloping(co.LieAlgebra(["x", "y"], {(0, 1): {1: 1}}))
+    span = [S(w) for d in range(3) for w in ue.basis_words(d)]
+    assert co.group_like_scan(ue, span) == [ue.vacuum()]
 
 
 # -- coalgebra axioms -----------------------------------------------------------------

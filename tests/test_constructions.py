@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vertexkernel.constructions import (BL, PhiMap, SemigroupL,
                                         TensorPhiAlgebra, bl_build, bl_phi,
@@ -18,10 +20,11 @@ from vertexkernel.constructions import (BL, PhiMap, SemigroupL,
                                         induced_vertex_morphism,
                                         tensor_phi_group_like_scan,
                                         tensor_phi_primitives)
-from vertexkernel.coalgebra import check_delta_morphism
+from vertexkernel.coalgebra import check_delta_morphism, group_like_scan
 from vertexkernel.current import Mode
 from vertexkernel.enveloping import VacuumModule
 from vertexkernel.errors import InputError, MorphismError, UnsupportedError
+from vertexkernel.linalg import rank_of
 from vertexkernel.lincomb import LinComb
 from vertexkernel.vla import Generator, Presentation, abelian, heisenberg, virasoro
 
@@ -290,10 +293,39 @@ def test_group_like_scan_finds_exactly_the_exponentials():
         ((((), a), Fraction(1)),) for a in alphas)
 
 
-def test_group_like_scan_dimension_cap():
+def test_group_like_scan_has_no_dimension_cap():
     tp = tensor_h()
-    with pytest.raises(UnsupportedError):
-        tensor_phi_group_like_scan(tp, [(a,) for a in range(-3, 4)])
+    alphas = [(a,) for a in range(-3, 4)]
+    assert tensor_phi_group_like_scan(tp, alphas) == [tp.group_like(a) for a in alphas[::-1]]
+    keys = [k for d in range(3) for k in tp.basis_keys(d, alpha_bound=2)]
+    assert len(keys) == 20
+    assert group_like_scan(tp, [tp.key_state(k) for k in keys]) == [
+        tp.group_like((a,)) for a in range(2, -3, -1)]
+
+
+def test_group_like_scan_order_on_a_non_basis_span():
+    tp = tensor_h()
+    e0, e1, e2 = (tp.group_like((a,)) for a in range(3))
+    span = [e0 + e1, e0 - e1, e2 + S((W(("h", -1)), (0,))), e2]
+    assert group_like_scan(tp, span) == [e2, e1, e0]
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.lists(_RATIONALS, min_size=4, max_size=4), min_size=4, max_size=4))
+def test_group_like_scan_sees_through_a_change_of_basis(matrix):
+    tp = tensor_h()
+    exps = [tp.group_like((a,)) for a in (-1, 0, 1)]
+    base = exps + [S((W(("h", -1)), (0,)))]
+    span = [LinComb() for _ in base]
+    for row, state in zip(matrix, span):
+        for c, b in zip(row, base):
+            state.add_into(b, c)
+    assume(rank_of(span) == 4)
+    found = group_like_scan(tp, span)
+    assert len(found) == 3 and set(found) == set(exps)
 
 
 def test_component_of_and_structure():

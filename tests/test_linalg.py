@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from vertexkernel.linalg import kernel_coefficients, rank_of
+from vertexkernel.linalg import kernel_coefficients, rank_of, row_reduce
 from vertexkernel.lincomb import LinComb
 
 
@@ -18,6 +18,22 @@ def test_rank_basichull():
     assert rank_of([a, b, a + b, a - b]) == 2
     assert rank_of([LinComb(), LinComb()]) == 0
     assert rank_of([]) == 0
+
+
+def test_row_reduce_basis_is_reduced_at_its_pivot_keys():
+    a, b, c = V(x=2, y=4, z=1), V(x=1, y=2), V(y=Fraction(1, 3), z=5)
+    vectors = [a, b, a + b, c, a - 3 * c]
+    basis, keys = row_reduce(vectors)
+    assert len(basis) == len(keys) == rank_of(vectors) == 3
+    for v, k in zip(basis, keys):
+        assert [v.get(k2) for k2 in keys] == [int(k2 == k) for k2 in keys]
+    # the basis spans the same space as the input
+    assert rank_of(vectors + basis) == 3
+
+
+def test_row_reduce_of_nothing():
+    assert row_reduce([]) == ([], [])
+    assert row_reduce([LinComb(), LinComb()]) == ([], [])
 
 
 def test_kernel_of_dependent_family():
