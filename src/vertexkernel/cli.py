@@ -252,16 +252,16 @@ def cmd_compute(args):
     elif expr == "delta":
         arity(1)
         value = vm.delta(serialize.parse_state(vm, ops[0]))
-        text = value.format(
-            lambda k: f"{vm.format_word(k[0])} ⊗ {vm.format_word(k[1])}")
-        terms = serialize.tensor_to_json(value)
+        text = value.format(lambda k: f"{vm.format_word(k[0])} ⊗ {vm.format_word(k[1])}",
+                            vm.pair_order)
+        terms = serialize.tensor_to_json(vm, value)
     else:  # mode
         arity(3)
         u = vm.embed(serialize.parse_element(pres, ops[0]))
         v = serialize.parse_state(vm, ops[2])
         value = vm.state_mode(u, as_int(ops[1]), v)
         text = vm.format_state(value)
-        terms = serialize.state_to_json(value)
+        terms = serialize.state_to_json(vm, value)
 
     _emit(args, {"command": "compute", "expression": expr, "operands": list(ops),
                  "passed": True, "value": {"text": text, "terms": terms}},

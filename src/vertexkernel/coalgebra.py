@@ -31,7 +31,7 @@ _ZERO = LinComb()
 
 
 def delta_state(vm, state):
-    """Coproduct, a LinComb over pairs of basis words."""
+    """Coproduct, a LinComb over pairs of basis word ids."""
     return vm.delta(state)
 
 
@@ -82,7 +82,7 @@ def primitive_basis(obj, states):
 
 def primitive_subspace(vm, weight, torsion_bound=0):
     """Basis of the primitives in the (weight, <= torsion_bound) graded piece."""
-    return primitive_basis(vm, [vm.word_state(w) for w in vm.basis_words(weight, torsion_bound)])
+    return primitive_basis(vm, [LinComb.single(w) for w in vm.basis_words(weight, torsion_bound)])
 
 
 def _within(z, t, keys):

@@ -2,18 +2,20 @@
 
 States are exact linear combinations of PBW words: tuples of negative modes
 g(n), n <= -1, sorted by |n| descending, ties by generator index, torsion
-modes last, acting on the vacuum |0>.  A mode acts on a basis word by
-insertion: it moves past each letter that sorts before it, adding the
-current-algebra bracket with that letter, and straightening an arbitrary word
-applies its modes to the vacuum from right to left.  Vertex operator modes of
-arbitrary states are computed by the iterate recursion
+modes last, acting on the vacuum |0>.  Inside a module each word is an
+integer id (VacuumModule says how), so states are LinCombs over ids.  A mode
+acts on a basis word by insertion: it moves past each letter that sorts before
+it, adding the current-algebra bracket with that letter, and straightening an
+arbitrary word applies its modes to the vacuum from right to left.  Vertex
+operator modes of arbitrary states are computed by the iterate recursion
 
     (a(m)w)_n = sum_i (-1)^i binom(m,i) [ a(m-i) (w_{n+i} v)
                                           - (-1)^m  w_{m+n-i} (a(i) v) ],
 
 whose i-sums terminate by the weight grading (every PBW word has weight
 >= 0, so u_n v = 0 once n > wt u + wt v - 1).  All recursions are memoized
-per module instance; cached states are shared and must not be mutated.
+per module instance.  The private per-word methods return the shared memo
+entries, which must not be mutated; the public methods return fresh states.
 """
 
 from itertools import chain, product as iproduct
@@ -52,11 +54,47 @@ def split_sorted_word(word):
     return out
 
 
+class _WordTable:
+    """The PBW words and modes of every VacuumModule: one table for the process,
+    so that a state means the same words in every module, as a tuple of Modes
+    would.  A mode id stands for a Mode together with what its presentation
+    says of it (generator weight, torsion flag and index), so modules whose
+    presentations agree on a generator share its mode ids, and a mode's sort
+    key and weight are per id.  Id 0 is the empty word.  The table is filled
+    as words are met and never emptied."""
+
+    def __init__(self):
+        self.mode_ids = {}   # (Mode, weight, torsion, index) -> mode id
+        # per mode id: its Mode, sort key, weight, whether it kills every state
+        # (a torsion mode other than (-1)), and the ids of mode·w by word id w
+        self.modes, self.mkey, self.mwt, self.dead, self.after = [], [], [], [], []
+        # per word id: its word, head mode id, rest id and weight
+        self.words, self.head, self.rest, self.wt = [()], [None], [None], [0]
+
+
+_WORDS = _WordTable()
+
+
 class VacuumModule:
+    """The vacuum module V_C of a presentation, on its PBW basis.
+
+    A word is a tuple of Modes, and words are the edge format: word_state,
+    word_id, word, format_state and serialize take or give them.  Inside, every
+    word is an integer id into the process-wide _WordTable, every mode an id
+    into its mode table, states are LinCombs over word ids, and the memos are
+    keyed by ids.  Id 0 is the empty word, the vacuum.  basis_words gives ids,
+    in word order; printing sorts by the word, never by the id.  As ids are
+    shared, a state of one module is a state of every module whose
+    presentation has its generators.
+    """
+
     def __init__(self, presentation):
         self.pres = presentation
-        self._sort_key = {}
-        self._wword = {}
+        t = _WORDS
+        self._words, self._head, self._rest, self._wt = t.words, t.head, t.rest, t.wt
+        self._modes, self._mkey, self._mwt, self._dead = t.modes, t.mkey, t.mwt, t.dead
+        self._after = t.after
+        self._mode_ids = {}   # Mode -> mode id, for this presentation
         self._bracket = {}
         self._straight = {}
         self._apply = {}
@@ -64,62 +102,108 @@ class VacuumModule:
         self._dword = {}
         self._delta = {}
 
+    # -- the word and mode tables -------------------------------------------------
+
+    def mode_id(self, mode):
+        """The id of a mode, given as a Mode or a (gen, n) pair."""
+        i = self._mode_ids.get(mode)
+        if i is None:
+            mode = Mode(*mode)
+            wt = mode_weight(self.pres, mode)
+            torsion, index = self.pres.is_torsion(mode.gen), self.pres.gen_index(mode.gen)
+            t = _WORDS
+            key = (mode, wt, torsion, index)
+            i = t.mode_ids.get(key)
+            if i is None:
+                i = t.mode_ids[key] = len(t.modes)
+                t.modes.append(mode)
+                t.mkey.append((mode.n, torsion, index))
+                t.mwt.append(wt)
+                t.dead.append(torsion and mode.n != -1)
+                t.after.append({})
+            self._mode_ids[mode] = i
+        return i
+
+    def _prepend(self, mode, word):
+        """The id of the word mode·word, for a mode id and a word id."""
+        after = self._after[mode]
+        i = after.get(word)
+        if i is None:
+            i = after[word] = len(self._words)
+            self._words.append((self._modes[mode],) + self._words[word])
+            self._head.append(mode)
+            self._rest.append(word)
+            self._wt.append(self._mwt[mode] + self._wt[word])
+        return i
+
+    def word_id(self, word):
+        """The id of a word (a sequence of Modes, in any order), interning it
+        and its suffixes."""
+        i = 0
+        for mode in reversed(tuple(word)):
+            i = self._prepend(self.mode_id(mode), i)
+        return i
+
+    def word(self, word_id):
+        """The word (a tuple of Modes) of an id."""
+        return self._words[word_id]
+
+    def pair_order(self, key):
+        """The sort key of a Delta key (word id, word id): its two words."""
+        return self._words[key[0]], self._words[key[1]]
+
     # -- basic structure ------------------------------------------------------
 
     def vacuum(self):
-        return LinComb.single(())
+        return LinComb.single(0)
 
     def word_state(self, word):
-        return LinComb.single(tuple(word))
+        return LinComb.single(self.word_id(word))
 
     def embed(self, elt):
         """C -> V_C, an element to its state a(-1)|0>."""
-        return mode_normalize(self.pres, elt, -1).map_keys(lambda m: (m,))
+        return mode_normalize(self.pres, elt, -1).map_keys(
+            lambda m: self._prepend(self.mode_id(m), 0))
 
     def sort_key(self, mode):
-        k = self._sort_key.get(mode)
-        if k is None:
-            k = (mode.n, self.pres.is_torsion(mode.gen), self.pres.gen_index(mode.gen))
-            self._sort_key[mode] = k
-        return k
+        return self._mkey[self.mode_id(mode)]
 
-    def word_weight(self, word):
-        w = self._wword.get(word)
-        if w is None:
-            w = sum(mode_weight(self.pres, m) for m in word)
-            self._wword[word] = w
-        return w
+    def word_weight(self, word_id):
+        return self._wt[word_id]
 
     def state_weight(self, state):
         """Max weight over the words of a state; -1 for the zero state."""
-        return max((self.word_weight(w) for w, _ in state.items()), default=-1)
+        wt = self._wt
+        return max((wt[w] for w in state.keys()), default=-1)
 
     def bracket(self, a, b):
+        """[a, b] for two mode ids, as a LinComb over mode ids."""
         key = (a, b)
         out = self._bracket.get(key)
         if out is None:
-            out = bracket(self.pres, a, b)
+            out = bracket(self.pres, self._modes[a], self._modes[b]).map_keys(self.mode_id)
             self._bracket[key] = out
         return out
 
     # -- mode action and straightening -------------------------------------------
 
     def _apply_word(self, mode, word):
-        """mode acting on a basis word; mode may have either sign.  A creation mode
-        that sorts first is prepended; otherwise mode moves past the head h of the
-        word: a(m) h w = h (a(m) w) + [a(m), h] w."""
-        if self.pres.is_torsion(mode.gen) and mode.n != -1:
+        """A mode id acting on a basis word id; the mode may have either sign.  A
+        creation mode that sorts first is prepended; otherwise the mode moves
+        past the head h of the word: a(m) h w = h (a(m) w) + [a(m), h] w."""
+        if self._dead[mode]:
             return _ZERO
         key = (mode, word)
         out = self._apply.get(key)
         if out is not None:
             return out
-        if mode.n <= -1 and (not word or self.sort_key(mode) <= self.sort_key(word[0])):
-            out = LinComb.single((mode,) + word)
+        mkey = self._mkey
+        if mkey[mode][0] <= -1 and (not word or mkey[mode] <= mkey[self._head[word]]):
+            out = LinComb.single(self._prepend(mode, word))
         elif not word:
             out = _ZERO
         else:
-            head, rest = word[0], word[1:]
+            head, rest = self._head[word], self._rest[word]
             out = LinComb()
             for w, c in self._apply_word(mode, rest).items():
                 out.add_into(self._apply_word(head, w), c)
@@ -135,25 +219,29 @@ class VacuumModule:
         return out
 
     def straighten(self, word):
-        """Rewrite a word of negative modes into the PBW basis: its modes act on
-        the vacuum from right to left."""
-        word = tuple(word)
+        """Rewrite a word id (negative modes in any order) into the PBW basis: its
+        modes act on the vacuum from right to left."""
         out = self._straight.get(word)
         if out is None:
+            modes, w = [], word
+            while w:
+                modes.append(self._head[w])
+                w = self._rest[w]
             out = self.vacuum()
-            for mode in reversed(word):
+            for mode in reversed(modes):
                 out = self._act(mode, out)
             self._straight[word] = out
-        return out
+        return LinComb(out.terms)
 
     def mode_apply(self, gen, n, state):
         """The current-algebra action g(n) on a state."""
-        return self._act(Mode(gen, n), state)
+        return self._act(self.mode_id((gen, n)), state)
 
     def combo_apply(self, combo, state):
         """A mode combination (LinComb over Mode) acting on a state."""
         out = LinComb()
         for m, cm in combo.items():
+            m = self.mode_id(m)
             for w, cw in state.items():
                 out.add_into(self._apply_word(m, w), cm * cw)
         return out
@@ -164,10 +252,11 @@ class VacuumModule:
         out = self._dword.get(word)
         if out is None:
             out = LinComb()
-            for i, m in enumerate(word):
+            w = self._words[word]
+            for i, m in enumerate(w):
                 if self.pres.is_torsion(m.gen):
                     continue  # [D, c(-1)] = 0
-                shifted = word[:i] + (Mode(m.gen, m.n - 1),) + word[i + 1:]
+                shifted = self.word_id(w[:i] + (Mode(m.gen, m.n - 1),) + w[i + 1:])
                 out.add_into(self.straighten(shifted), -m.n)
             self._dword[word] = out
         return out
@@ -187,21 +276,24 @@ class VacuumModule:
         out = self._smode.get(key)
         if out is not None:
             return out
-        wu, wv = self.word_weight(uw), self.word_weight(vw)
-        if n > wu + wv - 1:
+        wt = self._wt
+        wv = wt[vw]
+        if n > wt[uw] + wv - 1:
             return _ZERO
-        head, rest = uw[0], uw[1:]
-        g, m = head.gen, head.n
+        head, rest = self._head[uw], self._rest[uw]
+        g, m = self._modes[head]
+        mode_id, apply_word = self.mode_id, self._apply_word
         out = LinComb()
-        for i in range(0, self.word_weight(rest) + wv - n):
+        for i in range(0, wt[rest] + wv - n):
             inner = self._state_mode_word(rest, n + i, vw)
             if inner:
                 c = sign_pow(i) * binom(m, i)
+                mi = mode_id((g, m - i))
                 for w2, c2 in inner.items():
-                    out.add_into(self._apply_word(Mode(g, m - i), w2), c * c2)
+                    out.add_into(apply_word(mi, w2), c * c2)
         s2 = -sign_pow(m)
         for i in range(0, self.pres.weight_of(g) + wv):
-            gv = self._apply_word(Mode(g, i), vw)
+            gv = apply_word(mode_id((g, i)), vw)
             if gv:
                 c = s2 * sign_pow(i) * binom(m, i)
                 for w2, c2 in gv.items():
@@ -220,18 +312,20 @@ class VacuumModule:
     # -- coproduct and counit ----------------------------------------------------
 
     def delta_word(self, word):
-        """Coproduct of a PBW word: every mode is primitive, so Delta splits
-        the word over position subsets (split_sorted_word)."""
+        """Coproduct of a PBW word id, over pairs of word ids: every mode is
+        primitive, so Delta splits the word over position subsets
+        (split_sorted_word)."""
         out = self._delta.get(word)
         if out is None:
-            out = self._delta[word] = split_sorted_word(word)
+            out = self._delta[word] = split_sorted_word(self._words[word]).map_keys(
+                lambda k: (self.word_id(k[0]), self.word_id(k[1])))
         return out
 
     def delta(self, state):
         return state.bind(self.delta_word)
 
     def eps(self, state):
-        return state.get(())
+        return state.get(0)
 
     # -- graded basis -----------------------------------------------------------
 
@@ -251,7 +345,8 @@ class VacuumModule:
         return menu
 
     def basis_words(self, weight, torsion_bound=0):
-        """All PBW words of the given weight with <= torsion_bound torsion factors."""
+        """The ids of all PBW words of the given weight with <= torsion_bound
+        torsion factors, in word order."""
         if weight < 0:
             return []
         menu = self._mode_menu(weight)
@@ -275,7 +370,7 @@ class VacuumModule:
                     quota - mult if torsion else quota, acc + [mode] * mult)
 
         rec(0, weight, torsion_bound, [])
-        return sorted(out)
+        return [self.word_id(w) for w in sorted(out)]
 
     def graded_dimension(self, weight, torsion_bound=0):
         return len(self.basis_words(weight, torsion_bound))
@@ -285,7 +380,7 @@ class VacuumModule:
     def _graded_basis_states(self, max_weight, torsion_bound):
         out = []
         for d in range(0, max_weight + 1):
-            out.extend(self.word_state(w) for w in self.basis_words(d, torsion_bound))
+            out.extend(LinComb.single(w) for w in self.basis_words(d, torsion_bound))
         return out
 
     def check_vacuum_creation(self, max_weight=4, torsion_bound=1, window=4):
@@ -341,11 +436,11 @@ class VacuumModule:
 
     # -- formatting ---------------------------------------------------------------
 
-    def format_word(self, word):
-        return "".join(f"{m.gen}({m.n})" for m in word) + "|0⟩"
+    def format_word(self, word_id):
+        return "".join(f"{m.gen}({m.n})" for m in self._words[word_id]) + "|0⟩"
 
     def format_state(self, state):
-        return state.format(self.format_word)
+        return state.format(self.format_word, self.word)
 
 
 # -- identity defects, generic over mode algebras -------------------------------------

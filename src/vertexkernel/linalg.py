@@ -1,9 +1,11 @@
 """Small exact linear algebra over the rationals.
 
 Vectors are LinCombs over arbitrary sortable keys; matrices are built on
-demand.  Everything is dense fraction-exact Gaussian elimination, which is
-plenty for the graded pieces handled here.
+demand.  Elimination is fraction-free Gauss-Jordan on integer rows, which
+gives the unique reduced echelon form over Q.
 """
+
+from math import gcd, lcm
 
 from .lincomb import Fraction, LinComb
 
@@ -11,7 +13,16 @@ __all__ = ["rank_of", "row_reduce", "kernel_coefficients"]
 
 
 def _echelon(rows):
-    """In-place row echelon; returns the list of pivot column indices."""
+    """In place, the reduced row echelon form of rows (over Q); returns the list
+    of pivot column indices.
+
+    Each row is scaled to integers and eliminated with integer row operations,
+    kept primitive by dividing out its content; the pivot rows are divided by
+    their pivots once, at the end.  The reduced echelon form is unique, so the
+    result is that of Gauss-Jordan over Fractions."""
+    for i, row in enumerate(rows):
+        den = lcm(*(x.denominator for x in row))
+        rows[i] = [x.numerator * (den // x.denominator) for x in row]
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
@@ -20,16 +31,21 @@ def _echelon(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
+    for i, c in enumerate(pivots):
+        p = rows[i][c]
+        rows[i] = [Fraction(a, p) for a in rows[i]]
     return pivots
 
 

@@ -202,15 +202,19 @@ class LinComb:
                 out[(k1, k2)] = c1 * c2
         return LinComb._raw(out)
 
-    def sorted_items(self):
-        return sorted(self.terms.items())
+    def sorted_items(self, order=None):
+        """The terms sorted by key, or by order(key) when order is given."""
+        if order is None:
+            return sorted(self.terms.items())
+        return sorted(self.terms.items(), key=lambda kc: order(kc[0]))
 
-    def format(self, key_fmt):
-        """Render as "c1·k1 + c2·k2 - ...", suppressing unit coefficients."""
+    def format(self, key_fmt, order=None):
+        """Render as "c1·k1 + c2·k2 - ...", suppressing unit coefficients; terms
+        come in sorted_items(order) order."""
         if not self.terms:
             return "0"
         parts = []
-        for k, c in self.sorted_items():
+        for k, c in self.sorted_items(order):
             body = key_fmt(k)
             mag = abs(c)
             chunk = body if mag == 1 else f"{format_rational(mag)}·{body}"

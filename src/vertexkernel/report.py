@@ -45,25 +45,29 @@ class ValidationReport:
 
     def record(self, check_id, failures, total):
         """Summarize a sweep: failures is a list of witness strings."""
-        if failures:
-            w = failures[0] if len(failures) == 1 else f"{failures[0]} (+{len(failures) - 1} more)"
-            self.add(check_id, False, witness=w)
-        else:
-            self.add(check_id, True, details=f"{total} instances checked")
-        return self
+        return self._summarize(check_id, failures[:1], len(failures), total)
+
+    def _summarize(self, check_id, first, failed, total):
+        """first holds the first failure's witness when failed > 0."""
+        if failed:
+            w = first[0] if failed == 1 else f"{first[0]} (+{failed - 1} more)"
+            return self.add(check_id, False, witness=w)
+        return self.add(check_id, True, details=f"{total} instances checked")
 
     def tally(self, check_id, cases, defect, witness):
         """Run one check over cases, counting exactly the cases it ran.
 
         Each case is an argument tuple: a case fails when defect(*case) is
-        nonzero (a LinComb, a number or a bool), and only a failing case is
-        rendered, by witness(*case).  The result goes through record."""
-        total, failures = 0, []
+        nonzero (a LinComb, a number or a bool).  Only the first failing case
+        is rendered, by witness(*case); the others are counted."""
+        total, failed, first = 0, 0, []
         for case in cases:
             total += 1
             if defect(*case):
-                failures.append(witness(*case))
-        return self.record(check_id, failures, total)
+                if not failed:
+                    first.append(witness(*case))
+                failed += 1
+        return self._summarize(check_id, first, failed, total)
 
     def merge(self, other):
         self.checks.extend(other.checks)

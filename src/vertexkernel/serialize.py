@@ -155,17 +155,20 @@ def parse_state(vm, text):
     return out
 
 
-def state_to_json(state):
-    return [{"coeff": str(c), "word": [mode_to_json(m) for m in w]}
-            for w, c in state.sorted_items()]
+def state_to_json(vm, state):
+    """A state of vm, its terms in word order."""
+    word = vm.word
+    return [{"coeff": str(c), "word": [mode_to_json(m) for m in word(w)]}
+            for w, c in state.sorted_items(word)]
 
 
-def tensor_to_json(tensor):
-    """A Delta value: LinComb over (word, word) pairs."""
+def tensor_to_json(vm, tensor):
+    """A Delta value of vm: LinComb over (word id, word id) pairs."""
+    word = vm.word
     return [{"coeff": str(c),
-             "left": [mode_to_json(m) for m in w1],
-             "right": [mode_to_json(m) for m in w2]}
-            for (w1, w2), c in tensor.sorted_items()]
+             "left": [mode_to_json(m) for m in word(w1)],
+             "right": [mode_to_json(m) for m in word(w2)]}
+            for (w1, w2), c in tensor.sorted_items(vm.pair_order)]
 
 
 # -- differential / tensor keys (word, alpha) ----------------------------------------
@@ -189,7 +192,7 @@ def parse_alpha(text):
 
 
 def format_diff_key(key):
-    """B_L / tensor basis key as "h1(-2)^2·e^{(3)}"."""
+    """B_L / tensor basis key (word, alpha) as "h1(-2)^2·e^{(3)}"."""
     word, alpha = key
     runs = []
     for m in word:
@@ -233,9 +236,10 @@ def parse_diff_element(bl, text):
     return out
 
 
-def diff_state_to_json(state):
-    return [{"coeff": str(c), "word": [mode_to_json(m) for m in w],
-             "alpha": list(al)} for (w, al), c in state.sorted_items()]
+def diff_state_to_json(alg, state):
+    """A state of B_L or V (x)_phi C[L] (alg), its terms in (word, alpha) order."""
+    return [{"coeff": str(c), "word": [mode_to_json(m) for m in alg.vm.word(w)],
+             "alpha": list(al)} for (w, al), c in state.sorted_items(alg.key_order)]
 
 
 # -- input files -----------------------------------------------------------------

@@ -181,7 +181,7 @@ def test_09_group_like_structure():
     alphas = [(a,) for a in range(-2, 4)]
     found = tensor_phi_group_like_scan(tp, alphas)
     assert sorted(tuple(s.items()) for s in found) == sorted(
-        ((((), a), Fraction(1)),) for a in alphas)
+        (((0, a), Fraction(1)),) for a in alphas)
     _budget(t0, 30.0, "group-like structure")
 
 

@@ -33,8 +33,19 @@ def W(*modes):
     return tuple(Mode(g, n) for g, n in modes)
 
 
-def S(word, coeff=1):
-    return LinComb.single(word, coeff)
+def V(vm, word, coeff=1):
+    """The state coeff·word of vm, built through its edge API."""
+    return coeff * vm.word_state(word)
+
+
+def K(alg, word, alpha):
+    """The key (word, alpha) of a tensor or B_L algebra, its word as an id."""
+    return alg.vm.word_id(word), alpha
+
+
+def KS(alg, word, alpha, coeff=1):
+    """The state coeff·(word, alpha) of alg."""
+    return LinComb.single(K(alg, word, alpha), coeff)
 
 
 def abelian_vm(rank=1):
@@ -123,21 +134,22 @@ def test_eminus_on_vacuum():
     pres, vm = abelian_vm()
     out = eminus_apply(vm, pres.element("h"), vm.vacuum(), 2)
     assert out[0] == vm.vacuum()
-    assert out[1] == S(W(("h", -1)))
-    assert out[2] == S(W(("h", -2)), Fraction(1, 2)) + S(W(("h", -1), ("h", -1)), Fraction(1, 2))
+    assert out[1] == V(vm, W(("h", -1)))
+    assert out[2] == (V(vm, W(("h", -2)), Fraction(1, 2))
+                      + V(vm, W(("h", -1), ("h", -1)), Fraction(1, 2)))
 
 
 def test_eminus_on_state():
     pres, vm = abelian_vm()
-    out = eminus_apply(vm, pres.element("h"), S(W(("h", -1))), 1)
-    assert out[0] == S(W(("h", -1)))
-    assert out[1] == S(W(("h", -1), ("h", -1)))
+    out = eminus_apply(vm, pres.element("h"), V(vm, W(("h", -1))), 1)
+    assert out[0] == V(vm, W(("h", -1)))
+    assert out[1] == V(vm, W(("h", -1), ("h", -1)))
 
 
 def test_eminus_zero_element():
     pres, vm = abelian_vm()
-    out = eminus_apply(vm, LinComb(), S(W(("h", -2))), 3)
-    assert out[0] == S(W(("h", -2)))
+    out = eminus_apply(vm, LinComb(), V(vm, W(("h", -2))), 3)
+    assert out[0] == V(vm, W(("h", -2)))
     assert not out[1] and not out[2] and not out[3]
 
 
@@ -146,16 +158,16 @@ def test_eminus_torsion_is_plain_exponential():
     pres = heisenberg(1)
     vm = VacuumModule(pres)
     out = eminus_apply(vm, pres.element("c"), vm.vacuum(), 3)
-    assert out[2] == S(W(("c", -1), ("c", -1)), Fraction(1, 2))
-    assert out[3] == S(W(("c", -1), ("c", -1), ("c", -1)), Fraction(1, 6))
+    assert out[2] == V(vm, W(("c", -1), ("c", -1)), Fraction(1, 2))
+    assert out[3] == V(vm, W(("c", -1), ("c", -1), ("c", -1)), Fraction(1, 6))
 
 
 def test_eminus_conjugation_defect_spot():
     pres, vm = abelian_vm()
     h = pres.element("h")
-    v = S(W(("h", -2)))
-    assert not eminus_conjugation_defect(vm, h, S(W(("h", -1))), 2, -3, v)
-    assert not eminus_conjugation_defect(vm, h, v, 1, 1, S(W(("h", -1))))
+    v = V(vm, W(("h", -2)))
+    assert not eminus_conjugation_defect(vm, h, V(vm, W(("h", -1))), 2, -3, v)
+    assert not eminus_conjugation_defect(vm, h, v, 1, 1, V(vm, W(("h", -1))))
 
 
 def test_eminus_conjugation_sweep_abelian():
@@ -192,61 +204,61 @@ def test_tensor_phi_translation_mode():
     # (|0> x e^a)_{-2} (|0> x e^0) picks up the twist phi(a)(-1)
     tp = tensor_h()
     got = tp.state_mode(tp.group_like((1,)), -2, tp.vacuum())
-    assert got == S((W(("h", -1)), (1,)))
+    assert got == KS(tp, W(("h", -1)), (1,))
 
 
 def test_tensor_phi_mode_expansion():
     tp = tensor_h()
-    u = S((W(("h", -1)), (1,)))
-    v = S((W(("h", -1)), (0,)))
-    assert tp.state_mode(u, -1, v) == S((W(("h", -1), ("h", -1)), (1,)))
+    u = KS(tp, W(("h", -1)), (1,))
+    v = KS(tp, W(("h", -1)), (0,))
+    assert tp.state_mode(u, -1, v) == KS(tp, W(("h", -1), ("h", -1)), (1,))
     got = tp.state_mode(u, -2, v)
-    want = (S((W(("h", -2), ("h", -1)), (1,)))
-            + S((W(("h", -1), ("h", -1), ("h", -1)), (1,))))
+    want = (KS(tp, W(("h", -2), ("h", -1)), (1,))
+            + KS(tp, W(("h", -1), ("h", -1), ("h", -1)), (1,)))
     assert got == want
 
 
 def test_tensor_phi_nonnegative_modes_vanish():
     tp = tensor_h()
-    u = S((W(("h", -1)), (2,)))
+    u = KS(tp, W(("h", -1)), (2,))
     for n in range(0, 4):
         assert not tp.state_mode(u, n, u)
 
 
 def test_tensor_phi_d_twist():
     tp = tensor_h()
-    assert tp.D(tp.group_like((3,))) == S((W(("h", -1)), (3,)), 3)
-    got = tp.D(S((W(("h", -1)), (1,))))
-    assert got == S((W(("h", -2)), (1,))) + S((W(("h", -1), ("h", -1)), (1,)))
+    assert tp.D(tp.group_like((3,))) == KS(tp, W(("h", -1)), (3,), 3)
+    got = tp.D(KS(tp, W(("h", -1)), (1,)))
+    assert got == KS(tp, W(("h", -2)), (1,)) + KS(tp, W(("h", -1), ("h", -1)), (1,))
 
 
 def test_tensor_phi_delta_tags_both_legs():
     tp = tensor_h()
-    s = S((W(("h", -1)), (2,)))
+    s = KS(tp, W(("h", -1)), (2,))
     got = tp.delta(s)
-    k = (W(("h", -1)), (2,))
-    e = ((), (2,))
+    k = K(tp, W(("h", -1)), (2,))
+    e = K(tp, (), (2,))
     assert got == LinComb.single((k, e)) + LinComb.single((e, k))
 
 
 def test_tensor_phi_eps():
     tp = tensor_h()
     assert tp.eps(tp.group_like((5,))) == 1
-    assert tp.eps(S((W(("h", -1)), (1,)), 7)) == 0
+    assert tp.eps(KS(tp, W(("h", -1)), (1,), 7)) == 0
 
 
 def test_tensor_phi_embed():
-    pres, vm = abelian_vm()
     tp = tensor_h()
-    s = S(W(("h", -2)), 3)
-    assert tp.embed(s) == S((W(("h", -2)), (0,)), 3)
-    assert tp.embed(s, (1,)) == S((W(("h", -2)), (1,)), 3)
+    s = V(tp.vm, W(("h", -2)), 3)
+    assert tp.embed(s) == KS(tp, W(("h", -2)), (0,), 3)
+    assert tp.embed(s, (1,)) == KS(tp, W(("h", -2)), (1,), 3)
 
 
 def test_tensor_phi_basis_keys():
     tp = tensor_h()
     keys = tp.basis_keys(1, alpha_bound=1)
-    assert keys == [(W(("h", -1)), (-1,)), (W(("h", -1)), (0,)), (W(("h", -1)), (1,))]
+    assert keys == [K(tp, W(("h", -1)), (-1,)), K(tp, W(("h", -1)), (0,)),
+                    K(tp, W(("h", -1)), (1,))]
 
 
 def test_tensor_phi_axioms_sweep():
@@ -280,9 +292,9 @@ def test_tensor_phi_primitives_sit_in_zero_component():
     tp = tensor_h()
     assert tensor_phi_primitives(tp, 0, alpha_bound=1) == []
     prims = tensor_phi_primitives(tp, 1, alpha_bound=1)
-    assert prims == [S((W(("h", -1)), (0,)))]
+    assert prims == [KS(tp, W(("h", -1)), (0,))]
     prims2 = tensor_phi_primitives(tp, 2, alpha_bound=1)
-    assert prims2 == [S((W(("h", -2)), (0,)))]
+    assert prims2 == [KS(tp, W(("h", -2)), (0,))]
 
 
 def test_group_like_scan_finds_exactly_the_exponentials():
@@ -290,7 +302,7 @@ def test_group_like_scan_finds_exactly_the_exponentials():
     alphas = [(a,) for a in range(-2, 4)]
     found = tensor_phi_group_like_scan(tp, alphas)
     assert sorted(tuple(g.items()) for g in found) == sorted(
-        ((((), a), Fraction(1)),) for a in alphas)
+        ((K(tp, (), a), Fraction(1)),) for a in alphas)
 
 
 def test_group_like_scan_has_no_dimension_cap():
@@ -306,7 +318,7 @@ def test_group_like_scan_has_no_dimension_cap():
 def test_group_like_scan_order_on_a_non_basis_span():
     tp = tensor_h()
     e0, e1, e2 = (tp.group_like((a,)) for a in range(3))
-    span = [e0 + e1, e0 - e1, e2 + S((W(("h", -1)), (0,))), e2]
+    span = [e0 + e1, e0 - e1, e2 + KS(tp, W(("h", -1)), (0,)), e2]
     assert group_like_scan(tp, span) == [e2, e1, e0]
 
 
@@ -318,7 +330,7 @@ _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 def test_group_like_scan_sees_through_a_change_of_basis(matrix):
     tp = tensor_h()
     exps = [tp.group_like((a,)) for a in (-1, 0, 1)]
-    base = exps + [S((W(("h", -1)), (0,)))]
+    base = exps + [KS(tp, W(("h", -1)), (0,))]
     span = [LinComb() for _ in base]
     for row, state in zip(matrix, span):
         for c, b in zip(row, base):
@@ -340,7 +352,7 @@ def test_component_of_and_structure():
 def test_bl_monomial_sorting_and_guard():
     bl = bl_build(SemigroupL(1))
     m = bl.monomial([("h", -1), ("h", -3), ("h", -2)], (1,))
-    assert m == S((W(("h", -3), ("h", -2), ("h", -1)), (1,)))
+    assert m == KS(bl, W(("h", -3), ("h", -2), ("h", -1)), (1,))
     with pytest.raises(InputError):
         bl.monomial([("h", 0)])
 
@@ -349,31 +361,30 @@ def test_bl_product_merges_sorted():
     bl = bl_build(SemigroupL(1))
     u = bl.monomial([("h", -1)], (1,))
     v = bl.monomial([("h", -2)], (1,))
-    assert bl.product(u, v) == S((W(("h", -2), ("h", -1)), (2,)))
+    assert bl.product(u, v) == KS(bl, W(("h", -2), ("h", -1)), (2,))
 
 
 def test_bl_derivation_values():
     bl = bl_build(SemigroupL(1))
-    assert bl.D(bl.monomial([("h", -2)])) == S((W(("h", -3)),
-                                                (0,)), 2)
+    assert bl.D(bl.monomial([("h", -2)])) == KS(bl, W(("h", -3)), (0,), 2)
     got = bl.D(bl.monomial([("h", -1)], (1,)))
-    assert got == S((W(("h", -2)), (1,))) + S((W(("h", -1), ("h", -1)), (1,)))
+    assert got == KS(bl, W(("h", -2)), (1,)) + KS(bl, W(("h", -1), ("h", -1)), (1,))
     # second power through the derivation, not a shortcut
-    assert bl.D(bl.monomial([("h", -1)]), 2) == S((W(("h", -3)), (0,)), 2)
+    assert bl.D(bl.monomial([("h", -1)]), 2) == KS(bl, W(("h", -3)), (0,), 2)
 
 
 def test_bl_bar_state_rank_two():
     bl = bl_build(SemigroupL(2))
     got = bl.bar_state((1, 2))
-    assert got == (S((W(("h1", -1)), (0, 0))) + S((W(("h2", -1)), (0, 0)), 2))
+    assert got == (KS(bl, W(("h1", -1)), (0, 0)) + KS(bl, W(("h2", -1)), (0, 0), 2))
 
 
 def test_bl_delta_binomials():
     bl = bl_build(SemigroupL(1))
     s = bl.monomial([("h", -1), ("h", -1)], (1,))
-    k = (W(("h", -1), ("h", -1)), (1,))
-    m = (W(("h", -1)), (1,))
-    e = ((), (1,))
+    k = K(bl, W(("h", -1), ("h", -1)), (1,))
+    m = K(bl, W(("h", -1)), (1,))
+    e = K(bl, (), (1,))
     want = (LinComb.single((k, e)) + LinComb.single((m, m), 2)
             + LinComb.single((e, k)))
     assert bl.delta(s) == want
@@ -388,7 +399,7 @@ def test_borcherds_modes():
     got = borcherds_mode(bl, bl.vacuum(), -2, bl.group_like((1,)))
     assert not got
     got = borcherds_mode(bl, bl.group_like((1,)), -2, bl.vacuum())
-    assert got == S((W(("h", -1)), (1,)))
+    assert got == KS(bl, W(("h", -1)), (1,))
 
 
 def test_bl_phi_values():
@@ -459,7 +470,8 @@ def test_bl_equals_tensor_phi_compares_two_coproducts(monkeypatch):
     product = BL.product
 
     def truncated(self, u, v):
-        return LinComb({k: c for k, c in product(self, u, v).items() if len(k[0]) < 2})
+        return LinComb({k: c for k, c in product(self, u, v).items()
+                        if len(self.vm.word(k[0])) < 2})
     monkeypatch.setattr(BL, "product", truncated)
     rep = check_bl_equals_tensor_phi(SemigroupL(1), max_weight=2, alpha_bound=1, window=2)
     assert "bl-equals-tensor-phi-coalgebra" in {c.check_id for c in rep.failures()}
@@ -527,9 +539,9 @@ def test_extend_universal_morphism_doubling():
 
     f, rep = extend_universal_morphism(bl, bl, psi, phi_b, max_weight=2, alpha_bound=1)
     assert rep.passed
-    assert f(bl.monomial([("h", -1)], (1,))) == S((W(("h", -1)), (2,)), 2)
+    assert f(bl.monomial([("h", -1)], (1,))) == KS(bl, W(("h", -1)), (2,), 2)
     # h(-2) = del h(-1), so its image is del(2 h(-1)) = 2 h(-2)
-    assert f(bl.monomial([("h", -2)], (1,))) == S((W(("h", -2)), (2,)), 2)
+    assert f(bl.monomial([("h", -2)], (1,))) == KS(bl, W(("h", -2)), (2,), 2)
 
 
 def test_extend_universal_morphism_rejects_incompatible_derivative():
@@ -565,11 +577,11 @@ def test_extend_universal_morphism_into_tensor_phi():
         return tp.group_like(al)
 
     def phi_b(i):
-        return tp.embed(S(W(("h", -1))))
+        return tp.embed(V(tp.vm, W(("h", -1))))
 
     f, rep = extend_universal_morphism(bl, tp, psi, phi_b, max_weight=2, alpha_bound=1)
     assert rep.passed
-    assert f(bl.monomial([("h", -1), ("h", -1)])) == S((W(("h", -1), ("h", -1)), (0,)))
+    assert f(bl.monomial([("h", -1), ("h", -1)])) == KS(tp, W(("h", -1), ("h", -1)), (0,))
 
 
 # -- induced morphisms out of a vacuum module ----------------------------------------
@@ -582,8 +594,8 @@ def test_induced_morphism_into_bl():
                                        max_weight=2, window=3, torsion_bound=0)
     assert rep.passed
     for n in range(4):
-        assert psi(S(W(*[("h", -1)] * n))) == S((W(*[("h", -1)] * n), (0,)))
-    assert psi(S(W(("h", -2)))) == S((W(("h", -2)), (0,)))
+        assert psi(V(vm, W(*[("h", -1)] * n))) == KS(bl, W(*[("h", -1)] * n), (0,))
+    assert psi(V(vm, W(("h", -2)))) == KS(bl, W(("h", -2)), (0,))
 
 
 def test_induced_morphism_group_like_image_breaks_delta_only():
@@ -611,7 +623,7 @@ def test_induced_morphism_rejects_broken_products():
 def test_induced_morphism_rejects_moving_torsion():
     pres = Presentation([Generator("h", 1), Generator("t", 0, torsion=True)], {})
     target_pres, target = abelian_vm()
-    img = {"h": S(W(("h", -1))), "t": S(W(("h", -2)))}
+    img = {"h": V(target, W(("h", -1))), "t": V(target, W(("h", -2)))}
     with pytest.raises(MorphismError) as err:
         induced_vertex_morphism(pres, img, target, max_weight=1, window=2)
     assert err.value.witness == "t"
@@ -621,14 +633,49 @@ def test_induced_morphism_missing_generator():
     pres = heisenberg(1)
     target = VacuumModule(pres)
     with pytest.raises(MorphismError):
-        induced_vertex_morphism(pres, {"h": S(W(("h", -1)))}, target)
+        induced_vertex_morphism(pres, {"h": V(target, W(("h", -1)))}, target)
 
 
 def test_induced_morphism_identity_on_heisenberg():
     pres = heisenberg(1)
     vm = VacuumModule(pres)
-    img = {"h": S(W(("h", -1))), "c": S(W(("c", -1)))}
+    img = {"h": V(vm, W(("h", -1))), "c": V(vm, W(("c", -1)))}
     psi, rep = induced_vertex_morphism(pres, img, vm, max_weight=2, window=3)
     assert rep.passed
-    s = S(W(("h", -2), ("h", -1)))
+    s = V(vm, W(("h", -2), ("h", -1)))
     assert psi(s) == s
+
+
+# -- fresh results, a counit of B_L's own, and the unsampled mode commutation ---------------
+
+
+def test_tensor_phi_public_results_are_fresh_states():
+    # mutating a returned state leaves the memo entries behind it whole
+    tp = heisenberg_centre()
+    u, v = KS(tp, W(("h", -1)), (1,)), KS(tp, W(("h", -2)), (-1,))
+    calls = {"state_mode": lambda: tp.state_mode(u, -1, v), "D": lambda: tp.D(u),
+             "delta": lambda: tp.delta(u), "product": lambda: tp.product(v, u)}
+    for name, call in calls.items():
+        got = call()
+        want = LinComb(got.terms)
+        assert got, name
+        got.add_into(want, -1)
+        got.add_into(LinComb.single(next(iter(want.keys()))), 7)
+        assert call() == want, name
+
+
+def test_bl_counit_is_its_own_algebra_map(monkeypatch):
+    bl = bl_build(SemigroupL(1))
+    assert bl.eps(bl.group_like((3,)) * 2) == 2
+    assert bl.eps(bl.monomial([("h", -1)], (1,)) + bl.vacuum()) == 1
+    eps = BL.eps
+    monkeypatch.setattr(BL, "eps", lambda self, state: eps(self, state) + 1)
+    rep = check_bl_equals_tensor_phi(SemigroupL(1), max_weight=2, alpha_bound=1, window=2)
+    assert {c.check_id for c in rep.failures()} == {"bl-equals-tensor-phi-coalgebra"}
+
+
+def test_group_like_mode_commutation_runs_on_every_weight_one_key():
+    # rank 2: 9 alphas, 2 weight-1 words x 9 tags = 18 keys (4 when sampled)
+    rep = check_group_like_semigroup(tensor_h(rank=2), alpha_bound=1)
+    (check,) = [c for c in rep.checks if c.check_id == "group-like-mode-commutation"]
+    assert check.passed and check.details == "36450 instances checked"

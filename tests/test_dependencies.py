@@ -7,6 +7,7 @@ from pathlib import Path
 import vertexkernel
 from vertexkernel import coalgebra as co
 from vertexkernel.enveloping import VacuumModule
+from vertexkernel.lincomb import LinComb
 from vertexkernel.vla import abelian
 
 SRC = Path(vertexkernel.__file__).parent
@@ -33,5 +34,5 @@ def test_every_import_is_from_the_standard_library():
 def test_group_like_scan_runs_without_sympy(monkeypatch):
     monkeypatch.setitem(sys.modules, "sympy", None)
     vm = VacuumModule(abelian(1))
-    span = [vm.vacuum(), vm.word_state(vm.basis_words(1, 0)[0])]
+    span = [vm.vacuum(), LinComb.single(vm.basis_words(1, 0)[0])]
     assert co.group_like_scan(vm, span) == [vm.vacuum()]

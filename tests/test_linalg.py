@@ -1,5 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+from vertexkernel import linalg
 from vertexkernel.linalg import kernel_coefficients, rank_of, row_reduce
 from vertexkernel.lincomb import LinComb
 
@@ -68,3 +73,63 @@ def test_kernel_fractional_pivots():
     assert len(ker) == 1
     x = ker[0]
     assert x[0] * Fraction(1, 2) + x[1] * Fraction(1, 3) == 0
+
+
+# -- fraction-free elimination against Gauss-Jordan over Fractions -------------------
+
+
+def gauss_jordan_reference(rows):
+    """Dense Gauss-Jordan over Fractions, pivot row normalized at each step: in
+    place reduced row echelon form, returning the pivot column indices."""
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+# small entries, so that dependent rows and zero columns are common
+_ENTRIES = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
+                                                      max_denominator=4))
+_MATRICES = st.integers(0, 5).flatmap(
+    lambda ncols: st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols), max_size=6))
+_KEYS = "abcd"
+_VECTORS = st.lists(st.dictionaries(st.sampled_from(_KEYS), _ENTRIES).map(LinComb), max_size=6)
+
+
+@given(_MATRICES)
+def test_fraction_free_echelon_matches_gauss_jordan(rows):
+    got = [list(r) for r in rows]
+    want = [[Fraction(x) for x in r] for r in rows]
+    assert linalg._echelon(got) == gauss_jordan_reference(want)
+    assert got == want
+
+
+@given(_VECTORS)
+def test_row_reduce_rank_and_kernel_match_the_fraction_reference(vectors):
+    got = (row_reduce(vectors), rank_of(vectors), kernel_coefficients(vectors))
+    with mock.patch.object(linalg, "_echelon", gauss_jordan_reference):
+        want = (row_reduce(vectors), rank_of(vectors), kernel_coefficients(vectors))
+    assert got == want
+
+
+@given(_VECTORS, st.permutations(_KEYS))
+def test_kernel_coefficients_do_not_depend_on_key_order(vectors, relabelled):
+    # word ids sort in another order than the words they stand for
+    relabel = dict(zip(_KEYS, relabelled)).__getitem__
+    assert kernel_coefficients([v.map_keys(relabel) for v in vectors]) == \
+        kernel_coefficients(vectors)

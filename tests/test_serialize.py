@@ -7,7 +7,6 @@ from vertexkernel.constructions import SemigroupL, bl_build
 from vertexkernel.current import Mode
 from vertexkernel.enveloping import VacuumModule
 from vertexkernel.errors import InputError
-from vertexkernel.lincomb import LinComb
 from vertexkernel.vla import abelian, heisenberg, virasoro
 
 
@@ -15,8 +14,9 @@ def W(*modes):
     return tuple(Mode(g, n) for g, n in modes)
 
 
-def S(word, coeff=1):
-    return LinComb.single(word, coeff)
+def S(vm, word, coeff=1):
+    """The state coeff·word of vm, built through its edge API."""
+    return coeff * vm.word_state(word)
 
 
 def test_mode_roundtrip():
@@ -61,7 +61,7 @@ def test_element_json_roundtrip():
 
 def test_parse_state_sorted_and_ket_variants():
     vm = VacuumModule(virasoro())
-    want = S(W(("L", -2), ("L", -1)))
+    want = S(vm, W(("L", -2), ("L", -1)))
     assert ser.parse_state(vm, "L(-2)L(-1)|0⟩") == want
     assert ser.parse_state(vm, "L(-2)L(-1)|0>") == want
     assert ser.parse_state(vm, "|0>") == vm.vacuum()
@@ -72,16 +72,16 @@ def test_parse_state_applies_modes_in_order():
     # words are operator strings, so out-of-order input straightens
     vm = VacuumModule(virasoro())
     got = ser.parse_state(vm, "L(-1)L(-2)|0>")
-    assert got == vm.straighten(W(("L", -1), ("L", -2)))
+    assert got == vm.straighten(vm.word_id(W(("L", -1), ("L", -2))))
     # positive modes act too: h(1)h(-1)|0> = [h(1), h(-1)]|0> = c(-1)|0>
     vmh = VacuumModule(heisenberg(1))
-    assert ser.parse_state(vmh, "h(1)h(-1)|0>") == S(W(("c", -1)))
+    assert ser.parse_state(vmh, "h(1)h(-1)|0>") == S(vmh, W(("c", -1)))
 
 
 def test_parse_state_coefficients():
     vm = VacuumModule(virasoro())
     got = ser.parse_state(vm, "2·L(-2)|0> - 1/2·|0>")
-    assert got == S(W(("L", -2)), 2) + S((), Fraction(-1, 2))
+    assert got == S(vm, W(("L", -2)), 2) + S(vm, (), Fraction(-1, 2))
 
 
 def test_parse_state_rejects_junk():
@@ -94,11 +94,11 @@ def test_parse_state_rejects_junk():
 
 def test_state_and_tensor_json():
     vm = VacuumModule(virasoro())
-    s = S(W(("L", -2)), Fraction(1, 2))
-    assert ser.state_to_json(s) == [
+    s = S(vm, W(("L", -2)), Fraction(1, 2))
+    assert ser.state_to_json(vm, s) == [
         {"coeff": "1/2", "word": [{"gen": "L", "n": -2}]}]
-    d = vm.delta(S(W(("L", -1))))
-    rows = ser.tensor_to_json(d)
+    d = vm.delta(S(vm, W(("L", -1))))
+    rows = ser.tensor_to_json(vm, d)
     assert {"coeff": "1", "left": [], "right": [{"gen": "L", "n": -1}]} in rows
     assert len(rows) == 2
 
