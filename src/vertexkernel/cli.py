@@ -9,7 +9,7 @@ for identical inputs (timings appear only in text output).
 """
 
 import argparse
-import json
+import functools
 import sys
 import time
 
@@ -27,7 +27,10 @@ from .errors import InputError, MorphismError, UnsupportedError
 from .report import ValidationReport
 
 
+@functools.cache
 def build_parser():
+    """The argument parser; built on first use and kept, as parsing leaves it
+    unchanged."""
     p = argparse.ArgumentParser(
         prog="vertexkernel",
         description="Exact checks and computations for vertex Lie algebras, "
@@ -62,7 +65,7 @@ def build_parser():
 
 def _emit(args, payload, text_lines):
     if args.format == "json":
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2))
+        print(serialize.to_json_text(payload))
     else:
         print("\n".join(text_lines))
 

@@ -278,11 +278,10 @@ class TensorPhiAlgebra:
 
     def delta(self, state):
         """e^alpha is group-like: both legs of the word splitting keep the tag."""
-        out = LinComb()
-        for (w, al), c in state.items():
-            for (w1, w2), c2 in self.vm.delta_word(w).items():
-                out.add_into(LinComb.single(((w1, al), (w2, al))), c * c2)
-        return out
+        def of_key(key):
+            w, al = key
+            return self.vm.delta_word(w).map_keys(lambda k: ((k[0], al), (k[1], al)))
+        return state.bind(of_key)
 
     def eps(self, state):
         tot = 0

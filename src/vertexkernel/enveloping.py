@@ -95,6 +95,7 @@ class VacuumModule:
         self._modes, self._mkey, self._mwt, self._dead = t.modes, t.mkey, t.mwt, t.dead
         self._after = t.after
         self._mode_ids = {}   # Mode -> mode id, for this presentation
+        self._runs = {}       # mode id -> its _mode_runs lists
         self._bracket = {}
         self._straight = {}
         self._apply = {}
@@ -268,6 +269,19 @@ class VacuumModule:
 
     # -- vertex operator modes -------------------------------------------------
 
+    def _mode_runs(self, mode, down, up):
+        """For the id of a mode g(m): the ids of g(m - i) for i < down and of g(i)
+        for i < up, as two lists kept per mode and lengthened on demand."""
+        runs = self._runs.get(mode)
+        if runs is None:
+            runs = self._runs[mode] = ([], [])
+        lower, upper = runs
+        if len(lower) < down or len(upper) < up:
+            g, m = self._modes[mode]
+            lower.extend(self.mode_id((g, m - i)) for i in range(len(lower), down))
+            upper.extend(self.mode_id((g, i)) for i in range(len(upper), up))
+        return runs
+
     def _state_mode_word(self, uw, n, vw):
         if not uw:
             return LinComb.single(vw) if n == -1 else _ZERO
@@ -282,18 +296,20 @@ class VacuumModule:
             return _ZERO
         head, rest = self._head[uw], self._rest[uw]
         g, m = self._modes[head]
-        mode_id, apply_word = self.mode_id, self._apply_word
+        down, up = wt[rest] + wv - n, self.pres.weight_of(g) + wv
+        lower, upper = self._mode_runs(head, down, up)
+        apply_word = self._apply_word
         out = LinComb()
-        for i in range(0, wt[rest] + wv - n):
+        for i in range(0, down):
             inner = self._state_mode_word(rest, n + i, vw)
             if inner:
                 c = sign_pow(i) * binom(m, i)
-                mi = mode_id((g, m - i))
+                mi = lower[i]
                 for w2, c2 in inner.items():
                     out.add_into(apply_word(mi, w2), c * c2)
         s2 = -sign_pow(m)
-        for i in range(0, self.pres.weight_of(g) + wv):
-            gv = apply_word(mode_id((g, i)), vw)
+        for i in range(0, up):
+            gv = apply_word(upper[i], vw)
             if gv:
                 c = s2 * sign_pow(i) * binom(m, i)
                 for w2, c2 in gv.items():

@@ -242,6 +242,47 @@ def diff_state_to_json(alg, state):
              "alpha": list(al)} for (w, al), c in state.sorted_items(alg.key_order)]
 
 
+# -- JSON output -----------------------------------------------------------------
+
+_encode_str = json.encoder.encode_basestring   # the escaping ensure_ascii=False uses
+
+
+def to_json_text(value):
+    """value rendered byte for byte as json.dumps(value, ensure_ascii=False,
+    sort_keys=True, indent=2) renders it, for dicts with str keys, lists,
+    tuples, str, int, bool and None; anything else raises TypeError.  CPython
+    takes its C encoder only when indent is None, and its pure-Python one
+    costs about twice this."""
+    return _render(value, "\n")
+
+
+def _render(v, nl):
+    """v as JSON text; nl is the newline plus indent v's own lines start at."""
+    if isinstance(v, str):
+        return _encode_str(v)
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = nl + "  "
+        # _encode_str raises TypeError on a non-str key, as sorted does on mixed keys
+        return ("{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _render(v[k], inner) for k in sorted(v)]) + nl + "}")
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_render(x, inner) for x in v]) + nl + "]"
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
 # -- input files -----------------------------------------------------------------
 
 

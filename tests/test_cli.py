@@ -332,3 +332,52 @@ def test_check_all_json_snapshot(tmp_path, capsys, name):
 def test_suites_are_the_table_rows():
     assert cli.SUITES == tuple(n for n in cli._SUITE_TABLE if n != "validate") + ("all",)
     assert set(cli.ALL_PRESENTATION + cli.ALL_CONSTRUCTION) <= set(cli._SUITE_TABLE)
+
+
+# -- the CLI edge: the JSON renderer and the reused parser ---------------------------------
+
+# (input fixture, argv) of calls whose --format json output is checked
+JSON_CALLS = [
+    ("vir_file", ["compute", "product", "L", "1", "L"]),
+    ("vir_file", ["compute", "bracket", "L(3)", "L(-1)"]),
+    ("vir_file", ["compute", "delta", "L(-2)L(-2)|0>"]),
+    ("vir_file", ["compute", "mode", "L", "0", "L(-3)L(-2)|0>"]),
+    ("vir_file", ["dims", "--max-weight", "5", "--torsion-bound", "1"]),
+    ("vir_file", ["validate"]),
+    ("vir_file", ["check", "--max-weight", "1", "--mode-window", "1"]),
+    ("ab_construction", ["compute", "product", "h", "1", "h"]),
+    ("ab_construction", ["compute", "bracket", "h(1)", "h(-1)"]),
+    ("ab_construction", ["compute", "delta", "h(-1)h(-1)h(-2)|0>"]),
+    ("ab_construction", ["compute", "mode", "h", "1", "h(-1)h(-1)|0>"]),
+    ("ab_construction", ["dims", "--max-weight", "4"]),
+    ("ab_construction", ["validate"]),
+    ("ab_construction", ["check", "--max-weight", "1", "--mode-window", "1"]),
+]
+
+
+@pytest.mark.parametrize("fixture, argv", JSON_CALLS,
+                         ids=lambda x: x if isinstance(x, str) else "-".join(x[:2]))
+def test_json_output_is_the_stdlib_rendering(request, capsys, fixture, argv):
+    path = request.getfixturevalue(fixture)
+    assert main(argv + ["--input", path, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), ensure_ascii=False, sort_keys=True,
+                             indent=2) + "\n"
+
+
+def test_the_reused_parser_keeps_no_state(vir_file, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    plain = ["check", "--suite", "skew", "--input", vir_file, "--format", "json"]
+    cli.build_parser.cache_clear()
+    assert main(plain) == 0
+    fresh = capsys.readouterr().out
+    assert main(plain + ["--max-weight", "1", "--mode-window", "1"]) == 0
+    bounded = capsys.readouterr().out
+    assert main(plain) == 0
+    assert capsys.readouterr().out == fresh != bounded
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "nope", "--max-weight", "1", "--input", vir_file])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(plain) == 0
+    assert capsys.readouterr().out == fresh

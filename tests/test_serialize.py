@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexkernel import serialize as ser
 from vertexkernel.constructions import SemigroupL, bl_build
@@ -216,3 +219,46 @@ def test_read_json_file_errors(tmp_path):
     bad.write_text('{"builtin": "vira')
     with pytest.raises(InputError):
         ser.read_json_file(bad)
+
+
+# -- the JSON renderer ---------------------------------------------------------------
+
+
+def stdlib_text(value):
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)
+
+
+_TEXT = st.text(st.sampled_from('"\\{}[]:,⟩⊗·/ aL\n\t\r\x00\x1f\x7f\u2028\ud800') | st.characters(),
+                max_size=8)
+_LEAVES = (_TEXT | st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=-10**40, max_value=10**40))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_TEXT, kids, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_to_json_text_matches_the_stdlib(value):
+    assert ser.to_json_text(value) == stdlib_text(value)
+
+
+def test_to_json_text_on_deep_and_empty_containers():
+    deep = "⟩"
+    for i in range(60):
+        deep = {"k{}": [deep, (), {}], "": i} if i % 2 else [deep, [], ("x", None)]
+    for value in (deep, {}, [], (), [{}], {"a": []}, -0, True, -(10**50), "\\\"{"):
+        assert ser.to_json_text(value) == stdlib_text(value)
+
+
+@pytest.mark.parametrize("value", [1.5, float("nan"), [2.0], {1: "a"}, {"a": 1, 2: "b"},
+                                   {(1,): 0}, {None: 0}, {True: 0}, {1, 2}, Fraction(1, 2),
+                                   b"x", {"a": [Mode("L", -2), object()]}])
+def test_to_json_text_refuses_or_renders_like_the_stdlib(value):
+    try:
+        text = ser.to_json_text(value)
+    except TypeError:
+        return
+    assert text == stdlib_text(value)
