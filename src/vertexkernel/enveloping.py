@@ -24,7 +24,7 @@ from math import factorial
 from .current import Mode, bracket, mode_normalize, mode_weight
 from .errors import InputError, UnsupportedError
 from .lincomb import ClearedSum, LinComb, binom, cleared, inv_factorial, sign_pow
-from .report import ValidationReport
+from .report import CaseBlocks, ValidationReport
 
 __all__ = ["VacuumModule", "split_sorted_word", "skew_defect_on", "commutator_defect_on",
            "jacobi_defect_on", "vacuum_creation_sweep", "skew_sweep", "commutator_sweep",
@@ -61,7 +61,10 @@ class _WordTable:
     says of it (generator weight, torsion flag and index), so modules whose
     presentations agree on a generator share its mode ids, and a mode's sort
     key and weight are per id.  Id 0 is the empty word.  The table is filled
-    as words are met and never emptied."""
+    as words are met and never emptied.  A sweep's forked workers
+    (vertexkernel.workers) fill their own copies of it and of the module memos,
+    which die with them: no word id leaves a worker, and the tables of the
+    process that forked them grow only by what it computed itself."""
 
     def __init__(self):
         self.mode_ids = {}   # (Mode, weight, torsion, index) -> mode id
@@ -514,8 +517,9 @@ def jacobi_defect_on(alg, u, v, w, p, q, r):
 
 
 # -- identity sweeps, generic over mode algebras ---------------------------------------
-# Each sweep yields every instance, in the loop order of the defect's arguments (states
-# outermost, modes innermost), as the defect's argument tuple followed by its defect, for
+# Each sweep returns CaseBlocks, one block per outer state u = states[a], that yield every
+# instance, in the loop order of the defect's arguments (states outermost, modes
+# innermost), as the defect's argument tuple followed by its defect, for
 # ValidationReport.tally to count with sweep_defect as the defect.  Subterms shared
 # between instances are evaluated once and tabulated in cleared form (lincomb.cleared),
 # and each defect is the exact sum, in a fresh ClearedSum, of the same terms with the
@@ -557,7 +561,9 @@ def skew_sweep(alg, states, modes):
     """skew_defect_on(alg, u, n, v) for u, v in states and n in modes."""
     prod = _products(alg, states)
     weights = [alg.state_weight(s) for s in states]
-    for a, u in enumerate(states):
+
+    def block(a):
+        u = states[a]
         for b, v in enumerate(states):
             bound = weights[a] + weights[b]
             # dpow[k, j] = D^j(v_k u) and forms[k, j] its cleared form
@@ -571,6 +577,7 @@ def skew_sweep(alg, states, modes):
                         den, ints = forms[k, j]
                         acc.add((den * factorial(j), ints), -sign_pow(k + 1))
                 yield u, n, v, acc
+    return CaseBlocks(len(states), block)
 
 
 def commutator_sweep(alg, states, modes):
@@ -578,7 +585,9 @@ def commutator_sweep(alg, states, modes):
     prod = _products(alg, states)
     weights = [alg.state_weight(s) for s in states]
     bm = {m: [binom(m, j) for j in range(2 * max(weights, default=0))] for m in modes}
-    for a, u in enumerate(states):
+
+    def block(a):
+        u = states[a]
         for b, v in enumerate(states):
             jmax = weights[a] + weights[b]
             for c, w in enumerate(states):
@@ -598,6 +607,7 @@ def commutator_sweep(alg, states, modes):
                                 if t[1]:
                                     acc.add(t, -bj)
                         yield u, m, v, n, w, acc
+    return CaseBlocks(len(states), block)
 
 
 def jacobi_sweep(alg, states, modes):
@@ -609,8 +619,9 @@ def jacobi_sweep(alg, states, modes):
     ca = {p: [sign_pow(i) * binom(-p - 1, i) for i in irange] for p in modes}
     cb = {p: [sign_pow(p + i) * binom(-p - 1, i) for i in irange] for p in modes}
     cc = {q: [-sign_pow(i) * binom(q + i, i) for i in irange] for q in modes}
-    for a, u in enumerate(states):
-        wu = weights[a]
+
+    def block(a):
+        u, wu = states[a], weights[a]
         for b, v in enumerate(states):
             wv = weights[b]
             for c, w in enumerate(states):
@@ -640,6 +651,7 @@ def jacobi_sweep(alg, states, modes):
                                 if t[1]:
                                     acc.add(t, ccq[i])
                             yield u, v, w, p, q, r, acc
+    return CaseBlocks(len(states), block)
 
 
 # -- vacuum axioms, generic over mode algebras ----------------------------------------

@@ -4,14 +4,33 @@ Every checker in the package returns a ValidationReport: a list of named
 CheckResults, each carrying the formula identifier it verified and, on
 failure, a witness string pinpointing the first offending instance.  A
 checker states each identity as a defect over a sequence of cases and runs
-it through ValidationReport.tally, which does the counting.
+it through ValidationReport.tally, which does the counting.  A sweep cut into
+CaseBlocks is counted block by block, and on a machine with several usable
+CPUs its heavier blocks are shared among forked worker processes; the counts
+are merged in block order, so a report never depends on how many ran.
 Reports serialize to JSON deterministically (checks sorted by id, no
 wall-clock fields).
 """
 
 from dataclasses import dataclass, field
 
-__all__ = ["CheckResult", "ValidationReport"]
+__all__ = ["CaseBlocks", "CheckResult", "ValidationReport"]
+
+
+class CaseBlocks:
+    """An ordered sequence of cases in blocks: block(a) yields the cases of
+    block a, for a in range(count), and iterating yields every block's cases
+    in block order.  The blocks must be independent (any one can run in a
+    process that ran no other), so that tally may count them apart."""
+
+    __slots__ = ("count", "block")
+
+    def __init__(self, count, block):
+        self.count, self.block = count, block
+
+    def __iter__(self):
+        for a in range(self.count):
+            yield from self.block(a)
 
 
 @dataclass
@@ -45,12 +64,12 @@ class ValidationReport:
 
     def record(self, check_id, failures, total):
         """Summarize a sweep: failures is a list of witness strings."""
-        return self._summarize(check_id, failures[:1], len(failures), total)
+        return self._summarize(check_id, total, len(failures), failures[0] if failures else None)
 
-    def _summarize(self, check_id, first, failed, total):
-        """first holds the first failure's witness when failed > 0."""
+    def _summarize(self, check_id, total, failed, first):
+        """first is the first failure's witness when failed > 0."""
         if failed:
-            w = first[0] if failed == 1 else f"{first[0]} (+{failed - 1} more)"
+            w = first if failed == 1 else f"{first} (+{failed - 1} more)"
             return self.add(check_id, False, witness=w)
         return self.add(check_id, True, details=f"{total} instances checked")
 
@@ -59,15 +78,16 @@ class ValidationReport:
 
         Each case is an argument tuple: a case fails when defect(*case) is
         nonzero (a LinComb, a number or a bool).  Only the first failing case
-        is rendered, by witness(*case); the others are counted."""
-        total, failed, first = 0, 0, []
-        for case in cases:
-            total += 1
-            if defect(*case):
-                if not failed:
-                    first.append(witness(*case))
-                failed += 1
-        return self._summarize(check_id, first, failed, total)
+        is rendered, by witness(*case); the others are counted.  CaseBlocks
+        are counted block by block, through workers.in_order, and the counts
+        merged in block order: the result is that of the plain loop."""
+        if isinstance(cases, CaseBlocks):
+            from .workers import in_order   # on the first sweep: importing stays as cheap
+            counts = _merge(in_order(cases.count,
+                                     lambda a: _count(cases.block(a), defect, witness)))
+        else:
+            counts = _count(cases, defect, witness)
+        return self._summarize(check_id, *counts)
 
     def merge(self, other):
         self.checks.extend(other.checks)
@@ -91,3 +111,29 @@ class ValidationReport:
         status = "PASS" if self.passed else "FAIL"
         head = f"{self.subject}: {status}" if self.subject else status
         return "\n".join([head] + lines)
+
+
+# -- counting ---------------------------------------------------------------------------
+
+
+def _count(cases, defect, witness):
+    """(total, failed, the first failing case's witness or None) over cases."""
+    total, failed, first = 0, 0, None
+    for case in cases:
+        total += 1
+        if defect(*case):
+            if not failed:
+                first = witness(*case)
+            failed += 1
+    return total, failed, first
+
+
+def _merge(counts):
+    """The _count of consecutive runs of cases, from the _count of each."""
+    total, failed, first = 0, 0, None
+    for t, f, w in counts:
+        total += t
+        if f and not failed:
+            first = w
+        failed += f
+    return total, failed, first

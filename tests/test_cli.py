@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 
 import pytest
 
 from vertexkernel import cli
 from vertexkernel.cli import main
+from vertexkernel.enveloping import VacuumModule
+
+HEISENBERG_CENTRE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs",
+                                 "heisenberg_centre.json")
 
 
 @pytest.fixture
@@ -213,6 +218,37 @@ def test_deep_word_is_not_an_axiom_failure(tmp_path, capsys):
     assert code in (0, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_json_does_not_depend_on_the_cpu_count(shard_over, capsys):
+    argv = ["check", "--input", HEISENBERG_CENTRE, "--suite", "all", "--format", "json",
+            "--max-weight", "1", "--mode-window", "0"]
+    runs = []
+    for cpus in (1, 2):
+        shard_over(cpus)
+        runs.append((main(argv), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and '"tensor-phi-jacobi"' in runs[0][1]
+
+
+def test_deep_word_in_a_sharded_sweep_exits_two(tmp_path, capsys, monkeypatch, shard_over):
+    # state_mode on a state of weight >= 2 stands in for a word too deep for the
+    # evaluator; the sweep meets it in every block, in this process and in the workers
+    p = tmp_path / "heis.json"
+    p.write_text(json.dumps({"builtin": "heisenberg", "rank": 1}))
+    state_mode = VacuumModule.state_mode
+
+    def deep(self, u, n, v):
+        if self.state_weight(u) >= 2:
+            raise RecursionError("maximum recursion depth exceeded")
+        return state_mode(self, u, n, v)
+    monkeypatch.setattr(VacuumModule, "state_mode", deep)
+    shard_over(2)
+    assert main(["check", "--input", str(p), "--suite", "commutator", "--format", "json",
+                 "--max-weight", "2", "--mode-window", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: input nests too deeply") and err.count("\n") == 1
 
 
 def test_check_single_suites(vir_file, capsys):

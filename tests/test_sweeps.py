@@ -9,7 +9,8 @@ pinned.  The work count of jacobi_sweep is pinned at one state_mode call per
 distinct product and (k1, k2) table key.  The vacuum axioms fail on purpose on an
 algebra with shifted modes at the vacuum, which pins the order of their three laws.
 A Hypothesis test checks the E^- memo behind TensorPhiAlgebra's modes against the
-direct sum over k of eminus_apply.
+direct sum over k of eminus_apply.  The four sweep checkers give the same reports
+with 1, 2 and 3 usable CPUs, that is, serially and over forked workers.
 """
 
 from fractions import Fraction
@@ -358,3 +359,37 @@ def test_key_mode_memo_matches_direct_eminus(twisted, which, data, al, be, m):
     ww = data.draw(st.sampled_from(words))
     got = tp._key_mode(vw, (al,), m, ww, (be,))
     assert got == direct_key_mode(tp, vw, (al,), m, ww, (be,))
+
+
+# -- the sweeps over forked workers ---------------------------------------------------
+
+
+def sweep_checks():
+    """The reports of the four sweep checkers, on passing and failing algebras."""
+    out = []
+    for pres in (heisenberg(1), virasoro_doubled_l0()):
+        vm = VacuumModule(pres)
+        out += [vm.check_skew_symmetry(max_weight=4, window=2).to_json(),
+                vm.check_commutator(max_weight=2, window=2).to_json(),
+                vm.check_jacobi(max_weight=2, window=1).to_json()]
+    for pres, target, window in ((heisenberg(1), "c", 1), (heisenberg_with_k(), "k", 0)):
+        tp = tensor_phi_into(pres, target)
+        out.append(check_tensor_phi_axioms(tp, max_weight=1, window=window,
+                                           alpha_bound=1).to_json())
+    return out
+
+
+def test_sweep_reports_do_not_depend_on_the_cpu_count(shard_over):
+    shard_over(1)
+    want = sweep_checks()
+    assert [r["passed"] for r in want] == [True] * 3 + [False] * 3 + [True, False]
+    assert [witness(r) for r in want[3:6]] == [
+        "skew-symmetry fails at (L(-1)|0⟩)_-1(L(-1)|0⟩) (+239 more)",
+        "[u(-2),v(-2)]w defect at u=L(-1)|0⟩, v=L(-1)|0⟩, w=|0⟩ (+135 more)",
+        "Jacobi coefficient (-1,0,-1) defect at u=L(-1)|0⟩, v=L(-1)|0⟩, w=|0⟩ (+143 more)"]
+    assert want[7]["checks"][0]["witness"] == (
+        "Jacobi (0,0,0) fails at u=h(-1)|0⟩⊗e^{(-1)}, v=h(-1)|0⟩⊗e^{(-1)}, "
+        "w=h(-1)|0⟩⊗e^{(-1)} (+65 more)")
+    for cpus in (2, 3):
+        shard_over(cpus)
+        assert sweep_checks() == want

@@ -10,7 +10,8 @@ BENCHMARK.json declares, for its ``run_seconds``, then the tier-1 suite once
 with ``--durations=0``.  The budgets are the literal seconds of each
 ``_budget(t0, seconds, label)`` call in tests/test_acceptance.py, read with
 ast.  Nothing else should run on the
-machine meanwhile: every number is a wall time.
+machine meanwhile: every number is a wall time.  The record names the CPUs
+this process may use, since the sweeps shard over them.
 """
 
 import argparse
@@ -108,7 +109,7 @@ def main(argv=None):
                             "budget_s": budget, "label": label}
     record = {
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
-                    "cpus": os.cpu_count()},
+                    "cpus": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0))},
         "perfbench": {"seed": SEED, "seconds": seconds, "workloads": bench},
         "tier1": suite,
         "acceptance": acceptance,
