@@ -24,7 +24,7 @@ from math import isqrt, lcm
 from .enveloping import split_sorted_word
 from .errors import InputError, UnsupportedError
 from .linalg import kernel_coefficients, rank_of, row_reduce
-from .lincomb import LinComb, binom, inv_factorial
+from .lincomb import LinComb, binom, combination, inv_factorial
 from .report import ValidationReport
 
 _ZERO = LinComb()
@@ -66,18 +66,11 @@ def is_group_like(vm, state):
     return vm.eps(state) == 1 and not group_like_defect(vm, state)
 
 
-def _combination(states, coeffs):
-    out = LinComb()
-    for s, c in zip(states, coeffs):
-        out.add_into(s, c)
-    return out
-
-
 def primitive_basis(obj, states):
     """Basis of the primitives in the span of states: the exact kernel of
     u |-> Delta(u) - u(x)1 - 1(x)u."""
     defects = [primitive_defect(obj, s) for s in states]
-    return [_combination(states, coeffs) for coeffs in kernel_coefficients(defects)]
+    return [combination(states, coeffs) for coeffs in kernel_coefficients(defects)]
 
 
 def primitive_subspace(vm, weight, torsion_bound=0):
@@ -88,11 +81,8 @@ def primitive_subspace(vm, weight, torsion_bound=0):
 def _within(z, t, keys):
     """sum_ab z(k_a, k_b) t_a (x) t_b for t in reduced echelon form over the
     pivot keys k: equal to z exactly when z lies in span(t) (x) span(t)."""
-    out, at = LinComb(), dict(zip(keys, t))
-    for (k1, k2), c in z.items():
-        if k1 in at and k2 in at:
-            out.add_into(at[k1].tensor(at[k2]), c)
-    return out
+    at = dict(zip(keys, t))
+    return z.bind(lambda k: at[k[0]].tensor(at[k[1]]) if k[0] in at and k[1] in at else _ZERO)
 
 
 def _rational_eigenvalues(m):
@@ -152,7 +142,7 @@ def group_like_scan(obj, basis_states):
         inside = kernel_coefficients([d - _within(d, t, keys) for d in deltas])
         if len(inside) == len(t):
             break
-        t, keys = row_reduce([_combination(t, x) for x in inside])
+        t, keys = row_reduce([combination(t, x) for x in inside])
     pieces = [([LinComb.single(a) for a in range(len(t))], ())]
     for kc in keys:  # M_c t_b = sum_a Delta t_b(k_a, k_c) t_a, on coordinates
         m = [LinComb({a: d.get((ka, kc)) for a, ka in enumerate(keys)}) for d in deltas]
@@ -161,11 +151,11 @@ def group_like_scan(obj, basis_states):
             for w, chi in pieces:
                 ker = kernel_coefficients([v.bind(m.__getitem__) - lam * v for v in w])
                 if ker:
-                    refined.append(([_combination(w, x) for x in ker], chi + (lam,)))
+                    refined.append(([combination(w, x) for x in ker], chi + (lam,)))
         pieces = refined
-    found = [g for g in (_combination(t, chi) for _, chi in pieces) if is_group_like(obj, g)]
+    found = [g for g in (combination(t, chi) for _, chi in pieces) if is_group_like(obj, g)]
     coords = sorted(tuple(-c for c in x[:n]) for x in kernel_coefficients(basis_states + found))
-    return [_combination(basis_states, x) for x in coords]
+    return [combination(basis_states, x) for x in coords]
 
 
 # -- coalgebra axiom checks ----------------------------------------------------------
@@ -173,30 +163,18 @@ def group_like_scan(obj, basis_states):
 
 def coassociativity_defect(obj, state):
     """(Delta (x) id)Delta - (id (x) Delta)Delta, over triples of keys."""
-    d = obj.delta(state)
-    left = LinComb()
-    right = LinComb()
-    for (w1, w2), c in d.items():
-        for (a, b), c2 in obj.delta(LinComb.single(w1)).items():
-            left.add_into(LinComb.single((a, b, w2)), c * c2)
-        for (a, b), c2 in obj.delta(LinComb.single(w2)).items():
-            right.add_into(LinComb.single((w1, a, b)), c * c2)
-    return left - right
+    def defect(key):
+        w1, w2 = key
+        return (obj.delta(LinComb.single(w1)).map_keys(lambda ab: (*ab, w2))
+                - obj.delta(LinComb.single(w2)).map_keys(lambda ab: (w1, *ab)))
+    return obj.delta(state).bind(defect)
 
 
 def counit_law_defects(obj, state):
     """(eps (x) id)Delta(u) - u  and  (id (x) eps)Delta(u) - u."""
     d = obj.delta(state)
-    left = LinComb()
-    right = LinComb()
-    for (w1, w2), c in d.items():
-        e1 = obj.eps(LinComb.single(w1))
-        if e1:
-            left.add_into(LinComb.single(w2), c * e1)
-        e2 = obj.eps(LinComb.single(w2))
-        if e2:
-            right.add_into(LinComb.single(w1), c * e2)
-    return left - state, right - state
+    return (d.bind(lambda k: obj.eps(LinComb.single(k[0])) * LinComb.single(k[1])) - state,
+            d.bind(lambda k: obj.eps(LinComb.single(k[1])) * LinComb.single(k[0])) - state)
 
 
 def cocommutativity_defect(obj, state):
@@ -206,12 +184,10 @@ def cocommutativity_defect(obj, state):
 
 def d_coderivation_defect(obj, state):
     """Delta(D u) - (D (x) 1 + 1 (x) D)Delta(u)."""
-    lhs = obj.delta(obj.D(state))
-    rhs = LinComb()
-    for (w1, w2), c in obj.delta(state).items():
-        rhs.add_into(obj.D(LinComb.single(w1)).tensor(LinComb.single(w2)), c)
-        rhs.add_into(LinComb.single(w1).tensor(obj.D(LinComb.single(w2))), c)
-    return lhs - rhs
+    def leibniz(key):
+        s1, s2 = LinComb.single(key[0]), LinComb.single(key[1])
+        return obj.D(s1).tensor(s2) + s1.tensor(obj.D(s2))
+    return obj.delta(obj.D(state)) - obj.delta(state).bind(leibniz)
 
 
 def coalgebra_laws(obj, states, subject):
@@ -241,13 +217,11 @@ def check_coalgebra(vm, max_weight=5, torsion_bound=1):
 
 def tensor_product_through(alg, s, t):
     """(a (x) b)(c (x) d) = ac (x) bd, componentwise through alg.product."""
-    out = LinComb()
-    for (a, b), c1 in s.items():
-        for (e, g), c2 in t.items():
-            left = alg.product(LinComb.single(a), LinComb.single(e))
-            right = alg.product(LinComb.single(b), LinComb.single(g))
-            out.add_into(left.tensor(right), c1 * c2)
-    return out
+    def of_pair(key):
+        (a, b), (e, g) = key
+        return alg.product(LinComb.single(a), LinComb.single(e)).tensor(
+            alg.product(LinComb.single(b), LinComb.single(g)))
+    return s.tensor(t).bind(of_pair)
 
 
 def delta_multiplicativity_defect(alg, u, v):
@@ -271,10 +245,8 @@ def check_multiplicative(rep, check_id, alg, pairs):
 def delta_intertwining_defect(source, target, image_of_key, s, img):
     """Delta f(s) - (f (x) f) Delta s, for the linear map f given on basis keys by
     image_of_key; img is f(s)."""
-    want = LinComb()
-    for (k1, k2), c in source.delta(s).items():
-        want.add_into(image_of_key(k1).tensor(image_of_key(k2)), c)
-    return target.delta(img) - want
+    return target.delta(img) - source.delta(s).bind(
+        lambda k: image_of_key(k[0]).tensor(image_of_key(k[1])))
 
 
 def counit_intertwining_defect(source, target, s, img):
@@ -361,11 +333,8 @@ def dp_product(f, g):
 
 def dp_delta(f):
     """Delta(x^(f)) = sum over splittings g + h = f of x^(g) (x) x^(h)."""
-    out = LinComb()
-    for g in iproduct(*(range(a + 1) for a in f)):
-        h = tuple(a - b for a, b in zip(f, g))
-        out.add_into(LinComb.single((g, h)))
-    return out
+    return LinComb({(g, tuple(a - b for a, b in zip(f, g))): 1
+                    for g in iproduct(*(range(a + 1) for a in f))})
 
 
 class DividedPowerBialgebra:
@@ -384,12 +353,10 @@ class DividedPowerBialgebra:
         return LinComb.single((0,) * self.rank)
 
     def product(self, u, v):
-        out = LinComb()
-        for f, cf in u.items():
-            for g, cg in v.items():
-                c, key = dp_product(f, g)
-                out.add_into(LinComb.single(key), cf * cg * c)
-        return out
+        def of_pair(fg):
+            c, key = dp_product(*fg)
+            return LinComb.single(key, c)
+        return u.tensor(v).bind(of_pair)
 
     def delta(self, state):
         return state.bind(dp_delta)
@@ -455,11 +422,7 @@ class LieAlgebra:
         return -self.table.get((j, i), _ZERO)
 
     def bracket_states(self, u, v):
-        out = LinComb()
-        for i, ci in u.items():
-            for j, cj in v.items():
-                out.add_into(self.bracket(i, j), ci * cj)
-        return out
+        return u.tensor(v).bind(lambda ij: self.bracket(*ij))
 
     def validate(self):
         def jacobi(i, j, k):
@@ -494,11 +457,8 @@ class UniversalEnveloping:
                 out = LinComb.single((i,) + word)
             else:
                 head, rest = word[0], word[1:]
-                out = LinComb()
-                for w, c in self._apply_letter(i, rest).items():
-                    out.add_into(self._apply_letter(head, w), c)
-                for k, c in self.lie.bracket(i, head).items():
-                    out.add_into(self._apply_letter(k, rest), c)
+                out = self._apply_letter(i, rest).bind(partial(self._apply_letter, head))
+                out.add_into(self.lie.bracket(i, head).bind(lambda k: self._apply_letter(k, rest)))
             self._apply[key] = out
         return out
 
@@ -514,11 +474,7 @@ class UniversalEnveloping:
         return out
 
     def product(self, u, v):
-        out = LinComb()
-        for wu, cu in u.items():
-            for wv, cv in v.items():
-                out.add_into(self.straighten(wu + wv), cu * cv)
-        return out
+        return u.tensor(v).bind(lambda uv: self.straighten(uv[0] + uv[1]))
 
     def delta(self, state):
         """Generators are primitive; on sorted words Delta splits subsets."""

@@ -32,26 +32,18 @@ def mode_weight(pres, mode):
     return pres.weight_of(mode.gen) - mode.n - 1
 
 
-def _gen_mode(pres, name, n, coeff, out):
-    if pres.is_torsion(name):
-        if n == -1:
-            out.add_into(LinComb.single(Mode(name, -1), coeff))
-        return
-    out.add_into(LinComb.single(Mode(name, n), coeff))
-
-
 def mode_normalize(pres, elt, n):
     """The mode elt(n) of an element, as a combination of generator modes.
 
     (D^d g)(n) = (-1)^d n(n-1)...(n-d+1) g(n-d); torsion modes survive only
     at index -1.
     """
-    out = LinComb()
-    for (g, d), c in elt.items():
-        f = falling(n, d)
-        if f:
-            _gen_mode(pres, g, n - d, c * ((-1) ** d * f), out)
-    return out
+    def of_key(key):
+        g, d = key
+        if pres.is_torsion(g) and n - d != -1:
+            return LinComb()
+        return LinComb.single(Mode(g, n - d), (-1) ** d * falling(n, d))
+    return elt.bind(of_key)
 
 
 def bracket(pres, a, b):
@@ -71,11 +63,7 @@ def bracket(pres, a, b):
 
 def bracket_combo(pres, x, y):
     """Bilinear extension of the bracket to mode combinations."""
-    out = LinComb()
-    for ma, ca in x.items():
-        for mb, cb in y.items():
-            out.add_into(bracket(pres, ma, mb), ca * cb)
-    return out
+    return x.tensor(y).bind(lambda ab: bracket(pres, *ab))
 
 
 def _mode_menu(pres, window):

@@ -18,7 +18,8 @@ per module instance.  The private per-word methods return the shared memo
 entries, which must not be mutated; the public methods return fresh states.
 """
 
-from itertools import chain, product as iproduct
+from functools import partial
+from itertools import chain, groupby, product as iproduct
 from math import factorial
 
 from .current import Mode, bracket, mode_normalize, mode_weight
@@ -38,19 +39,10 @@ def split_sorted_word(word):
     Runs of equal letters give binomials; subwords of a sorted word are sorted,
     so no straightening occurs."""
     out = LinComb.single(((), ()))
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        run, count = word[i], j - i
-        nxt = LinComb()
-        for (w1, w2), c in out.items():
-            for a in range(count + 1):
-                key = (w1 + (run,) * a, w2 + (run,) * (count - a))
-                nxt.add_into(LinComb.single(key, c * binom(count, a)))
-        out = nxt
-        i = j
+    for run, letters in groupby(word):
+        count = len(tuple(letters))
+        out = out.bind(lambda k: LinComb({(k[0] + (run,) * a, k[1] + (run,) * (count - a)):
+                                          binom(count, a) for a in range(count + 1)}))
     return out
 
 
@@ -113,8 +105,11 @@ class VacuumModule:
         i = self._mode_ids.get(mode)
         if i is None:
             mode = Mode(*mode)
-            wt = mode_weight(self.pres, mode)
-            torsion, index = self.pres.is_torsion(mode.gen), self.pres.gen_index(mode.gen)
+            try:
+                wt = mode_weight(self.pres, mode)
+                torsion, index = self.pres.is_torsion(mode.gen), self.pres.gen_index(mode.gen)
+            except KeyError:
+                raise InputError(f"unknown generator {mode.gen!r}") from None
             t = _WORDS
             key = (mode, wt, torsion, index)
             i = t.mode_ids.get(key)
@@ -208,6 +203,7 @@ class VacuumModule:
             out = _ZERO
         else:
             head, rest = self._head[word], self._rest[word]
+            # written out: as binds (and _state_mode_word's), heisenberg check --suite all: +9-14 %
             out = LinComb()
             for w, c in self._apply_word(mode, rest).items():
                 out.add_into(self._apply_word(head, w), c)
@@ -217,10 +213,7 @@ class VacuumModule:
         return out
 
     def _act(self, mode, state):
-        out = LinComb()
-        for w, c in state.items():
-            out.add_into(self._apply_word(mode, w), c)
-        return out
+        return state.bind(partial(self._apply_word, mode))
 
     def straighten(self, word):
         """Rewrite a word id (negative modes in any order) into the PBW basis: its
@@ -243,12 +236,7 @@ class VacuumModule:
 
     def combo_apply(self, combo, state):
         """A mode combination (LinComb over Mode) acting on a state."""
-        out = LinComb()
-        for m, cm in combo.items():
-            m = self.mode_id(m)
-            for w, cw in state.items():
-                out.add_into(self._apply_word(m, w), cm * cw)
-        return out
+        return combo.bind(lambda m: self._act(self.mode_id(m), state))
 
     # -- translation operator ------------------------------------------------
 
@@ -302,6 +290,7 @@ class VacuumModule:
         down, up = wt[rest] + wv - n, self.pres.weight_of(g) + wv
         lower, upper = self._mode_runs(head, down, up)
         apply_word = self._apply_word
+        # written out: as binds (and _apply_word's), heisenberg check --suite all: +9-14 %
         out = LinComb()
         for i in range(0, down):
             inner = self._state_mode_word(rest, n + i, vw)
@@ -322,6 +311,7 @@ class VacuumModule:
 
     def state_mode(self, u, n, v):
         """u_n v for states u, v and any integer n."""
+        # written out: as u.tensor(v).bind(...), heisenberg check --suite all: +14-26 %
         out = LinComb()
         for uw, cu in u.items():
             for vw, cv in v.items():

@@ -14,6 +14,7 @@ from math import comb, factorial, gcd, lcm
 __all__ = [
     "Fraction",
     "LinComb",
+    "combination",
     "ClearedSum",
     "cleared",
     "as_rational",
@@ -226,6 +227,14 @@ class LinComb:
 
     def __repr__(self):
         return f"LinComb({self.format(repr)})"
+
+
+def combination(vectors, coeffs):
+    """sum_i coeffs[i] * vectors[i], a fresh LinComb."""
+    out = LinComb()
+    for v, c in zip(vectors, coeffs):
+        out.add_into(v, c)
+    return out
 
 
 def cleared(lc):

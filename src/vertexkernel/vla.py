@@ -109,14 +109,12 @@ class Presentation:
         return ws.pop()
 
     def apply_D(self, elt, power=1):
-        out = LinComb()
-        for (g, d), c in elt.items():
+        def of_key(key):
+            g, d = key
             if self._by_name[g].torsion:
-                if power == 0:
-                    out.add_into(LinComb.single((g, d), c))
-                continue
-            out.add_into(LinComb.single((g, d + power), c))
-        return out
+                return LinComb.single(key) if power == 0 else LinComb()
+            return LinComb.single((g, d + power))
+        return elt.bind(of_key)
 
     # -- products -----------------------------------------------------------
 

@@ -37,7 +37,8 @@ def in_order(n, count):
     plain loop.  With two or more usable CPUs, no other thread, and two or
     more blocks left once the blocks run so far have taken _SHARD_AFTER_S,
     the rest are computed ahead by this process and forked workers (_run);
-    a block _run leaves out is run here, in its turn."""
+    a block _run leaves out, one that raised among them, is run here in its
+    turn and raises here as in the plain loop."""
     global _sharding
     cpus = 1 if _sharding else _usable_cpus()
     done, t0 = None, time.perf_counter()
@@ -51,42 +52,36 @@ def in_order(n, count):
             finally:
                 _sharding = False
         got = done.get(a) if done else None
-        if got is None:
-            got = count(a)
-        elif isinstance(got, Exception):
-            raise got
-        yield got
+        yield count(a) if got is None else got
 
 
-def _take(count, queue, errors):
+def _take(count, queue):
     """count(a) for each block index a this process reads from the queue pipe,
-    until it is empty: {a: count(a)}.  A block that raises maps to its
-    exception when errors is true, and is left out otherwise."""
+    until it is empty: {a: count(a)}.  A block that raises is left out."""
     out = {}
     while index := os.read(queue, _INDEX):
         a = int.from_bytes(index, "little")
         try:
             out[a] = count(a)
-        except Exception as exc:
-            if errors:
-                out[a] = exc
+        except Exception:   # rerun by in_order in its turn, where it raises
+            pass
     return out
 
 
 def _run(count, todo, cpus):
     """count(a) for the block indices todo (a sequence), in this process and
-    in up to cpus - 1 forked workers: {a: count(a), or the exception it raised
-    here}.
+    in up to cpus - 1 forked workers: {a: count(a)} for the blocks that ran
+    to the end.
 
     Every process takes indices from one pipe, heaviest (last) first; only
     the last _QUEUED of todo are queued.  A worker pickles its results back
     and leaves by os._exit, so it flushes no stdio buffer of this process and
-    runs none of its exit code.  It sends no exception.  So a block left out
-    of the queue, a block that raised in a worker, and every block of a
-    worker that ended without a result are missing from the result, for the
-    caller to run.  Every worker is reaped before this returns or raises; on
-    an exception here, such as KeyboardInterrupt, the workers are killed
-    first."""
+    runs none of its exit code.  No process keeps an exception.  So a block
+    left out of the queue, a block that raised here or in a worker, and every
+    block of a worker that ended without a result are missing from the
+    result, for the caller to run.  Every worker is reaped before this
+    returns or raises; on an exception here, such as KeyboardInterrupt, the
+    workers are killed first."""
     todo = todo[-_QUEUED:]
     queue, feed = os.pipe()
     workers = []   # [pid, the read end of its result pipe, or None once read]
@@ -105,12 +100,12 @@ def _run(count, todo, cpus):
                 try:
                     os.close(result)
                     with open(out, "wb") as fh:
-                        pickle.dump(_take(count, queue, False), fh)
+                        pickle.dump(_take(count, queue), fh)
                 finally:
                     os._exit(0)
             os.close(out)
             workers.append([pid, result])
-        done = _take(count, queue, True)
+        done = _take(count, queue)
         for worker in workers:
             with open(worker[1], "rb") as fh:
                 worker[1] = None

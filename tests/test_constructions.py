@@ -71,6 +71,16 @@ def test_semigroup_elements():
         L.element((1,))
 
 
+def test_semigroup_elements_refuse_non_integral_components():
+    L = SemigroupL(1)
+    with pytest.raises(InputError, match="non-integral"):
+        L.element((1.5,))
+    with pytest.raises(InputError):
+        BL(L).group_like((1.5,))
+    # an integral value of another type is still that integer
+    assert L.element((Fraction(2),)) == (2,) and L.element([-4.0]) == (-4,)
+
+
 def test_semigroup_without_inverses():
     N = SemigroupL(1, group=False)
     assert N.element((3,)) == (3,)
@@ -417,6 +427,13 @@ def test_bl_phi_rejects_non_group_like():
         bl_phi(bl, bl.monomial([("h", -1)], (1,)))
     with pytest.raises(InputError):
         bl_phi(bl, bl.group_like((1,)) + bl.group_like((2,)))
+
+
+def test_bl_monomial_refuses_an_unknown_generator():
+    bl = bl_build(SemigroupL(1))
+    with pytest.raises(InputError, match="^unknown generator 'zz'$"):
+        bl.monomial([("zz", -1)])
+    assert bl.monomial([("h", -1)]) == bl.bar_state((1,))
 
 
 def test_bl_phi_needs_inverses():

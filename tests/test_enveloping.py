@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexkernel.current import Mode, bracket
 from vertexkernel.enveloping import VacuumModule
+from vertexkernel.errors import InputError
 from vertexkernel.lincomb import LinComb
 from vertexkernel.vla import abelian, heisenberg, virasoro
 
@@ -156,6 +158,16 @@ def test_mode_apply_heisenberg_number_operator():
             word = W(*[("h", -n)] * k)
             got = vm.mode_apply("h", n, S(vm, word))
             assert got == S(vm, word[1:] + W(("c", -1)), k * n)
+
+
+def test_mode_apply_refuses_an_unknown_generator():
+    vm = VacuumModule(virasoro())
+    with pytest.raises(InputError, match="^unknown generator 'zz'$"):
+        vm.mode_apply("zz", -1, vm.vacuum())
+    # the refused mode left no id behind
+    with pytest.raises(InputError):
+        vm.mode_id(("zz", -1))
+    assert vm.mode_apply("L", -2, vm.vacuum()) == S(vm, W(("L", -2)))
 
 
 def test_torsion_mode_guard():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vertexkernel.lincomb import (
-    ClearedSum, LinComb, binom, cleared, falling, format_rational, inv_factorial,
+    ClearedSum, LinComb, binom, cleared, combination, falling, format_rational, inv_factorial,
     parse_rational, sign_pow,
 )
 
@@ -186,8 +186,19 @@ def test_add_sub_and_bind_match_a_dict_reference_and_leave_operands_alone(a, b, 
     assert (a - b).terms == dict_sum((1, a.terms), (-1, b.terms))
     bound = a.bind(lambda k: f.get(k, LinComb()))
     assert bound.terms == dict_sum(*((c, f[k].terms) for k, c in a.items() if k in f))
+    vectors, coeffs = list(f.values()), [a.get(k) for k in f]
+    assert combination(vectors, coeffs).terms == dict_sum(
+        *zip(coeffs, (v.terms for v in vectors)))
+
+    # a bilinear map on basis pairs, extended by tensor and bind, is the double loop
+    def pair_image(k1, k2):
+        return f.get(k1, LinComb()).tensor(f.get(k2, LinComb()) + LinComb.single(k1))
+
+    assert a.tensor(b).bind(lambda kk: pair_image(*kk)).terms == dict_sum(
+        *((c1 * c2, pair_image(k1, k2).terms) for k1, c1 in a.items() for k2, c2 in b.items()))
     assert [x.terms for x in (a, b, *f.values())] == before
     # a merge into a fresh dict: mutating a result never reaches an operand
-    for out in (a + b, a - b, a.bind(lambda k: f.get(k, LinComb()))):
+    for out in (a + b, a - b, a.bind(lambda k: f.get(k, LinComb())),
+                combination(vectors, coeffs), a.tensor(b).bind(lambda kk: pair_image(*kk))):
         out.add_into(LinComb.single("w", 1))
     assert [x.terms for x in (a, b, *f.values())] == before

@@ -147,6 +147,11 @@ def test_parse_diff_element_rejects_junk():
             ser.parse_diff_element(bl, text)
 
 
+def test_parse_diff_element_refuses_an_unknown_generator():
+    with pytest.raises(InputError, match="^unknown generator 'zz'$"):
+        ser.parse_diff_element(bl_build(SemigroupL(1)), "zz(-1)")
+
+
 def test_load_presentation_builtin_and_inline():
     pres = ser.load_presentation({"builtin": "heisenberg", "rank": 2})
     assert [g.name for g in pres.generators] == ["h1", "h2", "c"]
