@@ -182,11 +182,6 @@ ALL_CONSTRUCTION = ("validate", "tensor-phi", "bl", "morphism")
 
 
 def cmd_check(args):
-    for flag, value in (("--max-weight", args.max_weight),
-                        ("--mode-window", args.mode_window),
-                        ("--torsion-bound", args.torsion_bound)):
-        if value is not None and value < 0:
-            raise InputError(f"{flag} must be nonnegative, got {value}")
     run = _Run(args)
     if args.suite == "all":
         names = ALL_CONSTRUCTION if run.construction else ALL_PRESENTATION
@@ -223,7 +218,6 @@ def cmd_compute(args):
     pres, _, _, _ = _load(args)
     vm = VacuumModule(pres)
     expr, ops = args.expression, args.operands
-    names = {g.name for g in pres.generators}
 
     def arity(n):
         if len(ops) != n:
@@ -244,12 +238,8 @@ def cmd_compute(args):
         terms = serialize.element_to_json(value)
     elif expr == "bracket":
         arity(2)
-        a, b = serialize.parse_mode(ops[0]), serialize.parse_mode(ops[1])
-        for m in (a, b):
-            if m.gen not in names:
-                raise InputError(f"unknown generator {m.gen!r}")
-        value = mode_bracket(pres, a, b)
-        text = value.format(serialize.format_mode)
+        value = mode_bracket(pres, serialize.parse_mode(ops[0]), serialize.parse_mode(ops[1]))
+        text = value.format(str)
         terms = [{"coeff": str(c), "mode": serialize.mode_to_json(m)}
                  for m, c in value.sorted_items()]
     elif expr == "delta":
@@ -273,8 +263,6 @@ def cmd_compute(args):
 
 
 def cmd_dims(args):
-    if args.max_weight < 0 or args.torsion_bound < 0:
-        raise InputError("bounds must be nonnegative")
     pres, _, _, _ = _load(args)
     vm = VacuumModule(pres)
     table = []
@@ -295,6 +283,10 @@ def main(argv=None):
     handlers = {"validate": cmd_validate, "compute": cmd_compute,
                 "check": cmd_check, "dims": cmd_dims}
     try:
+        for dest in ("max_weight", "mode_window", "torsion_bound"):  # the bounds of check, dims
+            value = getattr(args, dest, None)
+            if value is not None and value < 0:
+                raise InputError(f"--{dest.replace('_', '-')} must be nonnegative, got {value}")
         return handlers[args.command](args)
     except (InputError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,15 +35,6 @@ def delta_state(vm, state):
     return vm.delta(state)
 
 
-def counit_state(vm, state):
-    """Counit: the coefficient of the vacuum word."""
-    return vm.eps(state)
-
-
-def tensor_flip(t):
-    return t.map_keys(lambda k: (k[1], k[0]))
-
-
 # -- primitive / group-like elements ------------------------------------------------
 
 
@@ -179,7 +170,7 @@ def counit_law_defects(obj, state):
 
 def cocommutativity_defect(obj, state):
     d = obj.delta(state)
-    return tensor_flip(d) - d
+    return d.map_keys(lambda k: (k[1], k[0])) - d
 
 
 def d_coderivation_defect(obj, state):

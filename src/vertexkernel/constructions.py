@@ -103,10 +103,6 @@ class PhiMap:
                     raise UnsupportedError(
                         "phi targets must be weight-homogeneous") from None
 
-    @property
-    def rank(self):
-        return len(self.targets)
-
     def of(self, alpha):
         return combination(self.targets, alpha)
 
@@ -188,7 +184,7 @@ class TensorPhiAlgebra:
     Construction is blocked unless phi's centrality certificate passes."""
 
     def __init__(self, vm, semigroup, phi):
-        if phi.rank != semigroup.rank:
+        if len(phi.targets) != semigroup.rank:
             raise InputError("phi rank does not match the semigroup rank")
         if phi.pres is not vm.pres:
             raise InputError("phi targets live in a different presentation")
@@ -213,9 +209,6 @@ class TensorPhiAlgebra:
         """Tag a vacuum-module state with e^alpha (default e^0)."""
         a = self.semigroup.zero() if alpha is None else self.semigroup.element(alpha)
         return state.map_keys(lambda w: (w, a))
-
-    def key_state(self, key):
-        return LinComb.single(key)
 
     def state_weight(self, state):
         return max((self.vm.word_weight(w) for (w, _) in state.keys()), default=-1)
@@ -285,11 +278,7 @@ class TensorPhiAlgebra:
         return state.bind(of_key)
 
     def eps(self, state):
-        tot = 0
-        for (w, _), c in state.items():
-            if not w:
-                tot += c
-        return tot
+        return sum(c for (w, _), c in state.items() if not w)
 
     # rendering -----------------------------------------------------------------
 
@@ -312,7 +301,7 @@ def check_tensor_phi_axioms(tp, max_weight=2, window=2, alpha_bound=1,
     rep = ValidationReport(subject="tensor-phi")
     keys = [k for d in range(max_weight + 1)
             for k in tp.basis_keys(d, torsion_bound, alpha_bound)]
-    states = [tp.key_state(k) for k in keys]
+    states = [LinComb.single(k) for k in keys]
     vacuum_creation_sweep(rep, "tensor-phi-vacuum-creation", tp, states, range(0, window + 2),
                           _mode_range(window))
     fmt = tp.format_state
@@ -354,7 +343,7 @@ def check_group_like_semigroup(tp, alpha_bound=3, window=4):
     rep.tally("group-like-commutativity", pairs,
               lambda al, be: mode(al, -1, glike[be]) != mode(be, -1, glike[al]),
               lambda al, be: f"commutativity fails at {al},{be}")
-    samples = [tp.key_state(k) for k in tp.basis_keys(1, 0, 1)]
+    samples = [LinComb.single(k) for k in tp.basis_keys(1, 0, 1)]
     return rep.tally(
         "group-like-mode-commutation",
         iproduct(alphas, alphas, range(-2, 3), range(-2, 3), samples),
@@ -364,13 +353,8 @@ def check_group_like_semigroup(tp, alpha_bound=3, window=4):
 
 def tensor_phi_primitives(tp, weight, torsion_bound=0, alpha_bound=1):
     """Basis of the primitive part of the bounded (weight, alpha) piece."""
-    return primitive_basis(tp, [tp.key_state(k)
+    return primitive_basis(tp, [LinComb.single(k)
                                 for k in tp.basis_keys(weight, torsion_bound, alpha_bound)])
-
-
-def component_of(key):
-    """The group-like tag alpha of a tensor or differential basis key."""
-    return key[1]
 
 
 def check_component_structure(tp, max_weight=2, alpha_bound=2, window=3,
@@ -384,21 +368,20 @@ def check_component_structure(tp, max_weight=2, alpha_bound=2, window=3,
     add = tp.semigroup.add
 
     def leaves(keys, al):
-        return any(component_of(k) != al for k in keys)
+        return any(k[1] != al for k in keys)
 
     rep.tally("component-delta", zip(keys),
-              lambda k: leaves(chain.from_iterable(tp.delta(tp.key_state(k)).keys()),
-                               component_of(k)),
-              lambda k: f"Delta leaves component {component_of(k)}")
+              lambda k: leaves(chain.from_iterable(tp.delta(LinComb.single(k)).keys()), k[1]),
+              lambda k: f"Delta leaves component {k[1]}")
     rep.tally("component-module", iproduct(keys, zero_keys, _mode_range(window)),
-              lambda k, z, n: leaves(tp.state_mode(tp.key_state(z), n, tp.key_state(k)).keys(),
-                                     component_of(k)),
-              lambda k, z, n: f"V_0 mode moved component {component_of(k)}")
+              lambda k, z, n: leaves(
+                  tp.state_mode(LinComb.single(z), n, LinComb.single(k)).keys(), k[1]),
+              lambda k, z, n: f"V_0 mode moved component {k[1]}")
     return rep.tally(
         "component-shift", iproduct(keys, tp.semigroup.window(1)),
-        lambda k, ga: leaves(tp.state_mode(tp.group_like(ga), -1, tp.key_state(k)).keys(),
-                             add(ga, component_of(k))),
-        lambda k, ga: f"e^{ga} did not shift {component_of(k)} to {add(ga, component_of(k))}")
+        lambda k, ga: leaves(tp.state_mode(tp.group_like(ga), -1, LinComb.single(k)).keys(),
+                             add(ga, k[1])),
+        lambda k, ga: f"e^{ga} did not shift {k[1]} to {add(ga, k[1])}")
 
 
 # -- the differential bialgebra B_L ---------------------------------------------------
@@ -433,7 +416,6 @@ class BL:
     # are the reference the (x)_phi ones are checked against.
     vacuum = TensorPhiAlgebra.vacuum
     group_like = TensorPhiAlgebra.group_like
-    key_state = TensorPhiAlgebra.key_state
     state_weight = TensorPhiAlgebra.state_weight
     basis_keys = TensorPhiAlgebra.basis_keys
     key_order = TensorPhiAlgebra.key_order
@@ -517,11 +499,6 @@ class BL:
         return format_diff_key((self.vm.word(word), al))
 
 
-def bl_build(semigroup):
-    """The B_L structure for a free abelian (semi)group."""
-    return BL(semigroup)
-
-
 def bl_phi(bl, g):
     """phi(g) = g^{-1} · del(g) for a monomial group-like g = e^alpha."""
     items = list(g.items())
@@ -537,7 +514,7 @@ def check_bl_bialgebra(bl, max_weight=3, alpha_bound=2):
     algebra morphisms, coalgebra axioms hold, del is a coderivation killed by
     eps, and phi(g) = g^{-1} del g is additive over the window."""
     keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound=alpha_bound)]
-    states = [bl.key_state(k) for k in keys]
+    states = [LinComb.single(k) for k in keys]
     fmt = bl.format_state
     rep = coalgebra_laws(bl, states, "bl")
     rep.tally("d-coderivation", zip(states), lambda s: d_coderivation_defect(bl, s),
@@ -572,7 +549,7 @@ def check_bl_equals_tensor_phi(semigroup, max_weight=3, alpha_bound=2, window=4)
     tp = TensorPhiAlgebra(bl.vm, semigroup, phi)
     rep = ValidationReport(subject="bl-vs-tensor-phi")
     keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound=alpha_bound)]
-    states = [bl.key_state(k) for k in keys]
+    states = [LinComb.single(k) for k in keys]
     fmt = bl.format_state
     rep.tally("bl-equals-tensor-phi-modes", iproduct(states, states, _mode_range(window)),
               lambda u, v, n: bl.state_mode(u, n, v) != tp.state_mode(u, n, v),
@@ -643,7 +620,7 @@ def extend_universal_morphism(bl, target, psi, phi_b, max_weight=3, alpha_bound=
 
     rep = ValidationReport(subject="universal-morphism")
     keys = [k for d in range(max_weight + 1) for k in bl.basis_keys(d, alpha_bound=alpha_bound)]
-    states = [bl.key_state(k) for k in keys]
+    states = [LinComb.single(k) for k in keys]
     images = [f(s) for s in states]
     idx = range(len(states))
     key_fmt = bl.format_key

@@ -49,7 +49,9 @@ def mode_normalize(pres, elt, n):
 def bracket(pres, a, b):
     """[a, b] for single modes, a combination of normalized modes."""
     out = LinComb()
-    if pres.is_torsion(a.gen) or pres.is_torsion(b.gen):
+    # both names are read before the short cut, so an unknown one is refused
+    a_torsion, b_torsion = pres.is_torsion(a.gen), pres.is_torsion(b.gen)
+    if a_torsion or b_torsion:
         return out
     for j in range(0, pres.weight_of(a.gen) + pres.weight_of(b.gen)):
         tab = pres.table(a.gen, b.gen, j)

@@ -101,15 +101,16 @@ class VacuumModule:
     # -- the word and mode tables -------------------------------------------------
 
     def mode_id(self, mode):
-        """The id of a mode, given as a Mode or a (gen, n) pair."""
+        """The id of a mode, given as a Mode or a (gen, n) pair; n must be
+        integral, and an integral float or a bool reads as that int."""
         i = self._mode_ids.get(mode)
         if i is None:
-            mode = Mode(*mode)
-            try:
-                wt = mode_weight(self.pres, mode)
-                torsion, index = self.pres.is_torsion(mode.gen), self.pres.gen_index(mode.gen)
-            except KeyError:
-                raise InputError(f"unknown generator {mode.gen!r}") from None
+            gen, n = mode
+            if n != int(n):
+                raise InputError(f"{gen}({n}): a mode index must be an integer")
+            mode = Mode(gen, int(n))
+            wt = mode_weight(self.pres, mode)
+            torsion, index = self.pres.is_torsion(gen), self.pres.gen_index(gen)
             t = _WORDS
             key = (mode, wt, torsion, index)
             i = t.mode_ids.get(key)

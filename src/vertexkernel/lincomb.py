@@ -89,10 +89,6 @@ class LinComb:
             self.terms = {k: c for k, c in terms.items() if c}
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def single(cls, key, coeff=1):
         lc = cls.__new__(cls)
         c = as_rational(coeff)
@@ -111,9 +107,6 @@ class LinComb:
 
     def __len__(self):
         return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms.items())
 
     def items(self):
         return self.terms.items()

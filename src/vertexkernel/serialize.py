@@ -28,10 +28,6 @@ _POWER_RE = re.compile(r"^([A-Za-z_]\w*)\((-?\d+)\)(?:\^(\d+))?$")
 _ALPHA_RE = re.compile(r"^e\^\{?\((-?\d+(?:\s*,\s*-?\d+)*),?\)\}?$")
 
 
-def format_mode(mode):
-    return f"{mode.gen}({mode.n})"
-
-
 def parse_mode(text):
     m = _MODE_RE.match(text.strip())
     if not m:
@@ -200,7 +196,7 @@ def format_diff_key(key):
             runs[-1][1] += 1
         else:
             runs.append([m, 1])
-    parts = [format_mode(m) + (f"^{e}" if e > 1 else "") for m, e in runs]
+    parts = [str(m) + (f"^{e}" if e > 1 else "") for m, e in runs]
     parts.append(f"e^{{{format_alpha(alpha)}}}")
     return "·".join(parts)
 

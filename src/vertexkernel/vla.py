@@ -42,6 +42,16 @@ class Generator(NamedTuple):
     torsion: bool = False
 
 
+class _Generators(dict):
+    """A table of a presentation's generators by name: reading an unknown name
+    raises InputError, so every lookup refuses it."""
+
+    __slots__ = ()
+
+    def __missing__(self, name):
+        raise InputError(f"unknown generator {name!r}")
+
+
 class Presentation:
     """A vertex Lie algebra given by generators and a finite product table."""
 
@@ -54,8 +64,8 @@ class Presentation:
             if not isinstance(g.weight, int) or g.weight < 0:
                 raise InputError(f"generator {g.name}: weight must be a nonnegative integer")
         self.generators = tuple(generators)
-        self._by_name = {g.name: g for g in self.generators}
-        self._index = {g.name: i for i, g in enumerate(self.generators)}
+        self._by_name = _Generators((g.name, g) for g in self.generators)
+        self._index = _Generators((g.name, i) for i, g in enumerate(self.generators))
         self._table = {}
         for (left, right, n), result in products.items():
             for nm in (left, right):
@@ -74,8 +84,6 @@ class Presentation:
         """Build an element from {(gen, d): coeff}, dropping D^(>=1) of torsion."""
         out = LinComb()
         for (g, d), c in dict(terms).items():
-            if g not in self._by_name:
-                raise InputError(f"unknown generator {g!r}")
             if not isinstance(d, int) or d < 0:
                 raise InputError(f"D-power {d!r} on {g}: must be a nonnegative integer")
             if self._by_name[g].torsion and d > 0:

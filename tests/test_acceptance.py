@@ -19,10 +19,10 @@ from vertexkernel.coalgebra import (
     primitive_subspace,
 )
 from vertexkernel.constructions import (
+    BL,
     PhiMap,
     SemigroupL,
     TensorPhiAlgebra,
-    bl_build,
     check_bl_bialgebra,
     check_bl_equals_tensor_phi,
     check_eminus_conjugation,
@@ -151,7 +151,7 @@ def test_07_differential_bialgebra_equivalence():
     L = SemigroupL(1)
     rep = check_bl_equals_tensor_phi(L, max_weight=3, alpha_bound=2, window=(-4, 6))
     assert rep.passed, rep.summary()
-    rep2 = check_bl_bialgebra(bl_build(L), max_weight=3, alpha_bound=2)
+    rep2 = check_bl_bialgebra(BL(L), max_weight=3, alpha_bound=2)
     assert rep2.passed, rep2.summary()
     by_id = {c.check_id: c.passed for c in rep2.checks}
     assert by_id["d-coderivation"] and by_id["counit-kills-d"]
@@ -196,7 +196,7 @@ def test_10_divided_powers_and_psi():
 
 def test_11_morphism_builders():
     t0 = time.monotonic()
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     psi, rep = induced_vertex_morphism(abelian(1), {"h": bl.monomial([("h", -1)])},
                                        bl, max_weight=3, window=4, torsion_bound=1)
     assert rep.passed, rep.summary()

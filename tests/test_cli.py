@@ -110,6 +110,8 @@ def test_compute_errors(vir_file, capsys):
     assert main(["compute", "bracket", "L(1)", "--input", vir_file]) == 2
     assert main(["compute", "mode", "L", "x", "L(-1)|0>", "--input", vir_file]) == 2
     capsys.readouterr()
+    assert main(["compute", "bracket", "c(-1)", "Q(1)", "--input", vir_file]) == 2
+    assert capsys.readouterr().err == "error: unknown generator 'Q'\n"
 
 
 @pytest.mark.parametrize("argv, term", [
@@ -183,15 +185,15 @@ def test_dims_abelian(tmp_path, capsys):
     assert [r["primitive"] for r in table] == [0, 1, 1, 1]
 
 
-def test_dims_rejects_negative_bounds(vir_file, capsys):
-    assert main(["dims", "--input", vir_file, "--max-weight", "-1"]) == 2
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("flag,value", [("--max-weight", "-1"), ("--mode-window", "-2"),
-                                        ("--torsion-bound", "-3")])
-def test_check_rejects_negative_bounds(vir_file, capsys, flag, value):
-    assert main(["check", "--input", vir_file, "--suite", "skew", flag, value]) == 2
+@pytest.mark.parametrize("command,flag,value", [
+    pytest.param(["check", "--suite", "skew"], "--max-weight", "-1", id="--max-weight--1"),
+    pytest.param(["check", "--suite", "skew"], "--mode-window", "-2", id="--mode-window--2"),
+    pytest.param(["check", "--suite", "skew"], "--torsion-bound", "-3",
+                 id="--torsion-bound--3"),
+    pytest.param(["dims"], "--max-weight", "-1", id="dims---max-weight--1"),
+    pytest.param(["dims"], "--torsion-bound", "-3", id="dims---torsion-bound--3")])
+def test_check_rejects_negative_bounds(vir_file, capsys, command, flag, value):
+    assert main([*command, "--input", vir_file, flag, value]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {flag} must be nonnegative, got {value}\n"

@@ -64,9 +64,9 @@ def test_delta_square_has_binomial_cross_term():
 
 def test_counit_values():
     vm = VacuumModule(virasoro())
-    assert co.counit_state(vm, vm.vacuum()) == 1
-    assert co.counit_state(vm, V(vm, W(("L", -1)))) == 0
-    assert co.counit_state(vm, 3 * vm.vacuum() + V(vm, W(("L", -2)))) == 3
+    assert vm.eps(vm.vacuum()) == 1
+    assert vm.eps(V(vm, W(("L", -1)))) == 0
+    assert vm.eps(3 * vm.vacuum() + V(vm, W(("L", -2)))) == 3
 
 
 # -- primitives -----------------------------------------------------------------------

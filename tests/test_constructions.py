@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vertexkernel.constructions import (BL, PhiMap, SemigroupL,
-                                        TensorPhiAlgebra, bl_build, bl_phi,
+                                        TensorPhiAlgebra, bl_phi,
                                         borcherds_mode,
                                         check_bl_bialgebra,
                                         check_bl_equals_tensor_phi,
@@ -13,7 +13,7 @@ from vertexkernel.constructions import (BL, PhiMap, SemigroupL,
                                         check_eminus_conjugation,
                                         check_group_like_semigroup,
                                         check_phi_central,
-                                        check_tensor_phi_axioms, component_of,
+                                        check_tensor_phi_axioms,
                                         eminus_apply,
                                         eminus_conjugation_defect,
                                         extend_universal_morphism,
@@ -321,7 +321,7 @@ def test_group_like_scan_has_no_dimension_cap():
     assert tensor_phi_group_like_scan(tp, alphas) == [tp.group_like(a) for a in alphas[::-1]]
     keys = [k for d in range(3) for k in tp.basis_keys(d, alpha_bound=2)]
     assert len(keys) == 20
-    assert group_like_scan(tp, [tp.key_state(k) for k in keys]) == [
+    assert group_like_scan(tp, [LinComb.single(k) for k in keys]) == [
         tp.group_like((a,)) for a in range(2, -3, -1)]
 
 
@@ -351,7 +351,6 @@ def test_group_like_scan_sees_through_a_change_of_basis(matrix):
 
 
 def test_component_of_and_structure():
-    assert component_of((W(("h", -1)), (4,))) == (4,)
     rep = check_component_structure(tensor_h(), max_weight=2, alpha_bound=2, window=3)
     assert rep.passed
 
@@ -360,7 +359,7 @@ def test_component_of_and_structure():
 
 
 def test_bl_monomial_sorting_and_guard():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     m = bl.monomial([("h", -1), ("h", -3), ("h", -2)], (1,))
     assert m == KS(bl, W(("h", -3), ("h", -2), ("h", -1)), (1,))
     with pytest.raises(InputError):
@@ -368,14 +367,14 @@ def test_bl_monomial_sorting_and_guard():
 
 
 def test_bl_product_merges_sorted():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     u = bl.monomial([("h", -1)], (1,))
     v = bl.monomial([("h", -2)], (1,))
     assert bl.product(u, v) == KS(bl, W(("h", -2), ("h", -1)), (2,))
 
 
 def test_bl_derivation_values():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     assert bl.D(bl.monomial([("h", -2)])) == KS(bl, W(("h", -3)), (0,), 2)
     got = bl.D(bl.monomial([("h", -1)], (1,)))
     assert got == KS(bl, W(("h", -2)), (1,)) + KS(bl, W(("h", -1), ("h", -1)), (1,))
@@ -384,13 +383,13 @@ def test_bl_derivation_values():
 
 
 def test_bl_bar_state_rank_two():
-    bl = bl_build(SemigroupL(2))
+    bl = BL(SemigroupL(2))
     got = bl.bar_state((1, 2))
     assert got == (KS(bl, W(("h1", -1)), (0, 0)) + KS(bl, W(("h2", -1)), (0, 0), 2))
 
 
 def test_bl_delta_binomials():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     s = bl.monomial([("h", -1), ("h", -1)], (1,))
     k = K(bl, W(("h", -1), ("h", -1)), (1,))
     m = K(bl, W(("h", -1)), (1,))
@@ -401,7 +400,7 @@ def test_bl_delta_binomials():
 
 
 def test_borcherds_modes():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     u = bl.monomial([("h", -1)])
     assert not borcherds_mode(bl, u, 0, u)
     assert borcherds_mode(bl, u, -1, u) == bl.product(u, u)
@@ -413,14 +412,14 @@ def test_borcherds_modes():
 
 
 def test_bl_phi_values():
-    bl = bl_build(SemigroupL(2))
+    bl = BL(SemigroupL(2))
     got = bl_phi(bl, bl.group_like((1, 2)))
     assert got == bl.bar_state((1, 2))
     assert not bl_phi(bl, bl.vacuum())
 
 
 def test_bl_phi_rejects_non_group_like():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     with pytest.raises(InputError):
         bl_phi(bl, bl.group_like((1,)) * 2)
     with pytest.raises(InputError):
@@ -430,33 +429,33 @@ def test_bl_phi_rejects_non_group_like():
 
 
 def test_bl_monomial_refuses_an_unknown_generator():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     with pytest.raises(InputError, match="^unknown generator 'zz'$"):
         bl.monomial([("zz", -1)])
     assert bl.monomial([("h", -1)]) == bl.bar_state((1,))
 
 
 def test_bl_phi_needs_inverses():
-    bl = bl_build(SemigroupL(1, group=False))
+    bl = BL(SemigroupL(1, group=False))
     with pytest.raises(InputError):
         bl_phi(bl, bl.group_like((2,)))
 
 
 def test_bl_bialgebra_sweep():
-    rep = check_bl_bialgebra(bl_build(SemigroupL(1)), max_weight=3, alpha_bound=2)
+    rep = check_bl_bialgebra(BL(SemigroupL(1)), max_weight=3, alpha_bound=2)
     assert rep.passed
     assert "bl-phi-additivity" in {c.check_id for c in rep.checks}
 
 
 def test_bl_bialgebra_semigroup_case():
-    rep = check_bl_bialgebra(bl_build(SemigroupL(1, group=False)),
+    rep = check_bl_bialgebra(BL(SemigroupL(1, group=False)),
                              max_weight=2, alpha_bound=2)
     assert rep.passed
     assert "bl-phi-additivity" not in {c.check_id for c in rep.checks}
 
 
 def test_bl_bialgebra_rank_two():
-    rep = check_bl_bialgebra(bl_build(SemigroupL(2)), max_weight=2, alpha_bound=1)
+    rep = check_bl_bialgebra(BL(SemigroupL(2)), max_weight=2, alpha_bound=1)
     assert rep.passed
 
 
@@ -503,7 +502,7 @@ def heisenberg_centre():
 
 
 def morphism_cases(alg, keys, window=2):
-    states = [alg.key_state(k) for k in keys]
+    states = [LinComb.single(k) for k in keys]
     return [(u, n, v) for u in states for v in states for n in range(-window, window + 1)]
 
 
@@ -516,7 +515,7 @@ def test_delta_morphism_on_tensor_phi_heisenberg_centre():
 
 
 def test_delta_morphism_on_bl():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     keys = [k for d in range(3) for k in bl.basis_keys(d, alpha_bound=1)]
     rep = check_delta_morphism(bl, cases=morphism_cases(bl, keys))
     assert rep.passed, rep.summary()
@@ -546,7 +545,7 @@ def test_delta_morphism_fails_when_delta_drops_a_tag():
 
 
 def test_extend_universal_morphism_doubling():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
 
     def psi(al):
         return bl.group_like((2 * al[0],))
@@ -562,7 +561,7 @@ def test_extend_universal_morphism_doubling():
 
 
 def test_extend_universal_morphism_rejects_incompatible_derivative():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
 
     def phi_b(i):
         return bl.monomial([("h", -1)]) * 2
@@ -574,7 +573,7 @@ def test_extend_universal_morphism_rejects_incompatible_derivative():
 
 
 def test_extend_universal_morphism_rejects_non_group_like():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
 
     def psi(al):
         if al == (0,):
@@ -587,7 +586,7 @@ def test_extend_universal_morphism_rejects_non_group_like():
 
 
 def test_extend_universal_morphism_into_tensor_phi():
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     tp = tensor_h()
 
     def psi(al):
@@ -606,7 +605,7 @@ def test_extend_universal_morphism_into_tensor_phi():
 
 def test_induced_morphism_into_bl():
     pres, vm = abelian_vm()
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     psi, rep = induced_vertex_morphism(pres, {"h": bl.monomial([("h", -1)])}, bl,
                                        max_weight=2, window=3, torsion_bound=0)
     assert rep.passed
@@ -619,7 +618,7 @@ def test_induced_morphism_group_like_image_breaks_delta_only():
     # h -> e^1 is a legal vertex-algebra map out of a free commutative V,
     # but e^1 is not primitive, so only the coalgebra checks fail
     pres, vm = abelian_vm()
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     psi, rep = induced_vertex_morphism(pres, {"h": bl.group_like((1,))}, bl,
                                        max_weight=2, window=3, torsion_bound=0)
     by_id = {c.check_id: c.passed for c in rep.checks}
@@ -630,7 +629,7 @@ def test_induced_morphism_group_like_image_breaks_delta_only():
 
 def test_induced_morphism_rejects_broken_products():
     pres = virasoro()
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     img = {"L": bl.monomial([("h", -1), ("h", -1)], ) * Fraction(1, 2),
            "c": bl.vacuum() * 0}
     with pytest.raises(MorphismError):
@@ -682,7 +681,7 @@ def test_tensor_phi_public_results_are_fresh_states():
 
 
 def test_bl_counit_is_its_own_algebra_map(monkeypatch):
-    bl = bl_build(SemigroupL(1))
+    bl = BL(SemigroupL(1))
     assert bl.eps(bl.group_like((3,)) * 2) == 2
     assert bl.eps(bl.monomial([("h", -1)], (1,)) + bl.vacuum()) == 1
     eps = BL.eps

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from vertexkernel.current import Mode, bracket, bracket_combo, check_lie_axioms, mode_normalize, mode_weight
+from vertexkernel.errors import InputError
 from vertexkernel.lincomb import LinComb
 from vertexkernel.vla import abelian, heisenberg, virasoro
 
@@ -110,3 +113,14 @@ def test_lie_axioms_all_fixtures():
     for pres in [virasoro(), heisenberg(1), heisenberg(2), abelian(2)]:
         rep = check_lie_axioms(pres, window=3)
         assert rep.passed, rep.summary()
+
+
+@pytest.mark.parametrize("call", [
+    lambda vir: bracket(vir, Mode("zz", 0), Mode("L", 0)),
+    lambda vir: bracket(vir, Mode("c", -1), Mode("zz", 0)),
+    lambda vir: mode_normalize(vir, LinComb({("zz", 0): 1}), -1),
+    lambda vir: vir.gen_index("zz")],
+    ids=["bracket", "bracket-torsion-short-cut", "mode-normalize", "gen-index"])
+def test_unknown_generator_is_refused(call):
+    with pytest.raises(InputError, match="^unknown generator 'zz'$"):
+        call(virasoro())

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vertexkernel.constructions import BL, SemigroupL
 from vertexkernel.current import Mode, bracket
 from vertexkernel.enveloping import VacuumModule
 from vertexkernel.errors import InputError
@@ -170,6 +171,21 @@ def test_mode_apply_refuses_an_unknown_generator():
     assert vm.mode_apply("L", -2, vm.vacuum()) == S(vm, W(("L", -2)))
 
 
+@pytest.mark.parametrize("n", [-1.5, Fraction(-3, 2), -2.0, True],
+                         ids=["-1.5", "-3/2", "-2.0", "True"])
+def test_mode_indices_must_be_integral(n):
+    vm = VacuumModule(virasoro())
+    if n != int(n):
+        with pytest.raises(InputError, match=r"^L\(.*\): a mode index must be an integer$"):
+            vm.mode_apply("L", n, vm.vacuum())
+        with pytest.raises(InputError, match=r"^h\(.*\): a mode index must be an integer$"):
+            BL(SemigroupL(1)).monomial([("h", n)])
+    else:
+        for _ in range(2):  # the mode id is new, then known
+            (mode,) = vm.word(vm.word_id([("L", n)]))
+            assert type(mode.n) is int and str(mode) == f"L({int(n)})"
+
+
 def test_torsion_mode_guard():
     vm = VacuumModule(virasoro())
     assert not vm.mode_apply("c", 0, vm.vacuum())
@@ -326,7 +342,7 @@ def test_format_state():
     s = 2 * S(vm, W(("L", -2), ("L", -1))) + S(vm, W(("c", -1)), Fraction(-1, 2))
     assert vm.format_state(s) == "2·L(-2)L(-1)|0⟩ - 1/2·c(-1)|0⟩"
     assert vm.format_state(vm.vacuum()) == "|0⟩"
-    assert vm.format_state(LinComb.zero()) == "0"
+    assert vm.format_state(LinComb()) == "0"
 
 
 # -- ids inside, words at the edges ------------------------------------------------------

@@ -38,11 +38,11 @@ def test_lincomb_basic_algebra():
     b = LinComb.single("x", -2)
     assert (a + b).get("x") == 0
     assert "x" not in (a + b).terms
-    assert (a - a) == LinComb.zero()
+    assert (a - a) == LinComb()
     assert not (a - a)
     assert 2 * a == a + a
     assert -a == a * -1
-    assert a * 0 == LinComb.zero()
+    assert a * 0 == LinComb()
 
 
 def test_lincomb_combine_is_linear():

@@ -81,7 +81,7 @@ def tensor_phi_reference(tp, max_weight, window, alpha_bound, torsion_bound=0):
     """The skew and Jacobi checks of check_tensor_phi_axioms, by reference loops."""
     keys = [k for d in range(max_weight + 1)
             for k in tp.basis_keys(d, torsion_bound, alpha_bound)]
-    states = [tp.key_state(k) for k in keys]
+    states = [LinComb.single(k) for k in keys]
     modes = _mode_range(window)
     fmt = tp.format_state
     skew = [f"skew fails at ({fmt(u)})_{n}({fmt(v)})"
@@ -291,7 +291,7 @@ def test_jacobi_sweep_applies_each_mode_pair_once():
     """The work count of jacobi_sweep is pinned at one state_mode call per
     distinct product and per distinct (k1, k2) table key."""
     def states_of(tp):
-        return [tp.key_state(k) for d in range(2) for k in tp.basis_keys(d, 0, 1)]
+        return [LinComb.single(k) for d in range(2) for k in tp.basis_keys(d, 0, 1)]
     modes = _mode_range(1)
     ref = tensor_phi_into(heisenberg(1), "c")
     want = jacobi_table_calls(ref, states_of(ref), modes, mode_pair_keys=True)

@@ -36,7 +36,7 @@ def test_torsion_d_killed():
     vir = virasoro()
     c = vir.element("c")
     assert not vir.apply_D(c)
-    assert vir.make_element({("c", 2): 5}) == LinComb.zero()
+    assert vir.make_element({("c", 2): 5}) == LinComb()
 
 
 def test_nth_product_table_cases():
@@ -44,9 +44,9 @@ def test_nth_product_table_cases():
     L = vir.element("L")
     assert vir.nth_product(L, 0, L) == term(vir, 1, "L", 1)
     assert vir.nth_product(L, 1, L) == term(vir, 2, "L")
-    assert vir.nth_product(L, 2, L) == LinComb.zero()
+    assert vir.nth_product(L, 2, L) == LinComb()
     assert vir.nth_product(L, 3, L) == term(vir, Fraction(1, 2), "c")
-    assert vir.nth_product(L, 7, L) == LinComb.zero()
+    assert vir.nth_product(L, 7, L) == LinComb()
     with pytest.raises(InputError):
         vir.nth_product(L, -1, L)
 
@@ -57,7 +57,7 @@ def test_left_d_rule():
     L = vir.element("L")
     DL = vir.apply_D(L)
     for n in range(0, 7):
-        want = LinComb.zero() if n == 0 else -n * vir.nth_product(L, n - 1, L)
+        want = LinComb() if n == 0 else -n * vir.nth_product(L, n - 1, L)
         assert vir.nth_product(DL, n, L) == want
 
 
@@ -80,7 +80,7 @@ def test_element_weight():
     assert vir.element_weight(vir.element("L")) == 2
     assert vir.element_weight(vir.apply_D(vir.element("L"), 3)) == 5
     assert vir.element_weight(vir.element("c")) == 0
-    assert vir.element_weight(LinComb.zero()) is None
+    assert vir.element_weight(LinComb()) is None
     with pytest.raises(InputError):
         vir.element_weight(vir.element("L") + vir.element("c"))
 
