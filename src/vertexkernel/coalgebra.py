@@ -1,6 +1,6 @@
 """Coalgebra layer on vacuum modules, plus two small comparison models.
 
-A vacuum module carries Delta (subset splitting of PBW words) and eps
+A vacuum module carries Delta (every mode primitive) and eps
 (coefficient of the vacuum).  This module packages the checks that make the
 pair a cocommutative coalgebra compatible with the vertex structure —
 coassociativity, counit laws, cocommutativity, D as a coderivation, Delta
@@ -21,7 +21,6 @@ from functools import partial
 from itertools import combinations_with_replacement, product as iproduct
 from math import isqrt, lcm
 
-from .enveloping import split_sorted_word
 from .errors import InputError, UnsupportedError
 from .linalg import kernel_coefficients, rank_of, row_reduce
 from .lincomb import LinComb, binom, combination, inv_factorial
@@ -468,8 +467,13 @@ class UniversalEnveloping:
         return u.tensor(v).bind(lambda uv: self.straighten(uv[0] + uv[1]))
 
     def delta(self, state):
-        """Generators are primitive; on sorted words Delta splits subsets."""
-        return state.bind(lambda w: self.straighten(w).bind(split_sorted_word))
+        """The algebra map with every x_i primitive, multiplied out over each word."""
+        def of_word(word):
+            out = LinComb.single(((), ()))
+            for i in reversed(word):
+                out = tensor_product_through(self, LinComb({((i,), ()): 1, ((), (i,)): 1}), out)
+            return out
+        return state.bind(of_word)
 
     def eps(self, state):
         return state.get(())

@@ -26,7 +26,7 @@ from .coalgebra import (coalgebra_laws, counit_intertwining_defect,
                         delta_intertwining_defect, delta_multiplicativity_defect,
                         group_like_scan, is_group_like, primitive_basis,
                         tensor_product_through)
-from .current import Mode, mode_normalize
+from .current import Mode, mode_index, mode_normalize
 from .enveloping import (VacuumModule, jacobi_sweep, skew_sweep, sweep_defect,
                          vacuum_creation_sweep)
 from .errors import InputError, MorphismError, UnsupportedError
@@ -271,7 +271,7 @@ class TensorPhiAlgebra:
         return d.map_keys(lambda w2: (w2, al))
 
     def delta(self, state):
-        """e^alpha is group-like: both legs of the word splitting keep the tag."""
+        """e^alpha is group-like: both legs of a word's coproduct keep the tag."""
         def of_key(key):
             w, al = key
             return self.vm.delta_word(w).map_keys(lambda k: ((k[0], al), (k[1], al)))
@@ -426,7 +426,7 @@ class BL:
         al = self.semigroup.zero() if alpha is None else self.semigroup.element(alpha)
         word = []
         for g, n in modes:
-            if n >= 0:
+            if mode_index(g, n) >= 0:
                 raise InputError(f"{g}({n}): current-line modes must be negative")
             word.append(Mode(g, n))
         word.sort(key=self.vm.sort_key)

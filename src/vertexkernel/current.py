@@ -11,12 +11,14 @@ finite because the product table is.
 """
 
 from itertools import product as iproduct
+from numbers import Rational
 from typing import NamedTuple
 
+from .errors import InputError
 from .lincomb import LinComb, binom, falling
 from .report import ValidationReport
 
-__all__ = ["Mode", "mode_weight", "mode_normalize", "bracket", "bracket_combo",
+__all__ = ["Mode", "mode_index", "mode_weight", "mode_normalize", "bracket", "bracket_combo",
            "check_lie_axioms"]
 
 
@@ -26,6 +28,13 @@ class Mode(NamedTuple):
 
     def __str__(self):
         return f"{self.gen}({self.n})"
+
+
+def mode_index(gen, n):
+    """The index of a mode gen(n) as an int; an integral float or a bool reads as that int."""
+    if isinstance(n, Rational) and n.denominator == 1 or isinstance(n, float) and n.is_integer():
+        return int(n)
+    raise InputError(f"{gen}({n!r}): a mode index must be an integer")
 
 
 def mode_weight(pres, mode):

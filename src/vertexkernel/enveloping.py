@@ -5,45 +5,34 @@ g(n), n <= -1, sorted by |n| descending, ties by generator index, torsion
 modes last, acting on the vacuum |0>.  Inside a module each word is an
 integer id (VacuumModule says how), so states are LinCombs over ids.  A mode
 acts on a basis word by insertion: it moves past each letter that sorts before
-it, adding the current-algebra bracket with that letter, and straightening an
-arbitrary word applies its modes to the vacuum from right to left.  Vertex
-operator modes of arbitrary states are computed by the iterate recursion
+it, adding the current-algebra bracket with that letter.  Straightening, D and
+Delta fill a word's suffixes from the shortest up: with h the head and w the
+rest, straighten(h·w) = h·straighten(w), D(h·w) = [D, h]·w + h·D(w) and
+Delta(h·w) = (h(x)1 + 1(x)h)·Delta(w).  Vertex operator modes of arbitrary
+states are computed by the iterate recursion
 
     (a(m)w)_n = sum_i (-1)^i binom(m,i) [ a(m-i) (w_{n+i} v)
                                           - (-1)^m  w_{m+n-i} (a(i) v) ],
 
 whose i-sums terminate by the weight grading (every PBW word has weight
->= 0, so u_n v = 0 once n > wt u + wt v - 1).  All recursions are memoized
-per module instance.  The private per-word methods return the shared memo
-entries, which must not be mutated; the public methods return fresh states.
+>= 0, so u_n v = 0 once n > wt u + wt v - 1).  Memos are per module: private
+per-word methods return shared entries, never to be mutated, public ones fresh states.
 """
 
 from functools import partial
-from itertools import chain, groupby, product as iproduct
+from itertools import chain, product as iproduct
 from math import factorial
 
-from .current import Mode, bracket, mode_normalize, mode_weight
-from .errors import InputError, UnsupportedError
+from .current import Mode, bracket, mode_index, mode_normalize, mode_weight
+from .errors import UnsupportedError
 from .lincomb import ClearedSum, LinComb, binom, cleared, inv_factorial, sign_pow
 from .report import CaseBlocks, ValidationReport
 
-__all__ = ["VacuumModule", "split_sorted_word", "skew_defect_on", "commutator_defect_on",
-           "jacobi_defect_on", "vacuum_creation_sweep", "skew_sweep", "commutator_sweep",
-           "jacobi_sweep", "sweep_defect"]
+__all__ = ["VacuumModule", "skew_defect_on", "commutator_defect_on", "jacobi_defect_on",
+           "vacuum_creation_sweep", "skew_sweep", "commutator_sweep", "jacobi_sweep",
+           "sweep_defect"]
 
 _ZERO = LinComb()
-
-
-def split_sorted_word(word):
-    """Subset splittings of a sorted word, as a LinComb over (left, right) pairs.
-    Runs of equal letters give binomials; subwords of a sorted word are sorted,
-    so no straightening occurs."""
-    out = LinComb.single(((), ()))
-    for run, letters in groupby(word):
-        count = len(tuple(letters))
-        out = out.bind(lambda k: LinComb({(k[0] + (run,) * a, k[1] + (run,) * (count - a)):
-                                          binom(count, a) for a in range(count + 1)}))
-    return out
 
 
 class _WordTable:
@@ -92,25 +81,21 @@ class VacuumModule:
         self._mode_ids = {}   # Mode -> mode id, for this presentation
         self._runs = {}       # mode id -> its _mode_runs lists
         self._bracket = {}
-        self._straight = {}
         self._apply = {}
         self._smode = {}
-        self._dword = {}
-        self._delta = {}
+        self._straight = {0: LinComb.single(0)}
+        self._dword = {0: _ZERO}
+        self._delta = {0: LinComb.single((0, 0))}
 
     # -- the word and mode tables -------------------------------------------------
 
     def mode_id(self, mode):
-        """The id of a mode, given as a Mode or a (gen, n) pair; n must be
-        integral, and an integral float or a bool reads as that int."""
+        """The id of a mode, given as a Mode or a (gen, n) pair (n read by mode_index)."""
         i = self._mode_ids.get(mode)
         if i is None:
-            gen, n = mode
-            if n != int(n):
-                raise InputError(f"{gen}({n}): a mode index must be an integer")
-            mode = Mode(gen, int(n))
+            mode = Mode(mode[0], mode_index(*mode))
             wt = mode_weight(self.pres, mode)
-            torsion, index = self.pres.is_torsion(gen), self.pres.gen_index(gen)
+            torsion, index = self.pres.is_torsion(mode.gen), self.pres.gen_index(mode.gen)
             t = _WORDS
             key = (mode, wt, torsion, index)
             i = t.mode_ids.get(key)
@@ -216,20 +201,23 @@ class VacuumModule:
     def _act(self, mode, state):
         return state.bind(partial(self._apply_word, mode))
 
+    def _fill(self, memo, word, step):
+        """memo[word] for a per-word map seeded at the empty word, with memo[h·w] =
+        step(h, w, memo[w]) filled for the missing suffixes from the shortest up."""
+        out = memo.get(word)
+        if out is None:
+            head, rest, missing, w = self._head, self._rest, [], word
+            while w not in memo:
+                missing.append(w)
+                w = rest[w]
+            for w in reversed(missing):
+                out = memo[w] = step(head[w], rest[w], memo[rest[w]])
+        return out
+
     def straighten(self, word):
         """Rewrite a word id (negative modes in any order) into the PBW basis: its
         modes act on the vacuum from right to left."""
-        out = self._straight.get(word)
-        if out is None:
-            modes, w = [], word
-            while w:
-                modes.append(self._head[w])
-                w = self._rest[w]
-            out = self.vacuum()
-            for mode in reversed(modes):
-                out = self._act(mode, out)
-            self._straight[word] = out
-        return LinComb(out.terms)
+        return LinComb(self._fill(self._straight, word, lambda h, w, s: self._act(h, s)).terms)
 
     def mode_apply(self, gen, n, state):
         """The current-algebra action g(n) on a state."""
@@ -242,17 +230,13 @@ class VacuumModule:
     # -- translation operator ------------------------------------------------
 
     def _d_word(self, word):
-        out = self._dword.get(word)
-        if out is None:
-            out = LinComb()
-            w = self._words[word]
-            for i, m in enumerate(w):
-                if self.pres.is_torsion(m.gen):
-                    continue  # [D, c(-1)] = 0
-                shifted = self.word_id(w[:i] + (Mode(m.gen, m.n - 1),) + w[i + 1:])
-                out.add_into(self.straighten(shifted), -m.n)
-            self._dword[word] = out
-        return out
+        """D of a PBW word id, [D, g(m)] = -m g(m-1); a torsion head's shift is dead."""
+        def step(h, w, d_rest):
+            g, m = self._modes[h]
+            out = self._act(h, d_rest)
+            out.add_into(self._apply_word(self.mode_id((g, m - 1)), w), -m)
+            return out
+        return self._fill(self._dword, word, step)
 
     def D(self, state, power=1):
         for _ in range(power):
@@ -322,14 +306,16 @@ class VacuumModule:
     # -- coproduct and counit ----------------------------------------------------
 
     def delta_word(self, word):
-        """Coproduct of a PBW word id, over pairs of word ids: every mode is
-        primitive, so Delta splits the word over position subsets
-        (split_sorted_word)."""
-        out = self._delta.get(word)
-        if out is None:
-            out = self._delta[word] = split_sorted_word(self._words[word]).map_keys(
-                lambda k: (self.word_id(k[0]), self.word_id(k[1])))
-        return out
+        """Coproduct of a PBW word id over pairs of word ids, every mode primitive:
+        Delta(h·w) = (h(x)1 + 1(x)h)·Delta(w), h prepended to legs it sorts before."""
+        def step(h, w, delta_rest):
+            # written out: as a bind, Delta of h(-1)^1500|0> 4.1 s against 1.5 s; none cancels
+            prepend, terms = self._prepend, {}
+            for (a, b), c in delta_rest.items():
+                for k in ((prepend(h, a), b), (a, prepend(h, b))):
+                    terms[k] = terms.get(k, 0) + c
+            return LinComb._raw(terms)
+        return self._fill(self._delta, word, step)
 
     def delta(self, state):
         return state.bind(self.delta_word)

@@ -246,7 +246,7 @@ class Presentation:
                         bad = bad or f"({lu})_{n}(D {lv})"
                     if via_skew != base - shift:
                         minus_ok = False
-        detail = ("plus rule consistent"
+        detail = ("plus rule " + ("consistent" if plus_ok else "inconsistent")
                   + ("; minus variant also holds (degenerate table)" if minus_ok else "; minus variant fails"))
         rep.add("d-rule-sign", plus_ok, witness="" if plus_ok else bad, details=detail)
         return rep

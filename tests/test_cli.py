@@ -349,7 +349,7 @@ SNAPSHOTS = {
                    "phi": H_PHI}, 1, 1, 0,
                   "1b8b768ed3260cddab2cadad803b3f1048f8d16cb9e154ab135eff8e9e80a1a2"),
     "virasoro-doubled-l0": (VIR_DOUBLED_L0, 2, 1, 1,
-                            "1f0224ca826cc07210627c72ab228f7721968a04efd5112f354af4d6f6271e57"),
+                            "20155105358a90fa37192b28033e0434d26aff8e69602e7ea3354071d1c70e57"),
     "heisenberg-phi-h": ({"presentation": HEIS, "semigroup": {"rank": 1, "group": True},
                           "phi": H_PHI}, 1, 1, 1,
                          "2f89c3a7d9a3fb84e312ad190308fe62185fd3dd265cb18c0f2eb36be5b7b292"),

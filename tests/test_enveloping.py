@@ -186,6 +186,17 @@ def test_mode_indices_must_be_integral(n):
             assert type(mode.n) is int and str(mode) == f"L({int(n)})"
 
 
+@pytest.mark.parametrize("n", ["x", float("nan"), None, "-1"],
+                         ids=["x", "nan", "None", "str-1"])
+def test_non_numeric_mode_indices_are_input_errors(n):
+    # one rule for the vacuum module's modes and B_L's monomials, before any sign test
+    vm = VacuumModule(virasoro())
+    with pytest.raises(InputError, match=r"^L\(.*\): a mode index must be an integer$"):
+        vm.mode_apply("L", n, vm.vacuum())
+    with pytest.raises(InputError, match=r"^h\(.*\): a mode index must be an integer$"):
+        BL(SemigroupL(1)).monomial([("h", n)])
+
+
 def test_torsion_mode_guard():
     vm = VacuumModule(virasoro())
     assert not vm.mode_apply("c", 0, vm.vacuum())

@@ -112,6 +112,14 @@ def perturbed_virasoro(n, key, coeff):
     return Presentation([Generator("L", 2), Generator("c", 0, torsion=True)], base)
 
 
+def test_d_rule_sign_failure_says_the_plus_rule_is_inconsistent():
+    # (L)_0(L) doubled: the skew-symmetry route no longer agrees with the plus rule
+    d = {c.check_id: c for c in perturbed_virasoro(0, ("L", 1), 2).validate().checks}
+    assert not d["d-rule-sign"].passed
+    assert d["d-rule-sign"].witness == "(L)_1(D L)"
+    assert d["d-rule-sign"].details.startswith("plus rule inconsistent; ")
+
+
 def test_validate_catches_scaling_of_pinned_coefficients():
     # the two non-central coefficients are pinned by skew-symmetry/half-Jacobi
     for coeff in [0, 2, -1, Fraction(1, 2)]:
