@@ -20,6 +20,7 @@ refuse inconsistent data with a witness.
 
 from fractions import Fraction
 from itertools import chain, product as iproduct
+from math import lcm
 
 from .coalgebra import (coalgebra_laws, counit_intertwining_defect,
                         counit_multiplicativity_defect, d_coderivation_defect,
@@ -30,7 +31,7 @@ from .current import Mode, mode_index, mode_normalize
 from .enveloping import (VacuumModule, jacobi_sweep, skew_sweep, sweep_defect,
                          vacuum_creation_sweep)
 from .errors import InputError, MorphismError, UnsupportedError
-from .lincomb import LinComb, binom, combination, inv_factorial
+from .lincomb import ClearedSum, LinComb, binom, cleared, combination, inv_factorial
 from .report import ValidationReport
 from .serialize import format_alpha, format_diff_key
 from .vla import abelian
@@ -230,10 +231,11 @@ class TensorPhiAlgebra:
             self._eminus[key] = ts
         return ts[k]
 
-    def _key_mode(self, vw, al, m, ww, be):
-        """sum_k E_k(phi(al)) (vw_{m+k} ww) (x) e^{al+be}, with E_k applied
-        word by word: it is linear and does not depend on be."""
-        key = (vw, al, m, ww, be)
+    def _key_mode(self, vw, al, m, ww):
+        """sum_k E_k(phi(al)) (vw_{m+k} ww) in cleared form (den, {word id: int}),
+        with E_k applied word by word.  The right key's tag be only relabels the
+        words as e^{al+be}, so it is not part of the memo key."""
+        key = (vw, al, m, ww)
         out = self._kmode.get(key)
         if out is not None:
             return out
@@ -242,18 +244,32 @@ class TensorPhiAlgebra:
         for k in range(0, self.vm.word_weight(vw) + self.vm.word_weight(ww) - m):
             for x, c in self.vm._state_mode_word(vw, m + k, ww).items():
                 acc.add_into(self._eminus_word(al, x, k), c)
-        gamma = self.semigroup.add(al, be)
-        out = acc.map_keys(lambda w2: (w2, gamma))
-        self._kmode[key] = out
+        out = self._kmode[key] = cleared(acc)
         return out
 
-    def state_mode(self, u, m, w):
-        # written out: as u.tensor(w).bind(...), heisenberg_centre check --suite all: +18 %
-        out = LinComb()
+    def cleared_mode(self, u, m, w):
+        """u_m w in cleared form (den, {(word id, tag): int}); numerators may be 0.
+        The key modes are summed in one ClearedSum per target tag al+be."""
+        add, sums = self.semigroup.add, {}
         for (vw, al), cu in u.items():
             for (ww, be), cw in w.items():
-                out.add_into(self._key_mode(vw, al, m, ww, be), cu * cw)
-        return out
+                den, ints = self._key_mode(vw, al, m, ww)
+                if ints:
+                    ga = add(al, be)
+                    acc = sums.get(ga)
+                    if acc is None:
+                        acc = sums[ga] = ClearedSum()
+                    c = cu * cw
+                    acc.add((den * c.denominator, ints), c.numerator)
+        den = lcm(*(acc.den for acc in sums.values()))
+        return den, {(x, ga): n * (den // acc.den)
+                     for ga, acc in sums.items() for x, n in acc.nums.items()}
+
+    def state_mode(self, u, m, w):
+        """u_m w, from cleared_mode: zeros dropped, integral coefficients as ints."""
+        den, nums = self.cleared_mode(u, m, w)
+        return LinComb._raw({k: n // den if n % den == 0 else Fraction(n, den)
+                             for k, n in nums.items() if n})
 
     def product(self, u, w):
         """The (-1)-mode; an honest product when the algebra is commutative."""
@@ -410,6 +426,8 @@ class BL:
         self.pres = abelian(semigroup.rank)
         self.vm = VacuumModule(self.pres)
         self.names = [g.name for g in self.pres.generators]
+        self._dkey = {}   # key -> del of it
+        self._pkey = {}   # (key, key) -> their product
 
     # The state bookkeeping is V (x)_phi C[L]'s on the same keys, aliased rather
     # than inherited: product, D, state_mode, delta and eps are B_L's own and
@@ -441,28 +459,38 @@ class BL:
         return self.vm.word_id(sorted(modes, key=self.vm.sort_key))
 
     def product(self, u, v):
-        word = self.vm.word
+        return u.tensor(v).bind(self._product_key)
 
-        def of_pair(key):
-            (w1, a), (w2, b) = key
-            return LinComb.single((self._sorted_id(word(w1) + word(w2)), self.semigroup.add(a, b)))
-        return u.tensor(v).bind(of_pair)
+    def _product_key(self, pair):
+        """The product of a pair of keys, memoised per pair."""
+        out = self._pkey.get(pair)
+        if out is None:
+            (w1, a), (w2, b) = pair
+            out = self._pkey[pair] = LinComb.single(
+                (self._sorted_id(self.vm.word(w1) + self.vm.word(w2)), self.semigroup.add(a, b)))
+        return out
 
     def D(self, state, power=1):
         """The derivation del."""
         for _ in range(power):
-            out = LinComb()
-            for (w, al), c in state.items():
-                w = self.vm.word(w)
-                for i, m in enumerate(w):
-                    bumped = self._sorted_id(w[:i] + (Mode(m.gen, m.n - 1),) + w[i + 1:])
-                    out.add_into(LinComb.single((bumped, al)), -m.n * c)
-                for j, a in enumerate(al):
-                    if a:
-                        w2 = self._sorted_id(w + (Mode(self.names[j], -1),))
-                        out.add_into(LinComb.single((w2, al)), a * c)
-            state = out
+            state = state.bind(self._d_key)
         return state
+
+    def _d_key(self, key):
+        """del of a key, memoised per key."""
+        out = self._dkey.get(key)
+        if out is None:
+            w, al = key
+            w = self.vm.word(w)
+            out = self._dkey[key] = LinComb()
+            for i, m in enumerate(w):
+                bumped = self._sorted_id(w[:i] + (Mode(m.gen, m.n - 1),) + w[i + 1:])
+                out.add_into(LinComb.single((bumped, al)), -m.n)
+            for j, a in enumerate(al):
+                if a:
+                    w2 = self._sorted_id(w + (Mode(self.names[j], -1),))
+                    out.add_into(LinComb.single((w2, al)), a)
+        return out
 
     def state_mode(self, u, n, v):
         return borcherds_mode(self, u, n, v)

@@ -303,6 +303,10 @@ class VacuumModule:
                 out.add_into(self._state_mode_word(uw, n, vw), cu * cv)
         return out
 
+    def cleared_mode(self, u, n, v):
+        """u_n v in cleared form (lincomb.cleared)."""
+        return cleared(self.state_mode(u, n, v))
+
     # -- coproduct and counit ----------------------------------------------------
 
     def delta_word(self, word):
@@ -441,7 +445,9 @@ class VacuumModule:
 
 # -- identity defects, generic over mode algebras -------------------------------------
 # alg provides state_mode(u, n, v), state_weight(state) and (for skew) D(state, power);
-# state_weight must bound truncation: u_n v = 0 once n > wt(u) + wt(v) - 1.
+# state_weight must bound truncation: u_n v = 0 once n > wt(u) + wt(v) - 1.  The sweeps
+# below also take cleared_mode(u, n, v): u_n v as (den, {key: int}), the form of
+# lincomb.cleared, except that numerators may be 0.
 
 
 def skew_defect_on(alg, u, n, v):
@@ -498,9 +504,10 @@ def jacobi_defect_on(alg, u, v, w, p, q, r):
 # instance, in the loop order of the defect's arguments (states outermost, modes
 # innermost), as the defect's argument tuple followed by its defect, for
 # ValidationReport.tally to count with sweep_defect as the defect.  Subterms shared
-# between instances are evaluated once and tabulated in cleared form (lincomb.cleared),
-# and each defect is the exact sum, in a fresh ClearedSum, of the same terms with the
-# same coefficients as its *_defect_on reference: it is zero iff that reference is.
+# between instances are evaluated once and tabulated in cleared form (alg.cleared_mode,
+# or lincomb.cleared of a product), and each defect is the exact sum, in a fresh
+# ClearedSum, of the same terms with the same coefficients as its *_defect_on
+# reference, less those whose coefficient is 0: it is zero iff that reference is.
 
 _NIL = (1, {})  # the cleared zero state
 
@@ -531,7 +538,7 @@ def _products(alg, states):
 
 def _cleared_mode(alg, x, k, y):
     """x_k y in cleared form, or the cleared zero when x or y is zero."""
-    return cleared(alg.state_mode(x, k, y)) if x and y else _NIL
+    return alg.cleared_mode(x, k, y) if x and y else _NIL
 
 
 def skew_sweep(alg, states, modes):
@@ -576,7 +583,7 @@ def commutator_sweep(alg, states, modes):
                         vnw, umw = prod[b, n, c], prod[a, m, c]
                         acc = ClearedSum(_cleared_mode(alg, u, m, vnw))
                         if umw:
-                            acc.add(cleared(alg.state_mode(v, n, umw)), -1)
+                            acc.add(alg.cleared_mode(v, n, umw), -1)
                         for j in range(0, jmax):
                             bj = bmj[j]
                             if bj:
@@ -591,11 +598,15 @@ def jacobi_sweep(alg, states, modes):
     """jacobi_defect_on(alg, u, v, w, p, q, r) for u, v, w in states and p, q, r in modes."""
     prod = _products(alg, states)
     weights = [alg.state_weight(s) for s in states]
-    # the coefficient of the i-th term of each sum: ca[p][i], cb[p][i] and cc[q][i]
+    # the coefficient of the i-th term of each sum: ca[p][i], cb[p][i] and cc[q][i].
+    # binom(-p-1, i) = 0 for p < 0 and i >= -p, and binom(q+i, i) = 0 for q < 0 and
+    # i >= -q, so the sums over ca[p] and cb[p] stop before stop[p], that over cc[q]
+    # before stop[q], and no table entry is filled for a zero coefficient.
     irange = range(2 * max(weights, default=0) + max(modes, default=0) + 1)
     ca = {p: [sign_pow(i) * binom(-p - 1, i) for i in irange] for p in modes}
     cb = {p: [sign_pow(p + i) * binom(-p - 1, i) for i in irange] for p in modes}
     cc = {q: [-sign_pow(i) * binom(q + i, i) for i in irange] for q in modes}
+    stop = {p: -p if p < 0 else len(irange) for p in modes}
 
     def block(a):
         u, wu = states[a], weights[a]
@@ -615,15 +626,15 @@ def jacobi_sweep(alg, states, modes):
                         ccq = cc[q]
                         for r in modes:
                             acc = ClearedSum()
-                            for i in range(0, max(wv + ww + r, -1) + 1):
+                            for i in range(min(wv + ww + r + 1, stop[p])):
                                 t = ta[-p - q - i - 2, i - r - 1]
                                 if t[1]:
                                     acc.add(t, cap[i])
-                            for i in range(0, max(wu + ww + q, -1) + 1):
+                            for i in range(min(wu + ww + q + 1, stop[p])):
                                 t = tb[-p - r - i - 2, i - q - 1]
                                 if t[1]:
                                     acc.add(t, cbp[i])
-                            for i in range(0, max(wu + wv + p, -1) + 1):
+                            for i in range(min(wu + wv + p + 1, stop[q])):
                                 t = tc[i - p - 1, -q - r - i - 2]
                                 if t[1]:
                                     acc.add(t, ccq[i])

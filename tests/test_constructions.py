@@ -382,6 +382,59 @@ def test_bl_derivation_values():
     assert bl.D(bl.monomial([("h", -1)]), 2) == KS(bl, W(("h", -3)), (0,), 2)
 
 
+def tuple_sorting_product(bl, u, v):
+    """B_L's product as computed before it was memoised: each pair of keys
+    concatenates and sorts its two words."""
+    word = bl.vm.word
+
+    def of_pair(key):
+        (w1, a), (w2, b) = key
+        return LinComb.single((bl._sorted_id(word(w1) + word(w2)), bl.semigroup.add(a, b)))
+    return u.tensor(v).bind(of_pair)
+
+
+def tuple_sorting_d(bl, state, power=1):
+    """B_L's del as computed before it was memoised: each key's word is bumped
+    letter by letter and sorted, on every call."""
+    for _ in range(power):
+        out = LinComb()
+        for (w, al), c in state.items():
+            w = bl.vm.word(w)
+            for i, m in enumerate(w):
+                bumped = bl._sorted_id(w[:i] + (Mode(m.gen, m.n - 1),) + w[i + 1:])
+                out.add_into(LinComb.single((bumped, al)), -m.n * c)
+            for j, a in enumerate(al):
+                if a:
+                    w2 = bl._sorted_id(w + (Mode(bl.names[j], -1),))
+                    out.add_into(LinComb.single((w2, al)), a * c)
+        state = out
+    return state
+
+
+@pytest.fixture(scope="module")
+def bls():
+    """B_L of rank 1 and 2, each with its keys of weight <= 3 and |alpha| <= 2,
+    shared by all examples so that the memos are reused."""
+    algebras = [BL(SemigroupL(1)), BL(SemigroupL(2))]
+    return [(bl, [k for d in range(4) for k in bl.basis_keys(d, alpha_bound=2)])
+            for bl in algebras]
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.integers(0, 1), data=st.data(), power=st.integers(1, 3))
+def test_bl_memos_match_the_tuple_sorting_maps(bls, which, data, power):
+    """The memoised del (at powers 1-3) and product agree with the maps that sort
+    the words of every key on every call."""
+    bl, keys = bls[which]
+    u, v = (LinComb.single(data.draw(st.sampled_from(keys)), data.draw(_RATIONALS))
+            for _ in range(2))
+    assert bl.D(u, power) == tuple_sorting_d(bl, u, power)
+    assert bl.product(u, v) == tuple_sorting_product(bl, u, v)
+    w = u + v
+    assert bl.D(w, power) == tuple_sorting_d(bl, w, power)
+    assert bl.product(w, u) == tuple_sorting_product(bl, w, u)
+
+
 def test_bl_bar_state_rank_two():
     bl = BL(SemigroupL(2))
     got = bl.bar_state((1, 2))

@@ -6,11 +6,13 @@ the *_defect_on functions, in the original loop order and with the original
 witness strings, and asserts that the report JSON is identical: on passing
 algebras, and on failing ones where the witness and the (+N more) count are
 pinned.  The work count of jacobi_sweep is pinned at one state_mode call per
-distinct product and (k1, k2) table key.  The vacuum axioms fail on purpose on an
-algebra with shifted modes at the vacuum, which pins the order of their three laws.
-A Hypothesis test checks the E^- memo behind TensorPhiAlgebra's modes against the
-direct sum over k of eminus_apply.  The four sweep checkers give the same reports
-with 1, 2 and 3 usable CPUs, that is, serially and over forked workers.
+distinct product and one cleared_mode call per (k1, k2) table key with a nonzero
+coefficient.  The vacuum axioms fail on purpose on an algebra with shifted modes
+at the vacuum, which pins the order of their three laws.  Hypothesis tests check
+the E^- memo behind TensorPhiAlgebra's modes against the direct sum over k of
+eminus_apply, and its cleared_mode and state_mode against the modes computed over
+tagged keys.  The four sweep checkers give the same reports with 1, 2 and 3
+usable CPUs, that is, serially and over forked workers.
 """
 
 from fractions import Fraction
@@ -25,7 +27,7 @@ from vertexkernel.constructions import (PhiMap, SemigroupL, TensorPhiAlgebra,
 from vertexkernel.enveloping import (VacuumModule, commutator_defect_on,
                                      commutator_sweep, jacobi_defect_on,
                                      jacobi_sweep, skew_defect_on, skew_sweep)
-from vertexkernel.lincomb import LinComb
+from vertexkernel.lincomb import LinComb, binom
 from vertexkernel.report import ValidationReport
 from vertexkernel.vla import Generator, Presentation, abelian, heisenberg, virasoro
 
@@ -247,11 +249,11 @@ def test_tensor_phi_sweeps_fail_like_the_reference():
 
 
 def jacobi_table_calls(tp, states, modes, mode_pair_keys):
-    """state_mode calls of a Jacobi sweep that tabulates its three terms per (u, v, w):
-    one per distinct product states[i]_k states[j], plus one per table entry whose
-    inner product is nonzero.  The entries are keyed by the two modes applied,
-    (k1, k2), or, with mode_pair_keys false, by (p+q, i, r), (p+r, i, q) and
-    (p, i, q+r)."""
+    """Mode-product evaluations of a Jacobi sweep that tabulates its three terms per
+    (u, v, w): one per distinct product states[i]_k states[j], plus one per table
+    entry whose coefficient and inner product are nonzero.  The entries are keyed by
+    the two modes applied, (k1, k2), or, with mode_pair_keys false, by (p+q, i, r),
+    (p+r, i, q) and (p, i, q+r)."""
     weights = [tp.state_weight(s) for s in states]
     nonzero = {}
 
@@ -273,44 +275,53 @@ def jacobi_table_calls(tp, states, modes, mode_pair_keys):
                         for r in modes:
                             for i in range(max(wv + ww + r, -1) + 1):
                                 key = (-p - q - i - 2, i - r - 1)
-                                ta.add((key if mode_pair_keys else (p + q, i, r),
-                                        (b, i - r - 1, c)))
+                                if binom(-p - 1, i):
+                                    ta.add((key if mode_pair_keys else (p + q, i, r),
+                                            (b, i - r - 1, c)))
                             for i in range(max(wu + ww + q, -1) + 1):
                                 key = (-p - r - i - 2, i - q - 1)
-                                tb.add((key if mode_pair_keys else (p + r, i, q),
-                                        (a, i - q - 1, c)))
+                                if binom(-p - 1, i):
+                                    tb.add((key if mode_pair_keys else (p + r, i, q),
+                                            (a, i - q - 1, c)))
                             for i in range(max(wu + wv + p, -1) + 1):
                                 key = (i - p - 1, -q - r - i - 2)
-                                tc.add((key if mode_pair_keys else (p, i, q + r),
-                                        (a, i - p - 1, b)))
+                                if binom(q + i, i):
+                                    tc.add((key if mode_pair_keys else (p, i, q + r),
+                                            (a, i - p - 1, b)))
                 entries += sum(inner(k) for table in (ta, tb, tc) for _, k in table)
     return len(nonzero) + entries
 
 
 def test_jacobi_sweep_applies_each_mode_pair_once():
-    """The work count of jacobi_sweep is pinned at one state_mode call per
-    distinct product and per distinct (k1, k2) table key."""
+    """The work count of jacobi_sweep is pinned at one state_mode call per distinct
+    product and one cleared_mode call per distinct (k1, k2) table key whose
+    coefficient is nonzero.  state_mode goes through cleared_mode, so cleared_mode
+    is called once per product and once per entry."""
     def states_of(tp):
         return [LinComb.single(k) for d in range(2) for k in tp.basis_keys(d, 0, 1)]
     modes = _mode_range(1)
     ref = tensor_phi_into(heisenberg(1), "c")
     want = jacobi_table_calls(ref, states_of(ref), modes, mode_pair_keys=True)
-    # the (p+q, i, r), (p+r, i, q), (p, i, q+r) keys cost 13338 calls here
+    # the (p+q, i, r), (p+r, i, q), (p, i, q+r) keys cost 11988 calls here
     assert want < jacobi_table_calls(ref, states_of(ref), modes, mode_pair_keys=False)
 
     tp = tensor_phi_into(heisenberg(1), "c")
-    calls = []
-    state_mode = tp.state_mode
+    products, cleared = [], []
 
-    def counted(u, n, w):
-        calls.append(n)
-        return state_mode(u, n, w)
-    tp.state_mode = counted
+    def counting(method, calls):
+        def counted(u, n, w):
+            calls.append(n)
+            return method(u, n, w)
+        return counted
+    tp.cleared_mode = counting(tp.cleared_mode, cleared)
+    tp.state_mode = counting(tp.state_mode, products)
     states = states_of(tp)
     cases = list(jacobi_sweep(tp, states, modes))
     assert len(cases) == len(states) ** 3 * len(modes) ** 3
     assert failing_cases(cases) == []
-    assert len(calls) == want == 8586
+    entries = len(cleared) - len(products)
+    assert (len(products), entries) == (108, 8316)
+    assert len(products) + entries == want == 8424
 
 
 @pytest.mark.parametrize("from_n, want", [
@@ -354,11 +365,87 @@ def twisted():
 @given(which=st.integers(0, 1), data=st.data(),
        al=st.integers(-3, 3), be=st.integers(-3, 3), m=st.integers(-5, 3))
 def test_key_mode_memo_matches_direct_eminus(twisted, which, data, al, be, m):
+    """The mode of two keys matches the direct sum, and the memo behind it is
+    keyed without the right tag: a second right tag adds no entry."""
     tp, words = twisted[which]
     vw = data.draw(st.sampled_from(words))
     ww = data.draw(st.sampled_from(words))
-    got = tp._key_mode(vw, (al,), m, ww, (be,))
+    u = LinComb.single((vw, (al,)))
+    got = tp.state_mode(u, m, LinComb.single((ww, (be,))))
     assert got == direct_key_mode(tp, vw, (al,), m, ww, (be,))
+    entries = len(tp._kmode)
+    tp.state_mode(u, m, LinComb.single((ww, (be + 1,))))
+    assert len(tp._kmode) == entries
+
+
+# -- cleared_mode against the tagged modes ------------------------------------------------
+
+
+def tagged_key_mode(tp, vw, al, m, ww, be):
+    """sum_k E_k(phi(al)) (vw_{m+k} ww) (x) e^{al+be} as a LinComb over tagged keys,
+    the right tag be part of the product: the modes as computed before they were
+    cleared and keyed without be."""
+    acc = LinComb()
+    for k in range(0, tp.vm.word_weight(vw) + tp.vm.word_weight(ww) - m):
+        for x, c in tp.vm._state_mode_word(vw, m + k, ww).items():
+            acc.add_into(tp._eminus_word(al, x, k), c)
+    gamma = tp.semigroup.add(al, be)
+    return acc.map_keys(lambda w2: (w2, gamma))
+
+
+def tagged_state_mode(tp, u, m, w):
+    out = LinComb()
+    for (vw, al), cu in u.items():
+        for (ww, be), cw in w.items():
+            out.add_into(tagged_key_mode(tp, vw, al, m, ww, be), cu * cw)
+    return out
+
+
+@pytest.fixture(scope="module")
+def twists():
+    """The tensor algebras of the cleared_mode test, each with its keys of weight
+    <= 2 and |alpha| <= 2: Heisenberg (x)_phi C[Z] with phi = c, over Z^2 with
+    phi = (c, c/2) and over the non-group N, and the abelian algebra with phi = h."""
+    heis, ab = heisenberg(1), abelian(1)
+    c = heis.element("c")
+
+    def tensor(pres, semigroup, targets):
+        return TensorPhiAlgebra(VacuumModule(pres), semigroup, PhiMap(pres, targets))
+    algebras = [tensor(heis, SemigroupL(1), [c]),
+                tensor(heis, SemigroupL(2), [c, Fraction(1, 2) * c]),
+                tensor(heis, SemigroupL(1, group=False), [c]),
+                tensor(ab, SemigroupL(1), [ab.element("h")])]
+    return [(tp, [k for d in range(3) for k in tp.basis_keys(d, 1, 2)]) for tp in algebras]
+
+
+def random_state(data, keys):
+    """A state of one to three keys, possibly of different tags, with rational
+    coefficients."""
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(keys),
+                                         st.fractions(-3, 3, max_denominator=4)),
+                               min_size=1, max_size=3))
+    out = LinComb()
+    for key, c in terms:
+        out.add_into(LinComb.single(key, c))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.integers(0, 3), data=st.data(), m=st.integers(-4, 2))
+def test_cleared_mode_matches_the_tagged_modes(twists, which, data, m):
+    """cleared_mode's numerators over its denominator, and state_mode, are the
+    tagged reference's u_m w, with every coefficient of state_mode an int when it
+    is integral."""
+    tp, keys = twists[which]
+    u, w = random_state(data, keys), random_state(data, keys)
+    want = tagged_state_mode(tp, u, m, w)
+    den, nums = tp.cleared_mode(u, m, w)
+    assert type(den) is int and den > 0
+    assert all(type(n) is int for n in nums.values())
+    assert LinComb({k: Fraction(n, den) for k, n in nums.items()}) == want
+    got = tp.state_mode(u, m, w)
+    assert got == want
+    assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
 
 
 # -- the sweeps over forked workers ---------------------------------------------------
