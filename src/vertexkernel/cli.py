@@ -112,8 +112,9 @@ class _Run:
 
 def _coalgebra(run):
     rep = check_coalgebra(run.vm, max_weight=run.mw(5), torsion_bound=run.tb)
-    return rep.merge(check_delta_morphism(run.vm, max_weight=run.mw(3), window=run.win(3),
-                                          torsion_bound=run.tb))
+    w = run.win(3)
+    return rep.merge(check_delta_morphism(run.vm, run.vm.basis_states(run.mw(3), run.tb),
+                                          range(-w, w + 1)))
 
 
 def _tensor_phi(run):

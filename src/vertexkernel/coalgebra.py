@@ -196,7 +196,7 @@ def coalgebra_laws(obj, states, subject):
 def check_coalgebra(vm, max_weight=5, torsion_bound=1):
     """Coassociativity, counit laws, cocommutativity and the D-coderivation
     rule on all basis states up to max_weight."""
-    states = vm._graded_basis_states(max_weight, torsion_bound)
+    states = vm.basis_states(max_weight, torsion_bound)
     return coalgebra_laws(vm, states, "coalgebra").tally(
         "d-coderivation", zip(states), lambda s: d_coderivation_defect(vm, s),
         lambda s: f"Delta(Du) != (D(x)1 + 1(x)D)Delta(u) at {vm.format_state(s)}")
@@ -232,16 +232,19 @@ def check_multiplicative(rep, check_id, alg, pairs):
                      lambda uv, law: f"{law[0]} not multiplicative")
 
 
-def delta_intertwining_defect(source, target, image_of_key, s, img):
-    """Delta f(s) - (f (x) f) Delta s, for the linear map f given on basis keys by
-    image_of_key; img is f(s)."""
-    return target.delta(img) - source.delta(s).bind(
-        lambda k: image_of_key(k[0]).tensor(image_of_key(k[1])))
+def intertwining_laws(rep, ids, source, target, image_of_key, states, images):
+    """Tally into rep, as the check ids ids[0] and ids[1], Delta f(s) = (f (x) f) Delta s
+    and then eps f(s) = eps s for each s in states, its image f(s) the matching
+    entry of images; f is the linear map given on basis keys by image_of_key."""
+    fmt = source.format_state
 
-
-def counit_intertwining_defect(source, target, s, img):
-    """eps f(s) - eps s; img is f(s)."""
-    return target.eps(img) - source.eps(s)
+    def delta_defect(s, img):
+        return target.delta(img) - source.delta(s).bind(
+            lambda k: image_of_key(k[0]).tensor(image_of_key(k[1])))
+    rep.tally(ids[0], zip(states, images), delta_defect,
+              lambda s, img: f"f does not intertwine Delta at {fmt(s)}")
+    return rep.tally(ids[1], zip(states, images), lambda s, img: target.eps(img) - source.eps(s),
+                     lambda s, img: f"f does not intertwine eps at {fmt(s)}")
 
 
 # -- Delta and eps against mode products ---------------------------------------------
@@ -284,19 +287,10 @@ def counit_mode_defect(alg, u, n, v):
     return lhs - rhs
 
 
-def check_delta_morphism(alg, max_weight=3, window=3, torsion_bound=1, cases=None):
-    """Delta and eps are morphisms for every mode product in the window.
-
-    With cases given, only those (u, n, v) triples are checked, on any mode
-    algebra; otherwise alg is a vacuum module and every pair of its basis
-    states up to max_weight is checked with n in [-window, window].
-    """
-    if cases is None:
-        states = alg._graded_basis_states(max_weight, torsion_bound)
-        cases = [(u, n, v) for u in states for v in states
-                 for n in range(-window, window + 1)]
-    else:
-        cases = list(cases)
+def check_delta_morphism(alg, states, modes):
+    """Delta and eps are morphisms for u_n v, for every pair u, v of states and
+    every n in modes, on any mode algebra."""
+    cases = [(u, n, v) for u in states for v in states for n in modes]
 
     def spot(u, n, v):
         return f"({alg.format_state(u)})_{n}({alg.format_state(v)})"
@@ -520,12 +514,8 @@ def check_psi_coalgebra(lie, max_degree=4):
     rep = ValidationReport(subject="psi-comparison")
     keys = [f for d in range(max_degree + 1) for f in dp.basis(d)]
     images = [ue.psi(f) for f in keys]
-    cases = list(zip([LinComb.single(f) for f in keys], images))
-    rep.tally("psi-coalgebra-morphism", cases,
-              lambda s, img: delta_intertwining_defect(dp, ue, ue.psi, s, img),
-              lambda s, img: f"(psi x psi)Delta != Delta psi at {dp.format_state(s)}")
-    rep.tally("psi-counit", cases, lambda s, img: counit_intertwining_defect(dp, ue, s, img),
-              lambda s, img: f"eps psi != eps at {dp.format_state(s)}")
+    intertwining_laws(rep, ("psi-coalgebra-morphism", "psi-counit"), dp, ue, ue.psi,
+                      [LinComb.single(f) for f in keys], images)
 
     def degree_images(d):
         return [img for f, img in zip(keys, images) if sum(f) == d]

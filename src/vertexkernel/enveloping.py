@@ -375,16 +375,15 @@ class VacuumModule:
     def graded_dimension(self, weight, torsion_bound=0):
         return len(self.basis_words(weight, torsion_bound))
 
+    def basis_states(self, max_weight, torsion_bound=0):
+        """The basis words of weight <= max_weight as states, by weight, then word."""
+        return [LinComb.single(w) for d in range(max_weight + 1)
+                for w in self.basis_words(d, torsion_bound)]
+
     # -- windowed sweeps -----------------------------------------------------------
 
-    def _graded_basis_states(self, max_weight, torsion_bound):
-        out = []
-        for d in range(0, max_weight + 1):
-            out.extend(LinComb.single(w) for w in self.basis_words(d, torsion_bound))
-        return out
-
     def check_vacuum_creation(self, max_weight=4, torsion_bound=1, window=4):
-        states = self._graded_basis_states(max_weight, torsion_bound)
+        states = self.basis_states(max_weight, torsion_bound)
         return vacuum_creation_sweep(ValidationReport(subject="vacuum-module"),
                                      "vacuum-creation", self, states, range(0, window + 1),
                                      range(-window, window + 1))
@@ -393,7 +392,7 @@ class VacuumModule:
         """D u = u_{-2}|0> for every basis state u, then (D u)_n v = -n u_{n-1} v
         for every basis pair (u, v) and n in the window, as one check."""
         vac = self.vacuum()
-        states = self._graded_basis_states(max_weight, torsion_bound)
+        states = self.basis_states(max_weight, torsion_bound)
 
         def defect(u, v=None, n=None):
             if v is None:
@@ -410,14 +409,14 @@ class VacuumModule:
                                                                witness)
 
     def check_skew_symmetry(self, max_weight=3, window=3, torsion_bound=1):
-        states = self._graded_basis_states(max_weight, torsion_bound)
+        states = self.basis_states(max_weight, torsion_bound)
         fmt = self.format_state
         return ValidationReport(subject="vacuum-module").tally(
             "skew-symmetry", skew_sweep(self, states, range(-window, window + 1)), sweep_defect,
             lambda u, n, v, _: f"skew-symmetry fails at ({fmt(u)})_{n}({fmt(v)})")
 
     def check_commutator(self, max_weight=4, window=3, torsion_bound=1):
-        states = self._graded_basis_states(max_weight, torsion_bound)
+        states = self.basis_states(max_weight, torsion_bound)
         fmt = self.format_state
         return ValidationReport(subject="vacuum-module").tally(
             "borcherds-commutator", commutator_sweep(self, states, range(-window, window + 1)),
@@ -426,7 +425,7 @@ class VacuumModule:
                                       f"u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"))
 
     def check_jacobi(self, max_weight=3, window=3, torsion_bound=1):
-        states = self._graded_basis_states(max_weight, torsion_bound)
+        states = self.basis_states(max_weight, torsion_bound)
         fmt = self.format_state
         return ValidationReport(subject="vacuum-module").tally(
             "jacobi-identity", jacobi_sweep(self, states, range(-window, window + 1)),
@@ -447,7 +446,9 @@ class VacuumModule:
 # alg provides state_mode(u, n, v), state_weight(state) and (for skew) D(state, power);
 # state_weight must bound truncation: u_n v = 0 once n > wt(u) + wt(v) - 1.  The sweeps
 # below also take cleared_mode(u, n, v): u_n v as (den, {key: int}), the form of
-# lincomb.cleared, except that numerators may be 0.
+# lincomb.cleared, except that numerators may be 0.  Their states come from the
+# model's basis_states(max_weight, torsion_bound=0, ...): the basis states of weight
+# <= max_weight, by weight, as the vacuum module, V (x)_phi C[L] and B_L give them.
 
 
 def skew_defect_on(alg, u, n, v):

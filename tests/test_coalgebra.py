@@ -195,8 +195,8 @@ def test_check_coalgebra_fixtures():
 
 
 def test_check_delta_morphism_sweep():
-    rep = co.check_delta_morphism(VacuumModule(virasoro()),
-                                  max_weight=2, window=2, torsion_bound=1)
+    vm = VacuumModule(virasoro())
+    rep = co.check_delta_morphism(vm, vm.basis_states(2, 1), range(-2, 3))
     assert rep.passed, rep.summary()
 
 
@@ -208,8 +208,9 @@ def test_check_delta_morphism_cases():
         (vm.vacuum(), -1, V(vm, W(("L", -2), ("L", -1)))),
         (L, -2, vm.vacuum()),
     ]
-    rep = co.check_delta_morphism(vm, cases=cases)
-    assert rep.passed, rep.summary()
+    for u, n, v in cases:
+        assert not co.delta_morphism_defect(vm, u, n, v)
+        assert not co.counit_mode_defect(vm, u, n, v)
 
 
 def test_delta_morphism_defect_sees_wrong_coproduct():

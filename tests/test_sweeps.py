@@ -10,17 +10,21 @@ distinct product and one cleared_mode call per (k1, k2) table key with a nonzero
 coefficient.  The vacuum axioms fail on purpose on an algebra with shifted modes
 at the vacuum, which pins the order of their three laws.  Hypothesis tests check
 the E^- memo behind TensorPhiAlgebra's modes against the direct sum over k of
-eminus_apply, and its cleared_mode and state_mode against the modes computed over
-tagged keys.  The four sweep checkers give the same reports with 1, 2 and 3
+eminus_apply, the E^- suffix fill against eminus_apply on the word itself, and
+cleared_mode and state_mode against the modes computed over tagged keys; a serial
+tensor-phi check pins one eminus_apply call per (alpha, k) and no out-of-range
+_kmode key.  The four sweep checkers give the same reports with 1, 2 and 3
 usable CPUs, that is, serially and over forked workers.
 """
 
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vertexkernel import cli, constructions, workers
 from vertexkernel.constructions import (PhiMap, SemigroupL, TensorPhiAlgebra,
                                         _mode_range, check_tensor_phi_axioms,
                                         eminus_apply)
@@ -30,6 +34,9 @@ from vertexkernel.enveloping import (VacuumModule, commutator_defect_on,
 from vertexkernel.lincomb import LinComb, binom
 from vertexkernel.report import ValidationReport
 from vertexkernel.vla import Generator, Presentation, abelian, heisenberg, virasoro
+
+CENTRE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs",
+                      "heisenberg_centre.json")
 
 # -- reference loops: the sweeps as they were before tabulation --------------------------
 
@@ -52,7 +59,7 @@ def jacobi_reference(alg, states, modes):
 
 def vacuum_reference(vm, check, max_weight, window, torsion_bound=1):
     """The report of VacuumModule.check_<check>, from the reference loops."""
-    states = vm._graded_basis_states(max_weight, torsion_bound)
+    states = vm.basis_states(max_weight, torsion_bound)
     modes = range(-window, window + 1)
     fmt = vm.format_state
     rep = ValidationReport(subject="vacuum-module")
@@ -189,7 +196,7 @@ def failing_cases(cases):
 
 def test_sweeps_return_the_reference_instances():
     vm = VacuumModule(heisenberg(1))
-    states = vm._graded_basis_states(2, 1)
+    states = vm.basis_states(2, 1)
     modes = range(-2, 3)
     alg = ScaledTranslation(vm)
     fails = skew_reference(alg, states, modes)
@@ -198,7 +205,7 @@ def test_sweeps_return_the_reference_instances():
     assert failing_cases(cases) == fails
     assert len(fails) == 108
     vir = VacuumModule(virasoro_doubled_l0())
-    states = vir._graded_basis_states(3, 1)
+    states = vir.basis_states(3, 1)
     for sweep, reference, n_modes in ((commutator_sweep, commutator_reference, 2),
                                       (jacobi_sweep, jacobi_reference, 3)):
         cases = list(sweep(vir, states, modes))
@@ -376,6 +383,54 @@ def test_key_mode_memo_matches_direct_eminus(twisted, which, data, al, be, m):
     entries = len(tp._kmode)
     tp.state_mode(u, m, LinComb.single((ww, (be + 1,))))
     assert len(tp._kmode) == entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(which=st.integers(0, 1), data=st.data(), al=st.integers(-3, 3), k=st.integers(0, 5))
+def test_eminus_fill_matches_eminus_apply(twisted, which, data, al, k):
+    """E_k(phi(al)) of a word, read from the suffix fill seeded at E_k|0>, is the
+    k-th order of the recurrence run on the word itself."""
+    tp, words = twisted[which]
+    w = data.draw(st.sampled_from(words))
+    want = eminus_apply(tp.vm, tp.phi.of((al,)), LinComb.single(w), k)[k]
+    assert tp._eminus_word((al,), w, k) == want
+
+
+@pytest.fixture(scope="module")
+def centre_check():
+    """check --suite tensor-phi on the Heisenberg-centre input, serially so that
+    every memo entry stays in this process: the one TensorPhiAlgebra it builds
+    and the (phi(al), k) of each eminus_apply call."""
+    algebras, calls = [], []
+    init, eminus = TensorPhiAlgebra.__init__, constructions.eminus_apply
+
+    def recording_init(self, *args):
+        init(self, *args)
+        algebras.append(self)
+
+    def counting_eminus(vm, a, v, order):
+        calls.append((tuple(sorted(a.items())), order))
+        return eminus(vm, a, v, order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TensorPhiAlgebra, "__init__", recording_init)
+        mp.setattr(constructions, "eminus_apply", counting_eminus)
+        mp.setattr(workers, "_usable_cpus", lambda: 1)
+        assert cli.main(["check", "--suite", "tensor-phi", "--input", CENTRE]) == 0
+    (tp,) = algebras
+    return tp, calls
+
+
+def test_eminus_apply_runs_once_per_alpha_and_order(centre_check):
+    tp, calls = centre_check
+    assert calls and len(calls) == len(set(calls)) == len(tp._eminus)
+
+
+def test_key_mode_stores_only_in_range_keys(centre_check):
+    """_key_mode returns the cleared zero for m >= wt vw + wt ww without storing it."""
+    tp, _ = centre_check
+    wt = tp.vm.word_weight
+    assert tp._kmode
+    assert all(m < wt(vw) + wt(ww) for vw, _, m, ww in tp._kmode)
 
 
 # -- cleared_mode against the tagged modes ------------------------------------------------
