@@ -109,6 +109,11 @@ class _Run:
     def semigroup(self):
         return SemigroupL(self.rank, self.group)
 
+    @functools.cached_property
+    def bl(self):
+        """The B_L of a construction input, one for every suite of the run."""
+        return BL(self.semigroup())
+
 
 def _coalgebra(run):
     rep = check_coalgebra(run.vm, max_weight=run.mw(5), torsion_bound=run.tb)
@@ -131,16 +136,15 @@ def _tensor_phi(run):
 
 
 def _bl(run):
-    sg = run.semigroup()
-    rep = check_bl_bialgebra(BL(sg), max_weight=run.mw(3), alpha_bound=2)
-    return rep.merge(check_bl_equals_tensor_phi(sg, max_weight=run.mw(3), alpha_bound=2,
+    rep = check_bl_bialgebra(run.bl, max_weight=run.mw(3), alpha_bound=2)
+    return rep.merge(check_bl_equals_tensor_phi(run.bl, max_weight=run.mw(3), alpha_bound=2,
                                                 window=run.win(4)))
 
 
 def _morphism(run):
     """The morphism builders; a builder that refuses fails its *-exists check."""
     if run.construction:
-        bl = BL(run.semigroup())
+        bl = run.bl
         emb = {nm: bl.monomial([(nm, -1)]) for nm in bl.names}
         builders = [
             ("morphism-extension-exists", lambda: extend_universal_morphism(

@@ -437,8 +437,9 @@ class BL:
         self._pkey = {}   # (key, key) -> their product
 
     # The state bookkeeping is V (x)_phi C[L]'s on the same keys, aliased rather
-    # than inherited: product, D, state_mode, delta and eps are B_L's own and
-    # are the reference the (x)_phi ones are checked against.
+    # than inherited: product, D (through its per-key del _d_key), state_mode,
+    # delta and eps are B_L's own and are the reference the (x)_phi ones are
+    # checked against.
     vacuum = TensorPhiAlgebra.vacuum
     group_like = TensorPhiAlgebra.group_like
     state_weight = TensorPhiAlgebra.state_weight
@@ -446,6 +447,7 @@ class BL:
     basis_states = TensorPhiAlgebra.basis_states
     key_order = TensorPhiAlgebra.key_order
     format_state = TensorPhiAlgebra.format_state
+    D = TensorPhiAlgebra.D
 
     def monomial(self, modes, alpha=None):
         """A basis element from (name, -n) pairs and an optional tag."""
@@ -477,12 +479,6 @@ class BL:
             out = self._pkey[pair] = LinComb.single(
                 (self._sorted_id(self.vm.word(w1) + self.vm.word(w2)), self.semigroup.add(a, b)))
         return out
-
-    def D(self, state, power=1):
-        """The derivation del."""
-        for _ in range(power):
-            state = state.bind(self._d_key)
-        return state
 
     def _d_key(self, key):
         """del of a key, memoised per key."""
@@ -575,13 +571,12 @@ def check_bl_bialgebra(bl, max_weight=3, alpha_bound=2):
     return rep
 
 
-def check_bl_equals_tensor_phi(semigroup, max_weight=3, alpha_bound=2, window=4):
+def check_bl_equals_tensor_phi(bl, max_weight=3, alpha_bound=2, window=4):
     """Borcherds modes, D, Delta and eps on B_L match the (x)_phi ones on the
     abelian vacuum module with phi(e_i) = h_i, key for key; B_L's Delta and eps
     are its own algebra maps, so each comparison is between two routes."""
-    bl = BL(semigroup)
     phi = PhiMap(bl.pres, [bl.pres.element(nm) for nm in bl.names])
-    tp = TensorPhiAlgebra(bl.vm, semigroup, phi)
+    tp = TensorPhiAlgebra(bl.vm, bl.semigroup, phi)
     rep = ValidationReport(subject="bl-vs-tensor-phi")
     states = bl.basis_states(max_weight, alpha_bound=alpha_bound)
     fmt = bl.format_state

@@ -19,7 +19,7 @@ whose i-sums terminate by the weight grading (every PBW word has weight
 per-word methods return shared entries, never to be mutated, public ones fresh states.
 """
 
-from functools import partial
+from functools import cache, partial
 from itertools import chain, product as iproduct
 from math import factorial
 
@@ -175,27 +175,38 @@ class VacuumModule:
     def _apply_word(self, mode, word):
         """A mode id acting on a basis word id; the mode may have either sign.  A
         creation mode that sorts first is prepended; otherwise the mode moves
-        past the head h of the word: a(m) h w = h (a(m) w) + [a(m), h] w."""
+        past the head h of the word: a(m) h w = h (a(m) w) + [a(m), h] w.  The
+        suffixes it moves past are walked in a loop, longest first, and filled
+        from the shortest up, so no call recurses over the word's length."""
         if self._dead[mode]:
             return _ZERO
-        key = (mode, word)
-        out = self._apply.get(key)
-        if out is not None:
+        memo = self._apply
+        out = memo.get((mode, word))
+        if out is not None:  # most calls hit: return before the walk's set-up
             return out
-        mkey = self._mkey
-        if mkey[mode][0] <= -1 and (not word or mkey[mode] <= mkey[self._head[word]]):
-            out = LinComb.single(self._prepend(mode, word))
-        elif not word:
-            out = _ZERO
-        else:
-            head, rest = self._head[word], self._rest[word]
+        mkey, head, rest = self._mkey, self._head, self._rest
+        creation, missing, w = mkey[mode][0] <= -1, [], word
+        while True:
+            out = memo.get((mode, w))
+            if out is not None:
+                break
+            if creation and (not w or mkey[mode] <= mkey[head[w]]):
+                out = memo[mode, w] = LinComb.single(self._prepend(mode, w))
+                break
+            if not w:
+                out = memo[mode, w] = _ZERO
+                break
+            missing.append(w)
+            w = rest[w]
+        for w in reversed(missing):
+            h, r = head[w], rest[w]
             # written out: as binds (and _state_mode_word's), heisenberg check --suite all: +9-14 %
-            out = LinComb()
-            for w, c in self._apply_word(mode, rest).items():
-                out.add_into(self._apply_word(head, w), c)
-            for m, c in self.bracket(mode, head).items():
-                out.add_into(self._apply_word(m, rest), c)
-        self._apply[key] = out
+            step = LinComb()
+            for x, c in out.items():
+                step.add_into(self._apply_word(h, x), c)
+            for m, c in self.bracket(mode, h).items():
+                step.add_into(self._apply_word(m, r), c)
+            out = memo[mode, w] = step
         return out
 
     def _act(self, mode, state):
@@ -215,8 +226,8 @@ class VacuumModule:
         return out
 
     def straighten(self, word):
-        """Rewrite a word id (negative modes in any order) into the PBW basis: its
-        modes act on the vacuum from right to left."""
+        """Rewrite a word id (modes of either sign, in any order) into the PBW
+        basis: its modes act on the vacuum from right to left."""
         return LinComb(self._fill(self._straight, word, lambda h, w, s: self._act(h, s)).terms)
 
     def mode_apply(self, gen, n, state):
@@ -505,10 +516,11 @@ def jacobi_defect_on(alg, u, v, w, p, q, r):
 # instance, in the loop order of the defect's arguments (states outermost, modes
 # innermost), as the defect's argument tuple followed by its defect, for
 # ValidationReport.tally to count with sweep_defect as the defect.  Subterms shared
-# between instances are evaluated once and tabulated in cleared form (alg.cleared_mode,
-# or lincomb.cleared of a product), and each defect is the exact sum, in a fresh
-# ClearedSum, of the same terms with the same coefficients as its *_defect_on
-# reference, less those whose coefficient is 0: it is zero iff that reference is.
+# between instances are evaluated once, in functools.cache tables: prod(i, k, j) =
+# states[i]_k states[j] for the whole sweep, the rest in cleared form (alg.cleared_mode,
+# or lincomb.cleared of a product).  Each defect is the exact sum, in a fresh ClearedSum,
+# of the same terms with the same coefficients as its *_defect_on reference, less
+# those whose coefficient is 0: it is zero iff that reference is.
 
 _NIL = (1, {})  # the cleared zero state
 
@@ -518,25 +530,6 @@ def sweep_defect(*case):
     return case[-1]
 
 
-class _Table(dict):
-    """A table that fills a missing entry once, as fill(*key): table[k1, k2]."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        out = self[key] = self.fill(*key)
-        return out
-
-
-def _products(alg, states):
-    """states[i]_k states[j], keyed by (i, k, j) for a whole sweep."""
-    return _Table(lambda i, k, j: alg.state_mode(states[i], k, states[j]))
-
-
 def _cleared_mode(alg, x, k, y):
     """x_k y in cleared form, or the cleared zero when x or y is zero."""
     return alg.cleared_mode(x, k, y) if x and y else _NIL
@@ -544,22 +537,22 @@ def _cleared_mode(alg, x, k, y):
 
 def skew_sweep(alg, states, modes):
     """skew_defect_on(alg, u, n, v) for u, v in states and n in modes."""
-    prod = _products(alg, states)
+    prod = cache(lambda i, k, j: alg.state_mode(states[i], k, states[j]))
     weights = [alg.state_weight(s) for s in states]
 
     def block(a):
         u = states[a]
         for b, v in enumerate(states):
             bound = weights[a] + weights[b]
-            # dpow[k, j] = D^j(v_k u) and forms[k, j] its cleared form
-            dpow = _Table(lambda k, j: alg.D(dpow[k, j - 1]) if j else prod[b, k, a])
-            forms = _Table(lambda k, j: cleared(dpow[k, j]))
+            # dpow(k, j) = D^j(v_k u) and forms(k, j) its cleared form
+            dpow = cache(lambda k, j: alg.D(dpow(k, j - 1)) if j else prod(b, k, a))
+            forms = cache(lambda k, j: cleared(dpow(k, j)))
             for n in modes:
-                acc = ClearedSum(cleared(prod[a, n, b]))
+                acc = ClearedSum(cleared(prod(a, n, b)))
                 for j in range(0, max(bound - n, 0) + 1):
                     k = n + j
-                    if prod[b, k, a]:
-                        den, ints = forms[k, j]
+                    if prod(b, k, a):
+                        den, ints = forms(k, j)
                         acc.add((den * factorial(j), ints), -sign_pow(k + 1))
                 yield u, n, v, acc
     return CaseBlocks(len(states), block)
@@ -567,7 +560,7 @@ def skew_sweep(alg, states, modes):
 
 def commutator_sweep(alg, states, modes):
     """commutator_defect_on(alg, u, m, v, n, w) for u, v, w in states and m, n in modes."""
-    prod = _products(alg, states)
+    prod = cache(lambda i, k, j: alg.state_mode(states[i], k, states[j]))
     weights = [alg.state_weight(s) for s in states]
     bm = {m: [binom(m, j) for j in range(2 * max(weights, default=0))] for m in modes}
 
@@ -576,19 +569,19 @@ def commutator_sweep(alg, states, modes):
         for b, v in enumerate(states):
             jmax = weights[a] + weights[b]
             for c, w in enumerate(states):
-                # iterates[j, k] = (u_j v)_k w
-                iterates = _Table(lambda j, k: _cleared_mode(alg, prod[a, j, b], k, w))
+                # iterates(j, k) = (u_j v)_k w
+                iterates = cache(lambda j, k: _cleared_mode(alg, prod(a, j, b), k, w))
                 for m in modes:
                     bmj = bm[m]
                     for n in modes:
-                        vnw, umw = prod[b, n, c], prod[a, m, c]
+                        vnw, umw = prod(b, n, c), prod(a, m, c)
                         acc = ClearedSum(_cleared_mode(alg, u, m, vnw))
                         if umw:
                             acc.add(alg.cleared_mode(v, n, umw), -1)
                         for j in range(0, jmax):
                             bj = bmj[j]
                             if bj:
-                                t = iterates[j, m + n - j]
+                                t = iterates(j, m + n - j)
                                 if t[1]:
                                     acc.add(t, -bj)
                         yield u, m, v, n, w, acc
@@ -597,7 +590,7 @@ def commutator_sweep(alg, states, modes):
 
 def jacobi_sweep(alg, states, modes):
     """jacobi_defect_on(alg, u, v, w, p, q, r) for u, v, w in states and p, q, r in modes."""
-    prod = _products(alg, states)
+    prod = cache(lambda i, k, j: alg.state_mode(states[i], k, states[j]))
     weights = [alg.state_weight(s) for s in states]
     # the coefficient of the i-th term of each sum: ca[p][i], cb[p][i] and cc[q][i].
     # binom(-p-1, i) = 0 for p < 0 and i >= -p, and binom(q+i, i) = 0 for q < 0 and
@@ -616,11 +609,11 @@ def jacobi_sweep(alg, states, modes):
             for c, w in enumerate(states):
                 ww = weights[c]
                 # Each table is keyed by the two modes it applies, (k1, k2):
-                # ta[k1, k2] = u_k1(v_k2 w), tb[k1, k2] = v_k1(u_k2 w) and
-                # tc[k1, k2] = (u_k1 v)_k2 w.
-                ta = _Table(lambda k1, k2: _cleared_mode(alg, u, k1, prod[b, k2, c]))
-                tb = _Table(lambda k1, k2: _cleared_mode(alg, v, k1, prod[a, k2, c]))
-                tc = _Table(lambda k1, k2: _cleared_mode(alg, prod[a, k1, b], k2, w))
+                # ta(k1, k2) = u_k1(v_k2 w), tb(k1, k2) = v_k1(u_k2 w) and
+                # tc(k1, k2) = (u_k1 v)_k2 w.
+                ta = cache(lambda k1, k2: _cleared_mode(alg, u, k1, prod(b, k2, c)))
+                tb = cache(lambda k1, k2: _cleared_mode(alg, v, k1, prod(a, k2, c)))
+                tc = cache(lambda k1, k2: _cleared_mode(alg, prod(a, k1, b), k2, w))
                 for p in modes:
                     cap, cbp = ca[p], cb[p]
                     for q in modes:
@@ -628,15 +621,15 @@ def jacobi_sweep(alg, states, modes):
                         for r in modes:
                             acc = ClearedSum()
                             for i in range(min(wv + ww + r + 1, stop[p])):
-                                t = ta[-p - q - i - 2, i - r - 1]
+                                t = ta(-p - q - i - 2, i - r - 1)
                                 if t[1]:
                                     acc.add(t, cap[i])
                             for i in range(min(wu + ww + q + 1, stop[p])):
-                                t = tb[-p - r - i - 2, i - q - 1]
+                                t = tb(-p - r - i - 2, i - q - 1)
                                 if t[1]:
                                     acc.add(t, cbp[i])
                             for i in range(min(wu + wv + p + 1, stop[q])):
-                                t = tc[i - p - 1, -q - r - i - 2]
+                                t = tc(i - p - 1, -q - r - i - 2)
                                 if t[1]:
                                     acc.add(t, ccq[i])
                             yield u, v, w, p, q, r, acc

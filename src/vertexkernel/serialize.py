@@ -142,12 +142,11 @@ def parse_state(vm, text):
         if not m:
             raise InputError(f"cannot parse state term {body!r} "
                              f"(expected like \"L(-2)L(-1)|0⟩\")")
-        s = vm.vacuum()
-        for gen, n in reversed(_WORD_RE.findall(m.group(1))):
+        modes = [(gen, int(n)) for gen, n in _WORD_RE.findall(m.group(1))]
+        for gen, _ in reversed(modes):
             if gen not in names:
                 raise InputError(f"unknown generator {gen!r} in state term {body!r}")
-            s = vm.mode_apply(gen, int(n), s)
-        out.add_into(s, sign * coeff)
+        out.add_into(vm.straighten(vm.word_id(modes)), sign * coeff)
     return out
 
 

@@ -2,9 +2,12 @@
 commute, so the bracket's operand order matters.
 
 The fixture affine_sl2_level1.json writes both orders of each row of
-[x_lambda y] = [x, y] + lambda (x|y) c, with (e|f) = 1 and (h|h) = 2.  A bracket that
-reads the (b, a, j) row for distinct generators gives the opposite Lie algebra, which
-is also a vertex Lie algebra, so the sweeps pass on it; the morphism check refuses it.
+[x_lambda y] = [x, y] + lambda k (x|y) c at level k = 1, with (e|f) = 1 and (h|h) = 2.
+A bracket that reads the (b, a, j) row for distinct generators gives the opposite Lie
+algebra, which is also a vertex Lie algebra, so the sweeps pass on it; the morphism
+check refuses it.  The same checks run at the critical level k = -2 and at k = 1/2,
+whose central terms are not integers (affine_sl2_level_m2.json and
+affine_sl2_level_half.json).
 """
 
 import json
@@ -18,11 +21,13 @@ from vertexkernel.enveloping import VacuumModule
 from vertexkernel.serialize import load_presentation, read_json_file
 
 SL2 = str(Path(__file__).with_name("affine_sl2_level1.json"))
+LEVELS = {"minus2": str(Path(__file__).with_name("affine_sl2_level_m2.json")),
+          "half": str(Path(__file__).with_name("affine_sl2_level_half.json"))}
 
 
-def check(capsys, *argv):
+def check(capsys, *argv, path=SL2):
     """(exit code, {check id: details or witness}) of a check --format json run."""
-    code = cli.main(["check", *argv, "--format", "json", "--input", SL2])
+    code = cli.main(["check", *argv, "--format", "json", "--input", path])
     checks = json.loads(capsys.readouterr().out)["report"]["checks"]
     return code, {c["check"]: c.get("witness") or c.get("details") for c in checks}
 
@@ -41,6 +46,23 @@ def test_affine_sl2_sweeps_pass(capsys, suite):
     assert code == 0
     assert checks and all(d.endswith("instances checked") and not d.startswith("0 ")
                           for d in checks.values())
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_affine_sl2_at_other_levels(capsys, level):
+    """What the level-1 tests check, at level -2 and 1/2: validate, the graded
+    dimensions, the four sweeps at small bounds and the morphism suite."""
+    pres = load_presentation(read_json_file(LEVELS[level]))
+    assert pres.validate().passed
+    vm = VacuumModule(pres)
+    assert [len(vm.basis_words(d, 0)) for d in range(4)] == [1, 3, 9, 22]
+    for suite in ("skew", "commutator", "jacobi", "coalgebra"):
+        code, checks = check(capsys, "--suite", suite, "--max-weight", "1", "--mode-window",
+                             "1", path=LEVELS[level])
+        assert code == 0, suite
+        assert checks and all(d.endswith("instances checked") and not d.startswith("0 ")
+                              for d in checks.values())
+    assert check(capsys, "--suite", "morphism", path=LEVELS[level])[0] == 0
 
 
 class _Swapped:

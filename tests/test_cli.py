@@ -10,6 +10,8 @@ from vertexkernel.enveloping import VacuumModule
 
 HEISENBERG_CENTRE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs",
                                  "heisenberg_centre.json")
+HEISENBERG = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs",
+                          "heisenberg.json")
 
 
 @pytest.fixture
@@ -220,6 +222,14 @@ def test_deep_word_is_not_an_axiom_failure(tmp_path, capsys):
     assert code in (0, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_mode_on_a_long_word_is_computed(capsys):
+    # h(1) moves past 1200 letters in a loop: the value, not "input nests too deeply"
+    state = "h(-1)" * 1200 + "|0⟩"
+    assert main(["compute", "mode", "h", "1", state, "--input", HEISENBERG]) == 0
+    out = capsys.readouterr().out
+    assert out == f"mode h 1 {state} → 1200·{'h(-1)' * 1199}c(-1)|0⟩\n"
 
 
 def test_check_json_does_not_depend_on_the_cpu_count(shard_over, capsys):

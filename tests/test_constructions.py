@@ -516,19 +516,19 @@ def test_bl_bialgebra_rank_two():
 
 
 def test_bl_equals_tensor_phi_group():
-    rep = check_bl_equals_tensor_phi(SemigroupL(1), max_weight=2,
+    rep = check_bl_equals_tensor_phi(BL(SemigroupL(1)), max_weight=2,
                                      alpha_bound=1, window=3)
     assert rep.passed
 
 
 def test_bl_equals_tensor_phi_semigroup():
-    rep = check_bl_equals_tensor_phi(SemigroupL(1, group=False), max_weight=2,
+    rep = check_bl_equals_tensor_phi(BL(SemigroupL(1, group=False)), max_weight=2,
                                      alpha_bound=2, window=(-3, 4))
     assert rep.passed
 
 
 def test_bl_equals_tensor_phi_rank_two():
-    rep = check_bl_equals_tensor_phi(SemigroupL(2), max_weight=1,
+    rep = check_bl_equals_tensor_phi(BL(SemigroupL(2)), max_weight=1,
                                      alpha_bound=1, window=3)
     assert rep.passed
 
@@ -542,7 +542,7 @@ def test_bl_equals_tensor_phi_compares_two_coproducts(monkeypatch):
         return LinComb({k: c for k, c in product(self, u, v).items()
                         if len(self.vm.word(k[0])) < 2})
     monkeypatch.setattr(BL, "product", truncated)
-    rep = check_bl_equals_tensor_phi(SemigroupL(1), max_weight=2, alpha_bound=1, window=2)
+    rep = check_bl_equals_tensor_phi(BL(SemigroupL(1)), max_weight=2, alpha_bound=1, window=2)
     assert "bl-equals-tensor-phi-coalgebra" in {c.check_id for c in rep.failures()}
 
 
@@ -733,7 +733,7 @@ def test_bl_counit_is_its_own_algebra_map(monkeypatch):
     assert bl.eps(bl.monomial([("h", -1)], (1,)) + bl.vacuum()) == 1
     eps = BL.eps
     monkeypatch.setattr(BL, "eps", lambda self, state: eps(self, state) + 1)
-    rep = check_bl_equals_tensor_phi(SemigroupL(1), max_weight=2, alpha_bound=1, window=2)
+    rep = check_bl_equals_tensor_phi(BL(SemigroupL(1)), max_weight=2, alpha_bound=1, window=2)
     assert {c.check_id for c in rep.failures()} == {"bl-equals-tensor-phi-coalgebra"}
 
 

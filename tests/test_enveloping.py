@@ -117,6 +117,15 @@ def test_straighten_long_reversed_word():
     assert vm.straighten(vm.word_id(word)) == S(vm, word[::-1])
 
 
+def test_mode_action_walks_a_long_word_in_a_loop():
+    # h(1) moves past all 1500 letters of h(-1)^1500|0>; a walk that recursed once
+    # per letter reached Python's default recursion limit near 985
+    vm = VacuumModule(heisenberg(1))
+    h = Mode("h", -1)
+    got = vm.mode_apply("h", 1, vm.word_state((h,) * 1500))
+    assert got == S(vm, (h,) * 1499 + (Mode("c", -1),), 1500)
+
+
 def test_straighten_is_multiplicative():
     # straighten(u ++ v) equals acting with u's modes on straighten(v)
     vm = VacuumModule(virasoro())
