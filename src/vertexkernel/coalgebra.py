@@ -433,17 +433,21 @@ class UniversalEnveloping:
 
     def _apply_letter(self, i, word):
         """x_i times a sorted word: prepended if it sorts first, otherwise moved
-        past the head h by x_i h w = h (x_i w) + [x_i, h] w."""
-        key = (i, word)
-        out = self._apply.get(key)
-        if out is None:
-            if not word or i <= word[0]:
-                out = LinComb.single((i,) + word)
-            else:
-                head, rest = word[0], word[1:]
-                out = self._apply_letter(i, rest).bind(partial(self._apply_letter, head))
-                out.add_into(self.lie.bracket(i, head).bind(lambda k: self._apply_letter(k, rest)))
-            self._apply[key] = out
+        past the head h by x_i h w = h (x_i w) + [x_i, h] w.  The suffixes it moves
+        past are walked in a loop, longest first, and filled from the shortest up,
+        as in VacuumModule._apply_word, so no call recurses over the word's length."""
+        memo, missing, w = self._apply, [], word
+        while (out := memo.get((i, w))) is None:
+            if not w or i <= w[0]:
+                out = memo[i, w] = LinComb.single((i,) + w)
+                break
+            missing.append(w)
+            w = w[1:]
+        for w in reversed(missing):
+            head, rest = w[0], w[1:]
+            step = out.bind(partial(self._apply_letter, head))
+            step.add_into(self.lie.bracket(i, head).bind(lambda k: self._apply_letter(k, rest)))
+            out = memo[i, w] = step
         return out
 
     def straighten(self, word):

@@ -20,6 +20,7 @@ generator embedding) verify the defining equations on bounded bases and
 refuse inconsistent data with a witness.
 """
 
+import operator
 from fractions import Fraction
 from itertools import chain, product as iproduct
 from math import lcm
@@ -29,10 +30,10 @@ from .coalgebra import (coalgebra_laws, counit_multiplicativity_defect,
                         group_like_scan, intertwining_laws, is_group_like,
                         primitive_basis, tensor_product_through)
 from .current import Mode, mode_index, mode_normalize
-from .enveloping import (_NIL, VacuumModule, jacobi_sweep, skew_sweep, sweep_defect,
-                         vacuum_creation_sweep)
+from .enveloping import (PackedSum, VacuumModule, _packed, jacobi_sweep, skew_sweep,
+                         sweep_defect, vacuum_creation_sweep)
 from .errors import InputError, MorphismError, UnsupportedError
-from .lincomb import ClearedSum, LinComb, binom, cleared, combination, inv_factorial
+from .lincomb import LinComb, binom, cleared, combination, inv_factorial
 from .report import ValidationReport
 from .serialize import format_alpha, format_diff_key
 from .vla import abelian
@@ -73,7 +74,7 @@ class SemigroupL:
         return alpha
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def neg(self, a):
         if not self.group and any(a):
@@ -180,6 +181,9 @@ def check_eminus_conjugation(vm, a, max_weight=2, order=3, window=3, torsion_bou
 # -- the twisted tensor algebra V (x)_phi C[L] ---------------------------------------
 
 
+_KEY_NIL = (1, {})  # the zero key mode of TensorPhiAlgebra._key_mode
+
+
 class TensorPhiAlgebra:
     """V (x)_phi C[L] on keys (word id, alpha), the word ids those of vm.
 
@@ -237,47 +241,56 @@ class TensorPhiAlgebra:
         return vm._fill(memo, word, lambda h, w, s: vm._act(h, s))
 
     def _key_mode(self, vw, al, m, ww):
-        """sum_k E_k(phi(al)) (vw_{m+k} ww) in cleared form (den, {word id: int}),
-        with E_k applied word by word.  The right key's tag be only relabels the
-        words as e^{al+be}, so it is not part of the memo key.  Only in-range keys
-        are stored, as in _state_mode_word: the sum is empty once m >= wt vw + wt ww."""
+        """sum_k E_k(phi(al)) (vw_{m+k} ww) in cleared form (den, {word id: int}), with
+        E_k applied word by word.  The right key's tag be only relabels the words as
+        e^{al+be}, so it is not part of the memo key.  Only in-range keys are stored, as
+        in _state_mode_word: the sum is empty once m >= wt vw + wt ww.  A sum that
+        vanishes is stored as the shared zero."""
         key = (vw, al, m, ww)
         out = self._kmode.get(key)
         if out is not None:
             return out
-        top = self.vm.word_weight(vw) + self.vm.word_weight(ww)
-        if m >= top:
-            return _NIL
+        wsum = self.vm.word_weight(vw) + self.vm.word_weight(ww)
+        if m >= wsum:
+            return _KEY_NIL
         # written out: as a bind, heisenberg_centre check --suite all: +5 %
         acc = LinComb()
-        for k in range(0, top - m):
+        for k in range(0, wsum - m):
             for x, c in self.vm._state_mode_word(vw, m + k, ww).items():
                 acc.add_into(self._eminus_word(al, x, k), c)
-        out = self._kmode[key] = cleared(acc)
+        out = self._kmode[key] = cleared(acc) if acc else _KEY_NIL
         return out
 
-    def cleared_mode(self, u, m, w):
-        """u_m w in cleared form (den, {(word id, tag): int}); numerators may be 0.
-        The key modes are summed in one ClearedSum per target tag al+be."""
-        add, sums = self.semigroup.add, {}
+    def packed_mode(self, u, m, w, slots):
+        """u_m w in packed form, its keys (word id, tag) numbered in slots (enveloping.pack):
+        the key modes summed in one PackedSum, each tagged al+be."""
+        add, acc = self.semigroup.add, PackedSum()
         for (vw, al), cu in u.items():
             for (ww, be), cw in w.items():
                 den, ints = self._key_mode(vw, al, m, ww)
                 if ints:
-                    ga = add(al, be)
-                    acc = sums.get(ga)
-                    if acc is None:
-                        acc = sums[ga] = ClearedSum()
                     c = cu * cw
-                    acc.add((den * c.denominator, ints), c.numerator)
-        den = lcm(*(acc.den for acc in sums.values()))
-        return den, {(x, ga): n * (den // acc.den)
-                     for ga, acc in sums.items() for x, n in acc.nums.items()}
+                    acc.add((den * c.denominator, *_packed(ints, slots, add(al, be))),
+                            c.numerator)
+        return acc.den, acc.num, acc.bound
 
     def state_mode(self, u, m, w):
-        """u_m w, from cleared_mode: zeros dropped, integral coefficients as ints."""
-        den, nums = self.cleared_mode(u, m, w)
-        return LinComb._raw({k: n // den if n % den == 0 else Fraction(n, den)
+        """u_m w, the key modes summed over their common denominator D: zeros dropped,
+        integral coefficients as ints."""
+        add, terms = self.semigroup.add, []
+        for (vw, al), cu in u.items():
+            for (ww, be), cw in w.items():
+                den, ints = self._key_mode(vw, al, m, ww)
+                if ints:
+                    terms.append((ints, add(al, be), cu * cw, den))
+        D = lcm(*(den * c.denominator for _, _, c, den in terms))
+        nums = {}
+        for ints, ga, c, den in terms:
+            scale = c.numerator * (D // (den * c.denominator))
+            for x, n in ints.items():
+                k = (x, ga)
+                nums[k] = nums.get(k, 0) + scale * n
+        return LinComb._raw({k: n // D if n % D == 0 else Fraction(n, D)
                              for k, n in nums.items() if n})
 
     def product(self, u, w):

@@ -21,16 +21,16 @@ per-word methods return shared entries, never to be mutated, public ones fresh s
 
 from functools import cache, partial
 from itertools import chain, product as iproduct
-from math import factorial
+from math import factorial, gcd
 
 from .current import Mode, bracket, mode_index, mode_normalize, mode_weight
 from .errors import UnsupportedError
-from .lincomb import ClearedSum, LinComb, binom, cleared, inv_factorial, sign_pow
+from .lincomb import LinComb, binom, cleared, inv_factorial, sign_pow
 from .report import CaseBlocks, ValidationReport
 
-__all__ = ["VacuumModule", "skew_defect_on", "commutator_defect_on", "jacobi_defect_on",
-           "vacuum_creation_sweep", "skew_sweep", "commutator_sweep", "jacobi_sweep",
-           "sweep_defect"]
+__all__ = ["VacuumModule", "PackedSum", "pack", "skew_defect_on", "commutator_defect_on",
+           "jacobi_defect_on", "vacuum_creation_sweep", "skew_sweep", "commutator_sweep",
+           "jacobi_sweep", "sweep_defect"]
 
 _ZERO = LinComb()
 
@@ -314,9 +314,9 @@ class VacuumModule:
                 out.add_into(self._state_mode_word(uw, n, vw), cu * cv)
         return out
 
-    def cleared_mode(self, u, n, v):
-        """u_n v in cleared form (lincomb.cleared)."""
-        return cleared(self.state_mode(u, n, v))
+    def packed_mode(self, u, n, v, slots):
+        """u_n v in packed form, its words numbered in slots (pack)."""
+        return pack(self.state_mode(u, n, v), slots)
 
     # -- coproduct and counit ----------------------------------------------------
 
@@ -456,8 +456,8 @@ class VacuumModule:
 # -- identity defects, generic over mode algebras -------------------------------------
 # alg provides state_mode(u, n, v), state_weight(state) and (for skew) D(state, power);
 # state_weight must bound truncation: u_n v = 0 once n > wt(u) + wt(v) - 1.  The sweeps
-# below also take cleared_mode(u, n, v): u_n v as (den, {key: int}), the form of
-# lincomb.cleared, except that numerators may be 0.  Their states come from the
+# below also take packed_mode(u, n, v, slots): u_n v in packed form, its keys numbered
+# in slots (see pack).  Their states come from the
 # model's basis_states(max_weight, torsion_bound=0, ...): the basis states of weight
 # <= max_weight, by weight, as the vacuum module, V (x)_phi C[L] and B_L give them.
 
@@ -511,18 +511,94 @@ def jacobi_defect_on(alg, u, v, w, p, q, r):
     return out
 
 
+# -- packed states ----------------------------------------------------------------------
+# A packed form (den, P, top) is a state with integer numerators c_k over den, as one
+# Python int P = sum_k c_k 2^(W slot(k)) (Kronecker substitution), and top >= max |c_k|.
+# The slots number the keys in first-seen order in a dict that one sweep block owns, so
+# P is as wide as the keys that block has met, and a merge is one big-integer
+# multiply-add, not one dict update per key.
+
+W = 64  # bits per slot of a packed state
+_NIL = (1, 0, 0)  # the packed zero state
+
+
+def pack(state, slots):
+    """A state in packed form, its keys numbered in slots (key -> slot), where a key
+    not yet there takes the next slot."""
+    try:
+        return 1, *_packed(state.terms, slots)
+    except TypeError:   # a Fraction coefficient: over the common denominator
+        den, ints = cleared(state)
+        return den, *_packed(ints, slots)
+
+
+def _packed(ints, slots, tag=None):
+    """(sum_k c_k 2^(W slot(k)), max |c_k|) over ints (key -> int c_k), each key k, or
+    (k, tag) given a tag, numbered in slots."""
+    P, top, get = 0, 0, slots.get
+    for k, c in ints.items():
+        if tag is not None:
+            k = (k, tag)
+        s = get(k)
+        if s is None:
+            s = slots[k] = len(slots)
+        P += c << W * s
+        if c > top or -c > top:
+            top = c if c > 0 else -c
+    return P, top
+
+
+class PackedSum:
+    """An exact sum of packed terms scale * (den, P, top), each scale an int, kept as
+    one integer num over a common denominator den, widened as terms come, with bound =
+    sum |scale| * top over den.
+
+    Its verdict is exact.  num != 0 means a nonzero sum.  Each base-2^W digit of num is
+    a sum of numerators, so |digit| <= bound; while bound < 2^(W-1) the balanced digits
+    are unique and num == 0 means the sum is zero.  Past the bound, exact() is False
+    and the caller decides the sum by other means."""
+
+    __slots__ = ("den", "num", "bound")
+
+    def __init__(self, term=_NIL):
+        """Start from one term (default: zero)."""
+        self.den, self.num, self.bound = term
+
+    def add(self, term, scale=1):
+        """self += scale * term; returns self."""
+        den, P, top = term
+        if not self.bound:  # zero so far: take the term's denominator
+            self.den, self.num, self.bound = den, scale * P, abs(scale) * top
+            return self
+        if den != self.den:
+            D = self.den
+            if D % den:
+                f = den // gcd(D, den)
+                D = self.den = D * f
+                self.num *= f
+                self.bound *= f
+            scale *= D // den
+        self.num += scale * P
+        self.bound += abs(scale) * top
+        return self
+
+    def exact(self):
+        """Whether num != 0 is the sum's verdict: num != 0, or a bound below 2^(W-1)."""
+        return not self.bound >> (W - 1) or self.num != 0
+
+
 # -- identity sweeps, generic over mode algebras ---------------------------------------
 # Each sweep returns CaseBlocks, one block per outer state u = states[a], that yield every
 # instance, in the loop order of the defect's arguments (states outermost, modes
 # innermost), as the defect's argument tuple followed by its defect, for
 # ValidationReport.tally to count with sweep_defect as the defect.  Subterms shared
 # between instances are evaluated once, in functools.cache tables: prod(i, k, j) =
-# states[i]_k states[j] for the whole sweep, the rest in cleared form (alg.cleared_mode,
-# or lincomb.cleared of a product).  Each defect is the exact sum, in a fresh ClearedSum,
-# of the same terms with the same coefficients as its *_defect_on reference, less
-# those whose coefficient is 0: it is zero iff that reference is.
-
-_NIL = (1, {})  # the cleared zero state
+# states[i]_k states[j] for the whole sweep, the rest of the commutator and Jacobi
+# sweeps in packed form (alg.packed_mode, or pack of a product), numbered in one slots
+# dict per table set.  Each of their defects is the exact sum, in a fresh PackedSum, of
+# the same terms with the same coefficients as its *_defect_on reference, less those
+# whose coefficient is 0, and the sweep yields its num, nonzero iff that reference is.
+# Where the PackedSum cannot tell (not exact()), the sweep yields the reference itself.
 
 
 def sweep_defect(*case):
@@ -530,13 +606,15 @@ def sweep_defect(*case):
     return case[-1]
 
 
-def _cleared_mode(alg, x, k, y):
-    """x_k y in cleared form, or the cleared zero when x or y is zero."""
-    return alg.cleared_mode(x, k, y) if x and y else _NIL
+def _packed_mode(alg, x, k, y, slots):
+    """x_k y in packed form, or the packed zero when x or y is zero."""
+    return alg.packed_mode(x, k, y, slots) if x and y else _NIL
 
 
 def skew_sweep(alg, states, modes):
-    """skew_defect_on(alg, u, n, v) for u, v in states and n in modes."""
+    """skew_defect_on(alg, u, n, v) for u, v in states and n in modes, times J! for
+    the largest j of its sum, J: each term is read by one instance only, so the
+    defect is summed as a LinComb with integer scales, not packed."""
     prod = cache(lambda i, k, j: alg.state_mode(states[i], k, states[j]))
     weights = [alg.state_weight(s) for s in states]
 
@@ -544,17 +622,17 @@ def skew_sweep(alg, states, modes):
         u = states[a]
         for b, v in enumerate(states):
             bound = weights[a] + weights[b]
-            # dpow(k, j) = D^j(v_k u) and forms(k, j) its cleared form
+            # dpow(k, j) = D^j(v_k u)
             dpow = cache(lambda k, j: alg.D(dpow(k, j - 1)) if j else prod(b, k, a))
-            forms = cache(lambda k, j: cleared(dpow(k, j)))
             for n in modes:
-                acc = ClearedSum(cleared(prod(a, n, b)))
-                for j in range(0, max(bound - n, 0) + 1):
+                J = max(bound - n, 0)
+                defect = prod(a, n, b) * factorial(J)
+                for j in range(0, J + 1):
                     k = n + j
                     if prod(b, k, a):
-                        den, ints = forms(k, j)
-                        acc.add((den * factorial(j), ints), -sign_pow(k + 1))
-                yield u, n, v, acc
+                        scale = -sign_pow(k + 1) * (factorial(J) // factorial(j))
+                        defect.add_into(dpow(k, j), scale)
+                yield u, n, v, defect
     return CaseBlocks(len(states), block)
 
 
@@ -570,21 +648,23 @@ def commutator_sweep(alg, states, modes):
             jmax = weights[a] + weights[b]
             for c, w in enumerate(states):
                 # iterates(j, k) = (u_j v)_k w
-                iterates = cache(lambda j, k: _cleared_mode(alg, prod(a, j, b), k, w))
+                slots = {}
+                iterates = cache(lambda j, k: _packed_mode(alg, prod(a, j, b), k, w, slots))
                 for m in modes:
                     bmj = bm[m]
                     for n in modes:
-                        vnw, umw = prod(b, n, c), prod(a, m, c)
-                        acc = ClearedSum(_cleared_mode(alg, u, m, vnw))
-                        if umw:
-                            acc.add(alg.cleared_mode(v, n, umw), -1)
+                        # u_m(v_n w) - v_n(u_m w), merged before it is packed
+                        lhs = alg.state_mode(u, m, prod(b, n, c))
+                        lhs.add_into(alg.state_mode(v, n, prod(a, m, c)), -1)
+                        acc = PackedSum(pack(lhs, slots))
                         for j in range(0, jmax):
                             bj = bmj[j]
                             if bj:
                                 t = iterates(j, m + n - j)
-                                if t[1]:
+                                if t[2]:
                                     acc.add(t, -bj)
-                        yield u, m, v, n, w, acc
+                        yield u, m, v, n, w, (acc.num if acc.exact() else
+                                              commutator_defect_on(alg, u, m, v, n, w))
     return CaseBlocks(len(states), block)
 
 
@@ -611,28 +691,30 @@ def jacobi_sweep(alg, states, modes):
                 # Each table is keyed by the two modes it applies, (k1, k2):
                 # ta(k1, k2) = u_k1(v_k2 w), tb(k1, k2) = v_k1(u_k2 w) and
                 # tc(k1, k2) = (u_k1 v)_k2 w.
-                ta = cache(lambda k1, k2: _cleared_mode(alg, u, k1, prod(b, k2, c)))
-                tb = cache(lambda k1, k2: _cleared_mode(alg, v, k1, prod(a, k2, c)))
-                tc = cache(lambda k1, k2: _cleared_mode(alg, prod(a, k1, b), k2, w))
+                slots = {}
+                ta = cache(lambda k1, k2: _packed_mode(alg, u, k1, prod(b, k2, c), slots))
+                tb = cache(lambda k1, k2: _packed_mode(alg, v, k1, prod(a, k2, c), slots))
+                tc = cache(lambda k1, k2: _packed_mode(alg, prod(a, k1, b), k2, w, slots))
                 for p in modes:
                     cap, cbp = ca[p], cb[p]
                     for q in modes:
                         ccq = cc[q]
                         for r in modes:
-                            acc = ClearedSum()
+                            acc = PackedSum()
                             for i in range(min(wv + ww + r + 1, stop[p])):
                                 t = ta(-p - q - i - 2, i - r - 1)
-                                if t[1]:
+                                if t[2]:
                                     acc.add(t, cap[i])
                             for i in range(min(wu + ww + q + 1, stop[p])):
                                 t = tb(-p - r - i - 2, i - q - 1)
-                                if t[1]:
+                                if t[2]:
                                     acc.add(t, cbp[i])
                             for i in range(min(wu + wv + p + 1, stop[q])):
                                 t = tc(i - p - 1, -q - r - i - 2)
-                                if t[1]:
+                                if t[2]:
                                     acc.add(t, ccq[i])
-                            yield u, v, w, p, q, r, acc
+                            yield u, v, w, p, q, r, (acc.num if acc.exact() else
+                                                     jacobi_defect_on(alg, u, v, w, p, q, r))
     return CaseBlocks(len(states), block)
 
 

@@ -9,13 +9,12 @@ order.
 
 from fractions import Fraction
 from itertools import repeat
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 
 __all__ = [
     "Fraction",
     "LinComb",
     "combination",
-    "ClearedSum",
     "cleared",
     "as_rational",
     "binom",
@@ -239,41 +238,3 @@ def cleared(lc):
         return 1, terms
     den = lcm(*(c.denominator for c in terms.values()))
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
-
-
-class ClearedSum:
-    """An exact sum of terms scale * ints / den, each term a pair (den, ints) from
-    cleared and each scale an int, kept as integer numerators over one common
-    denominator D.  It is zero iff every numerator is 0, since D * sum is exactly
-    the numerators."""
-
-    __slots__ = ("den", "nums")
-
-    def __init__(self, term=(1, {})):
-        """Start from one term (default: zero)."""
-        self.den, ints = term
-        self.nums = dict(ints)
-
-    def add(self, term, scale=1):
-        """self += scale * term; returns self."""
-        den, ints = term
-        nums = self.nums
-        if den != self.den:
-            D = self.den
-            if D % den:
-                f = den // gcd(D, den)
-                D = self.den = D * f
-                for k in nums:
-                    nums[k] *= f
-            scale *= D // den
-        get = nums.get
-        if scale == 1:
-            for k, c in ints.items():
-                nums[k] = get(k, 0) + c
-        else:
-            for k, c in ints.items():
-                nums[k] = get(k, 0) + scale * c
-        return self
-
-    def __bool__(self):
-        return any(self.nums.values())

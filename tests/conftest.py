@@ -2,7 +2,9 @@ import os
 
 import pytest
 
-from vertexkernel import workers
+from vertexkernel import enveloping, workers
+from vertexkernel.enveloping import commutator_defect_on, commutator_sweep
+from vertexkernel.lincomb import LinComb
 
 
 @pytest.fixture
@@ -14,3 +16,40 @@ def shard_over(monkeypatch):
     yield lambda n: monkeypatch.setattr(workers, "_usable_cpus", lambda: n)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class _Table:
+    """A mode algebra given by a table {(key, n, key): {key: int}} of its products on
+    basis keys, every key of weight 0."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def state_mode(self, u, n, v):
+        out = LinComb()
+        for ku, cu in u.items():
+            for kv, cv in v.items():
+                out.add_into(LinComb(self.table.get((ku, n, kv), {})), cu * cv)
+        return out
+
+    def state_weight(self, state):
+        return 0
+
+
+@pytest.fixture
+def packed_zero_case():
+    """run() -> (the failing instances of the commutator sweep, those of its reference
+    loop, one instance whose defect is 2^W x - y) on a two-key table algebra, mode 0.
+    At u = s0, v = s1, w = s0 the defect is s0_0(s1_0 s0) = 2^W x - y, and x, y take
+    the slots 0 and 1 of that sweep block, so it packs to 2^W - 2^W = 0, at whatever
+    W the module has."""
+    def run():
+        s0, s1 = LinComb.single("s0"), LinComb.single("s1")
+        alg = _Table({("s1", 0, "s0"): {"a": 1},
+                      ("s0", 0, "a"): {"x": 1 << enveloping.W, "y": -1}})
+        states = [s0, s1]
+        got = [case[:-1] for case in commutator_sweep(alg, states, [0]) if case[-1]]
+        want = [(u, 0, v, 0, w) for u in states for v in states for w in states
+                if commutator_defect_on(alg, u, 0, v, 0, w)]
+        return got, want, (s0, 0, s1, 0, s0)
+    return run

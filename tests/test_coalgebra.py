@@ -343,6 +343,34 @@ def test_ue_straighten_long_unsorted_word():
     assert got.get((0,) * 40 + (1,) * 40) == 1
 
 
+def recursive_apply_letter(ue, i, word):
+    """x_i on a sorted word, recursing once per letter it moves past."""
+    if not word or i <= word[0]:
+        return LinComb.single((i,) + word)
+    head, rest = word[0], word[1:]
+    out = recursive_apply_letter(ue, i, rest).bind(lambda x: recursive_apply_letter(ue, head, x))
+    out.add_into(ue.lie.bracket(i, head).bind(lambda k: recursive_apply_letter(ue, k, rest)))
+    return out
+
+
+@settings(deadline=None)
+@given(st.sampled_from([two_dim_nonabelian(), sl2()]), st.data())
+def test_ue_apply_letter_matches_the_recursion(lie, data):
+    n = len(lie.names)
+    word = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), max_size=7))))
+    i = data.draw(st.integers(0, n - 1))
+    ue = co.UniversalEnveloping(lie)
+    assert ue._apply_letter(i, word) == recursive_apply_letter(ue, i, word)
+
+
+def test_ue_straighten_walks_a_deep_word():
+    # y moved past 1500 letters x, [x, y] = z central: y x^k = x^k y - k x^(k-1) z.
+    # Recursing once per letter raised RecursionError here.
+    ue = co.UniversalEnveloping(co.LieAlgebra(["x", "y", "z"], {(0, 1): {2: 1}}))
+    got = ue.straighten((1,) + (0,) * 1500)
+    assert got == S((0,) * 1500 + (1,)) - S((0,) * 1499 + (2,), 1500)
+
+
 def test_ue_primitive_basis_is_degree_one():
     ue = co.UniversalEnveloping(two_dim_nonabelian())
     words = [(), (0,), (1,), (0, 0), (0, 1), (1, 1), (0, 0, 1)]

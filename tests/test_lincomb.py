@@ -4,8 +4,10 @@ from math import lcm
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vertexkernel import enveloping
+from vertexkernel.enveloping import PackedSum, pack
 from vertexkernel.lincomb import (
-    ClearedSum, LinComb, binom, cleared, combination, falling, format_rational, inv_factorial,
+    LinComb, binom, cleared, combination, falling, format_rational, inv_factorial,
     parse_rational, sign_pow,
 )
 
@@ -102,14 +104,15 @@ def test_cleared_forms():
 
 
 def test_cleared_sum_cancels_across_denominators():
-    acc = ClearedSum()
+    """The exact sum of cleared forms is PackedSum's, each form packed (one int)."""
+    acc, slots = PackedSum(), {}
     for c in (Fraction(1, 2), Fraction(1, 3)):
-        acc.add(cleared(LinComb.single("x", c)))
-    assert acc and acc.den == 6 and acc.nums == {"x": 5}
-    acc.add(cleared(LinComb.single("x", Fraction(5, 6))), -1)
-    assert not acc and acc.den == 6
-    acc.add((3, {"x": 1}), 2)  # a factor folded into den: 2 * 1/3
-    assert acc.nums == {"x": 4}
+        acc.add(pack(LinComb.single("x", c), slots))
+    assert acc.num and acc.den == 6 and value_of(acc, slots) == {"x": Fraction(5, 6)}
+    acc.add(pack(LinComb.single("x", Fraction(5, 6)), slots), -1)
+    assert not acc.num and acc.exact() and acc.den == 6
+    acc.add((3, 1 << enveloping.W * slots["x"], 1), 2)  # a factor folded into den: 2 * 1/3
+    assert acc.num == 4 << enveloping.W * slots["x"]
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -124,32 +127,55 @@ def lincomb_sum(terms):
     return out
 
 
-def cleared_sum(terms):
-    acc = ClearedSum()
+def cleared_sum(terms, slots=None):
+    """The PackedSum of the terms, packed over slots (a fresh numbering by default)."""
+    acc, slots = PackedSum(), {} if slots is None else slots
     for lc, scale in terms:
-        acc.add(cleared(lc), scale)
+        acc.add(pack(lc, slots), scale)
     return acc
 
 
-def value_of(acc):
-    return {k: Fraction(n, acc.den) for k, n in acc.nums.items() if n}
+def digits(num, n):
+    """The n lowest balanced base-2^W digits of num, lowest first."""
+    W, out = enveloping.W, []
+    for _ in range(n):
+        d = num & ((1 << W) - 1)
+        if d >> (W - 1):
+            d -= 1 << W
+        out.append(d)
+        num = (num - d) >> W
+    assert num == 0
+    return out
+
+
+def value_of(acc, slots):
+    """The value of an exact PackedSum as {key: coefficient}, its keys numbered in slots."""
+    assert acc.exact()
+    ds = digits(acc.num, len(slots))
+    return {k: Fraction(ds[s], acc.den) for k, s in slots.items() if ds[s]}
 
 
 @given(scaled_terms)
 def test_cleared_sum_equals_the_lincomb_sum(terms):
-    acc, total = cleared_sum(terms), lincomb_sum(terms)
-    assert bool(acc) == bool(total)
-    assert value_of(acc) == total.terms
+    """Packed and LinComb sums agree on random rational states, the denominator
+    widening term by term; the bound stays far below 2^(W-1), so the verdict is exact."""
+    slots = {}
+    acc, total = cleared_sum(terms, slots), lincomb_sum(terms)
+    assert acc.exact() and bool(acc.num) == bool(total)
+    assert value_of(acc, slots) == total.terms
+    dens = [(cleared(lc)[0], bool(scale and lc)) for lc, scale in terms]
+    assert acc.den % lcm(1, *(d for d, used in dens if used)) == 0
+    assert lcm(1, *(d for d, _ in dens)) % acc.den == 0
 
 
 @given(scaled_terms)
 def test_cleared_sum_of_a_sum_and_its_negative_is_zero(terms):
     total = lincomb_sum(terms)
     acc = cleared_sum(terms + [(total, -1)])
-    assert not acc
+    assert acc.exact() and not acc.num
     # the same cancellation split over the keys, one term per key
     acc = cleared_sum(terms + [(LinComb.single(k, c), -1) for k, c in total.items()])
-    assert not acc
+    assert acc.exact() and not acc.num
 
 
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=5), st.sampled_from([1, -1]))
@@ -159,7 +185,7 @@ def test_cleared_sum_keeps_a_residue_of_one_over_the_common_denominator(dens, si
     parts = [(LinComb.single("x", Fraction(1, d)), 1) for d in dens]
     rest = sum(Fraction(1, d) for d in dens) - Fraction(sign, D)
     acc = cleared_sum(parts + [(LinComb.single("x", rest), -1)])
-    assert acc and acc.den == D and acc.nums == {"x": sign}
+    assert acc.den == D and acc.num == sign
     assert bool(lincomb_sum(parts + [(LinComb.single("x", rest), -1)]))
 
 

@@ -7,14 +7,17 @@ unless their arguments name another --input (the last --input given wins)."""
 import json
 import os
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from vertexkernel import cli, constructions
+from vertexkernel import cli, constructions, enveloping
 from vertexkernel.constructions import BL, TensorPhiAlgebra
 from vertexkernel.current import mode_normalize
-from vertexkernel.enveloping import _ZERO, VacuumModule
-from vertexkernel.lincomb import ClearedSum, LinComb, binom, sign_pow
+from vertexkernel.enveloping import (_ZERO, PackedSum, VacuumModule, _packed_mode,
+                                     jacobi_defect_on)
+from vertexkernel.lincomb import LinComb, binom, sign_pow
+from vertexkernel.report import CaseBlocks
 
 INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs")
 CENTRE = os.path.join(INPUTS, "heisenberg_centre.json")
@@ -114,14 +117,58 @@ def delta_word_left_leg_only(self, word):
 
 
 def cleared_add_without_widening(self, term, scale=1):
-    """ClearedSum.add that keeps its denominator: a term over a denominator that
-    does not divide it is scaled by the floor of their quotient."""
-    den, ints = term
+    """PackedSum.add that keeps its denominator: a term over a denominator that does
+    not divide it is scaled by the floor of their quotient."""
+    den, P, top = term
+    if not self.bound:
+        self.den, self.num, self.bound = den, scale * P, abs(scale) * top
+        return self
     if den != self.den:
         scale *= self.den // den
-    for k, c in ints.items():
-        self.nums[k] = self.nums.get(k, 0) + scale * c
+    self.num += scale * P
+    self.bound += abs(scale) * top
     return self
+
+
+def jacobi_sweep_k1_k2_swapped(alg, states, modes):
+    """enveloping.jacobi_sweep with ta(k1, k2) = u_k2(v_k1 w) for u_k1(v_k2 w)."""
+    prod = cache(lambda i, k, j: alg.state_mode(states[i], k, states[j]))
+    weights = [alg.state_weight(s) for s in states]
+    irange = range(2 * max(weights, default=0) + max(modes, default=0) + 1)
+    ca = {p: [sign_pow(i) * binom(-p - 1, i) for i in irange] for p in modes}
+    cb = {p: [sign_pow(p + i) * binom(-p - 1, i) for i in irange] for p in modes}
+    cc = {q: [-sign_pow(i) * binom(q + i, i) for i in irange] for q in modes}
+    stop = {p: -p if p < 0 else len(irange) for p in modes}
+
+    def block(a):
+        u, wu = states[a], weights[a]
+        for b, v in enumerate(states):
+            wv = weights[b]
+            for c, w in enumerate(states):
+                ww = weights[c]
+                slots = {}
+                ta = cache(lambda k1, k2: _packed_mode(alg, u, k2, prod(b, k1, c), slots))
+                tb = cache(lambda k1, k2: _packed_mode(alg, v, k1, prod(a, k2, c), slots))
+                tc = cache(lambda k1, k2: _packed_mode(alg, prod(a, k1, b), k2, w, slots))
+                for p in modes:
+                    for q in modes:
+                        for r in modes:
+                            acc = PackedSum()
+                            for i in range(min(wv + ww + r + 1, stop[p])):
+                                t = ta(-p - q - i - 2, i - r - 1)
+                                if t[2]:
+                                    acc.add(t, ca[p][i])
+                            for i in range(min(wu + ww + q + 1, stop[p])):
+                                t = tb(-p - r - i - 2, i - q - 1)
+                                if t[2]:
+                                    acc.add(t, cb[p][i])
+                            for i in range(min(wu + wv + p + 1, stop[q])):
+                                t = tc(i - p - 1, -q - r - i - 2)
+                                if t[2]:
+                                    acc.add(t, cc[q][i])
+                            yield u, v, w, p, q, r, (acc.num if acc.exact() else
+                                                     jacobi_defect_on(alg, u, v, w, p, q, r))
+    return CaseBlocks(len(states), block)
 
 
 # (row, owner, attribute, mutant, suite and bounds, failing check, its witness)
@@ -151,10 +198,15 @@ ROWS = [
     ("delta-word-left-leg-only", VacuumModule, "delta_word", delta_word_left_leg_only,
      ["--suite", "coalgebra", "--max-weight", "0", "--mode-window", "0"],
      "cocommutativity", "cocommutativity fails at c(-1)|0⟩"),
-    # the 1/j! of skew-symmetry's D^j terms
-    ("cleared-add-without-widening", ClearedSum, "add", cleared_add_without_widening,
-     ["--suite", "skew", "--max-weight", "2", "--mode-window", "0"],
-     "skew-symmetry", "skew-symmetry fails at (h(-2)|0⟩)_0(h(-1)h(-1)|0⟩)"),
+    # the 1/k! of E_k in the twisted modes, over the widening step of PackedSum.add
+    ("cleared-add-without-widening", PackedSum, "add", cleared_add_without_widening,
+     ["--suite", "tensor-phi", "--max-weight", "0", "--mode-window", "1"],
+     "tensor-phi-jacobi",
+     "Jacobi (0,0,1) fails at u=|0⟩⊗e^{(-1)}, v=|0⟩⊗e^{(-1)}, w=|0⟩⊗e^{(-1)}"),
+    # ta(k1, k2) read as u_k2(v_k1 w): on Heisenberg, killed at weight 1
+    ("jacobi-table-k1-k2-swapped", enveloping, "jacobi_sweep", jacobi_sweep_k1_k2_swapped,
+     ["--input", HEISENBERG, "--suite", "jacobi", "--max-weight", "1", "--mode-window", "0"],
+     "jacobi-identity", "Jacobi coefficient (0,0,0) defect at u=|0⟩, v=h(-1)|0⟩, w=|0⟩"),
 ]
 
 
@@ -174,3 +226,14 @@ def test_mutant_is_killed(monkeypatch, capsys, row, owner, attr, mutant, bounds,
     assert code == 1
     first = next(c for c in failed if c["check"] == check_id)
     assert first["witness"].split(" (+")[0] == want
+
+
+def test_packed_zero_read_as_zero_is_killed(monkeypatch, packed_zero_case):
+    """PackedSum.exact always true, so that a packed 0 reads as a zero defect whatever
+    the bound: the forced-fallback case (W = 2) loses its one overflowing failure."""
+    monkeypatch.setattr(enveloping, "W", 2)
+    got, want, case = packed_zero_case()
+    assert case in want and got == want
+    monkeypatch.setattr(PackedSum, "exact", lambda self: True)
+    got, want, case = packed_zero_case()
+    assert case in want and case not in got

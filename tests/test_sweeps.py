@@ -6,12 +6,14 @@ the *_defect_on functions, in the original loop order and with the original
 witness strings, and asserts that the report JSON is identical: on passing
 algebras, and on failing ones where the witness and the (+N more) count are
 pinned.  The work count of jacobi_sweep is pinned at one state_mode call per
-distinct product and one cleared_mode call per (k1, k2) table key with a nonzero
-coefficient.  The vacuum axioms fail on purpose on an algebra with shifted modes
-at the vacuum, which pins the order of their three laws.  Hypothesis tests check
+distinct product and one packed_mode call per (k1, k2) table key with a nonzero
+coefficient.  With the slot width W narrowed, most instances fall back to the
+reference, and an instance whose digits overflow is decided nonzero.  The vacuum
+axioms fail on purpose on an algebra with shifted modes at the vacuum, which pins
+the order of their three laws.  Hypothesis tests check
 the E^- memo behind TensorPhiAlgebra's modes against the direct sum over k of
 eminus_apply, the E^- suffix fill against eminus_apply on the word itself, and
-cleared_mode and state_mode against the modes computed over tagged keys; a serial
+packed_mode and state_mode against the modes computed over tagged keys; a serial
 tensor-phi check pins one eminus_apply call per (alpha, k) and no out-of-range
 _kmode key.  The four sweep checkers give the same reports with 1, 2 and 3
 usable CPUs, that is, serially and over forked workers.
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexkernel import cli, constructions, workers
+from vertexkernel import cli, constructions, enveloping, workers
 from vertexkernel.constructions import (PhiMap, SemigroupL, TensorPhiAlgebra,
                                         _mode_range, check_tensor_phi_axioms,
                                         eminus_apply)
@@ -301,9 +303,8 @@ def jacobi_table_calls(tp, states, modes, mode_pair_keys):
 
 def test_jacobi_sweep_applies_each_mode_pair_once():
     """The work count of jacobi_sweep is pinned at one state_mode call per distinct
-    product and one cleared_mode call per distinct (k1, k2) table key whose
-    coefficient is nonzero.  state_mode goes through cleared_mode, so cleared_mode
-    is called once per product and once per entry."""
+    product and one packed_mode call per distinct (k1, k2) table key whose
+    coefficient is nonzero."""
     def states_of(tp):
         return [LinComb.single(k) for d in range(2) for k in tp.basis_keys(d, 0, 1)]
     modes = _mode_range(1)
@@ -313,20 +314,20 @@ def test_jacobi_sweep_applies_each_mode_pair_once():
     assert want < jacobi_table_calls(ref, states_of(ref), modes, mode_pair_keys=False)
 
     tp = tensor_phi_into(heisenberg(1), "c")
-    products, cleared = [], []
+    products, packed = [], []
 
     def counting(method, calls):
-        def counted(u, n, w):
+        def counted(u, n, w, *slots):
             calls.append(n)
-            return method(u, n, w)
+            return method(u, n, w, *slots)
         return counted
-    tp.cleared_mode = counting(tp.cleared_mode, cleared)
+    tp.packed_mode = counting(tp.packed_mode, packed)
     tp.state_mode = counting(tp.state_mode, products)
     states = states_of(tp)
     cases = list(jacobi_sweep(tp, states, modes))
     assert len(cases) == len(states) ** 3 * len(modes) ** 3
     assert failing_cases(cases) == []
-    entries = len(cleared) - len(products)
+    entries = len(packed)
     assert (len(products), entries) == (108, 8316)
     assert len(products) + entries == want == 8424
 
@@ -426,14 +427,17 @@ def test_eminus_apply_runs_once_per_alpha_and_order(centre_check):
 
 
 def test_key_mode_stores_only_in_range_keys(centre_check):
-    """_key_mode returns the cleared zero for m >= wt vw + wt ww without storing it."""
+    """_key_mode returns the zero key mode for m >= wt vw + wt ww without storing it,
+    and stores a sum that vanishes as that one shared zero."""
     tp, _ = centre_check
     wt = tp.vm.word_weight
     assert tp._kmode
     assert all(m < wt(vw) + wt(ww) for vw, _, m, ww in tp._kmode)
+    zeros = [entry for entry in tp._kmode.values() if not entry[1]]
+    assert zeros and all(entry is constructions._KEY_NIL for entry in zeros)
 
 
-# -- cleared_mode against the tagged modes ------------------------------------------------
+# -- packed_mode against the tagged modes -------------------------------------------------
 
 
 def tagged_key_mode(tp, vw, al, m, ww, be):
@@ -458,7 +462,7 @@ def tagged_state_mode(tp, u, m, w):
 
 @pytest.fixture(scope="module")
 def twists():
-    """The tensor algebras of the cleared_mode test, each with its keys of weight
+    """The tensor algebras of the packed_mode test, each with its keys of weight
     <= 2 and |alpha| <= 2: Heisenberg (x)_phi C[Z] with phi = c, over Z^2 with
     phi = (c, c/2) and over the non-group N, and the abelian algebra with phi = h."""
     heis, ab = heisenberg(1), abelian(1)
@@ -485,22 +489,71 @@ def random_state(data, keys):
     return out
 
 
+def unpacked(form, slots):
+    """A packed form (den, P, top) as {key: Fraction}, its keys numbered in slots."""
+    den, P, top = form
+    assert top < 1 << enveloping.W - 1
+    out, mask = {}, (1 << enveloping.W) - 1
+    for key, slot in sorted(slots.items(), key=lambda ks: ks[1]):
+        d = P & mask
+        if d >> (enveloping.W - 1):
+            d -= 1 << enveloping.W
+        if d:
+            out[key] = Fraction(d, den)
+        P = (P - d) >> enveloping.W
+    assert P == 0
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(which=st.integers(0, 3), data=st.data(), m=st.integers(-4, 2))
-def test_cleared_mode_matches_the_tagged_modes(twists, which, data, m):
-    """cleared_mode's numerators over its denominator, and state_mode, are the
-    tagged reference's u_m w, with every coefficient of state_mode an int when it
-    is integral."""
+def test_packed_mode_matches_the_tagged_modes(twists, which, data, m):
+    """packed_mode's digits over its denominator, and state_mode, are the tagged
+    reference's u_m w, with every coefficient of state_mode an int when it is
+    integral."""
     tp, keys = twists[which]
     u, w = random_state(data, keys), random_state(data, keys)
     want = tagged_state_mode(tp, u, m, w)
-    den, nums = tp.cleared_mode(u, m, w)
-    assert type(den) is int and den > 0
-    assert all(type(n) is int for n in nums.values())
-    assert LinComb({k: Fraction(n, den) for k, n in nums.items()}) == want
+    slots = {}
+    den, P, top = tp.packed_mode(u, m, w, slots)
+    assert type(den) is int and den > 0 and type(P) is int
+    assert LinComb(unpacked((den, P, top), slots)) == want
     got = tp.state_mode(u, m, w)
     assert got == want
     assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+
+
+# -- exactness of the packed sums -----------------------------------------------------
+
+
+def test_narrow_slots_fall_back_to_the_reference(monkeypatch, packed_zero_case):
+    """With W = 2 most zero defects have a bound past 2^1 and are decided by their
+    reference; the sweeps still fail exactly where the references do, and the
+    instance whose digits cancel to 0 is a failure."""
+    monkeypatch.setattr(enveloping, "W", 2)
+    fallbacks = []
+    for name in ("commutator_defect_on", "jacobi_defect_on"):
+        def counted(*args, reference=getattr(enveloping, name)):
+            fallbacks.append(args)
+            return reference(*args)
+        monkeypatch.setattr(enveloping, name, counted)
+    vir = VacuumModule(virasoro_doubled_l0())
+    states, modes = vir.basis_states(2, 1), range(-1, 2)
+    for sweep, reference in ((commutator_sweep, commutator_reference),
+                             (jacobi_sweep, jacobi_reference)):
+        before = len(fallbacks)
+        fails = failing_cases(sweep(vir, states, modes))
+        assert fails == reference(vir, states, modes) and fails
+        assert len(fallbacks) > before
+    got, want, case = packed_zero_case()
+    assert case in want and got == want
+
+
+def test_overflowing_digits_are_decided_nonzero(packed_zero_case):
+    """A defect 2^W x - y, x and y in consecutive slots, packs to 0 at the full W; its
+    bound 2^W is past 2^(W-1), so the reference decides it: nonzero."""
+    got, want, case = packed_zero_case()
+    assert case in want and got == want
 
 
 # -- the sweeps over forked workers ---------------------------------------------------
