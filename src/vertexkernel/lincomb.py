@@ -77,7 +77,8 @@ def format_rational(q):
 
 
 class LinComb:
-    """A finite sum  sum_k c_k * k  with c_k in Q \\ {0}."""
+    """A finite sum  sum_k c_k * k  with c_k in Q \\ {0}.  add_into changes it in
+    place, so it is not hashable."""
 
     __slots__ = ("terms",)
 
@@ -122,9 +123,6 @@ class LinComb:
         if other == 0:
             return not self.terms
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         return LinComb._raw(dict(self.terms)).add_into(other)

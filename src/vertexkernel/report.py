@@ -62,17 +62,6 @@ class ValidationReport:
         self.checks.append(CheckResult(check_id, bool(passed), witness, details))
         return self
 
-    def record(self, check_id, failures, total):
-        """Summarize a sweep: failures is a list of witness strings."""
-        return self._summarize(check_id, total, len(failures), failures[0] if failures else None)
-
-    def _summarize(self, check_id, total, failed, first):
-        """first is the first failure's witness when failed > 0."""
-        if failed:
-            w = first if failed == 1 else f"{first} (+{failed - 1} more)"
-            return self.add(check_id, False, witness=w)
-        return self.add(check_id, True, details=f"{total} instances checked")
-
     def tally(self, check_id, cases, defect, witness):
         """Run one check over cases, counting exactly the cases it ran.
 
@@ -83,11 +72,14 @@ class ValidationReport:
         merged in block order: the result is that of the plain loop."""
         if isinstance(cases, CaseBlocks):
             from .workers import in_order   # on the first sweep: importing stays as cheap
-            counts = _merge(in_order(cases.count,
-                                     lambda a: _count(cases.block(a), defect, witness)))
+            total, failed, first = _merge(in_order(
+                cases.count, lambda a: _count(cases.block(a), defect, witness)))
         else:
-            counts = _count(cases, defect, witness)
-        return self._summarize(check_id, *counts)
+            total, failed, first = _count(cases, defect, witness)
+        if failed:
+            w = first if failed == 1 else f"{first} (+{failed - 1} more)"
+            return self.add(check_id, False, witness=w)
+        return self.add(check_id, True, details=f"{total} instances checked")
 
     def merge(self, other):
         self.checks.extend(other.checks)

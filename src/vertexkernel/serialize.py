@@ -5,10 +5,11 @@ The text grammar is the one the CLI prints, so outputs parse back in:
     mode          L(-3)
     element       2·L + 1/2·D^2L        (D-powers of generators)
     state         L(-2)L(-1)|0⟩        (modes applied to the vacuum, any order)
-    diff element  h1(-2)^2·e^{(3)}      (B_L / tensor keys; runs carry powers)
 
-"*" is accepted wherever "·" is printed, and "|0>" wherever "|0⟩" is.
-JSON forms use exact rational strings throughout.
+"*" is accepted wherever "·" is printed, and "|0>" wherever "|0⟩" is.  Keys
+of B_L and V ⊗_φ ℂ[L] print as "h1(-2)^2·e^{(3)}" (runs carry powers); that
+form, like the JSON of modes, is output only.  JSON forms use exact rational
+strings throughout.
 """
 
 import json
@@ -17,15 +18,13 @@ import re
 from .current import Mode
 from .errors import InputError
 from .lincomb import Fraction, LinComb, parse_rational
-from .vla import Presentation, builtin, json_bool, json_int, json_name, json_terms
+from .vla import Presentation, builtin, json_bool, json_int, json_terms
 
 _MODE_RE = re.compile(r"^([A-Za-z_]\w*)\((-?\d+)\)$")
 _WORD_RE = re.compile(r"([A-Za-z_]\w*)\((-?\d+)\)")
 _STATE_RE = re.compile(r"^((?:[A-Za-z_]\w*\(-?\d+\))*)\|0[⟩>]$")
 _COEFF_RE = re.compile(r"^(\d+(?:/\d+)?)\s*[·*]\s*(.+)$")
 _DTERM_RE = re.compile(r"^D(?:\^(\d+))?([A-Za-z_]\w*)$")
-_POWER_RE = re.compile(r"^([A-Za-z_]\w*)\((-?\d+)\)(?:\^(\d+))?$")
-_ALPHA_RE = re.compile(r"^e\^\{?\((-?\d+(?:\s*,\s*-?\d+)*),?\)\}?$")
 
 
 def parse_mode(text):
@@ -39,57 +38,36 @@ def mode_to_json(mode):
     return {"gen": mode.gen, "n": mode.n}
 
 
-def mode_from_json(data):
-    try:
-        return Mode(json_name(data["gen"], "gen"), json_int(data["n"], "n"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed mode JSON: {exc}") from exc
-
-
-def _top_level(text, seps):
-    """(chunk, separator) pairs of text cut at the characters of seps that sit
-    outside brackets; the last chunk's separator is None."""
-    out, buf, depth = [], [], 0
-    for ch in text:
+def _split_signed(text):
+    """Top-level (sign, chunk) pairs of a sum; +/- inside brackets are atoms."""
+    chunks, start, sign, depth = [], 0, 1, 0
+    for i, ch in enumerate(text):
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        if depth == 0 and ch in seps:
-            out.append(("".join(buf).strip(), ch))
-            buf = []
-        else:
-            buf.append(ch)
-    out.append(("".join(buf).strip(), None))
-    return out
-
-
-def _split_signed(text):
-    """Top-level (sign, chunk) pairs of a sum; +/- inside brackets are atoms."""
-    chunks, sign = [], 1
-    for chunk, sep in _top_level(text, "+-"):
-        if chunk:
-            chunks.append((sign, chunk))
-            sign = 1
-        elif sep is None:
-            raise InputError(f"dangling sign in {text!r}")
-        if sep == "-":
-            sign = -sign
-    return chunks
-
-
-def _coeff(text):
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        elif depth == 0 and ch in "+-":
+            chunk = text[start:i].strip()
+            if chunk:
+                chunks.append((sign, chunk))
+                sign = 1
+            if ch == "-":
+                sign = -sign
+            start = i + 1
+    chunk = text[start:].strip()
+    if not chunk:
+        raise InputError(f"dangling sign in {text!r}")
+    return chunks + [(sign, chunk)]
 
 
 def _coeff_split(term):
     m = _COEFF_RE.match(term)
-    if m:
-        return _coeff(m.group(1)), m.group(2).strip()
-    return Fraction(1), term
+    if not m:
+        return Fraction(1), term
+    try:
+        return parse_rational(m.group(1)), m.group(2).strip()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 # -- elements of C ---------------------------------------------------------------
@@ -173,19 +151,6 @@ def format_alpha(alpha):
     return "(" + ",".join(str(a) for a in alpha) + ")"
 
 
-def parse_alpha(text):
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    body = text.strip().rstrip(",")
-    if not body:
-        raise InputError("empty exponent tuple")
-    try:
-        return tuple(int(p) for p in body.split(","))
-    except ValueError as exc:
-        raise InputError(f"cannot parse exponent tuple {text!r}") from exc
-
-
 def format_diff_key(key):
     """B_L / tensor basis key (word, alpha) as "h1(-2)^2·e^{(3)}"."""
     word, alpha = key
@@ -198,37 +163,6 @@ def format_diff_key(key):
     parts = [str(m) + (f"^{e}" if e > 1 else "") for m, e in runs]
     parts.append(f"e^{{{format_alpha(alpha)}}}")
     return "·".join(parts)
-
-
-def parse_diff_element(bl, text):
-    """A B_L element from "h1(-2)^2·e^{(3)}" style text."""
-    text = text.strip()
-    if text == "0":
-        return LinComb()
-    out = LinComb()
-    for sign, term in _split_signed(text):
-        coeff = Fraction(1)
-        modes = []
-        alpha = None
-        chunks = [chunk for chunk, _ in _top_level(term, "·*") if chunk]
-        for i, chunk in enumerate(chunks):
-            am = _ALPHA_RE.match(chunk)
-            if am:
-                if alpha is not None:
-                    raise InputError(f"two exponent tags in {term!r}")
-                alpha = parse_alpha(am.group(1))
-                continue
-            pm = _POWER_RE.match(chunk)
-            if pm:
-                modes.extend([(pm.group(1), int(pm.group(2)))] * int(pm.group(3) or 1))
-                continue
-            if i == 0:
-                coeff = _coeff(chunk)
-                continue
-            raise InputError(f"cannot parse {chunk!r} in diff element {term!r}")
-        al = bl.semigroup.zero() if alpha is None else alpha
-        out.add_into(bl.monomial(modes, al), sign * coeff)
-    return out
 
 
 def diff_state_to_json(alg, state):

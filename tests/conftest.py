@@ -3,7 +3,7 @@ import os
 import pytest
 
 from vertexkernel import enveloping, workers
-from vertexkernel.enveloping import commutator_defect_on, commutator_sweep
+from vertexkernel.enveloping import commutator_defect_on, commutator_sweep, pack
 from vertexkernel.lincomb import LinComb
 
 
@@ -20,7 +20,7 @@ def shard_over(monkeypatch):
 
 class _Table:
     """A mode algebra given by a table {(key, n, key): {key: int}} of its products on
-    basis keys, every key of weight 0."""
+    basis keys, every key of weight 1."""
 
     def __init__(self, table):
         self.table = table
@@ -32,21 +32,25 @@ class _Table:
                 out.add_into(LinComb(self.table.get((ku, n, kv), {})), cu * cv)
         return out
 
+    def packed_mode(self, u, n, v, slots):
+        return pack(self.state_mode(u, n, v), slots)
+
     def state_weight(self, state):
-        return 0
+        return 1
 
 
 @pytest.fixture
 def packed_zero_case():
     """run() -> (the failing instances of the commutator sweep, those of its reference
-    loop, one instance whose defect is 2^W x - y) on a two-key table algebra, mode 0.
-    At u = s0, v = s1, w = s0 the defect is s0_0(s1_0 s0) = 2^W x - y, and x, y take
-    the slots 0 and 1 of that sweep block, so it packs to 2^W - 2^W = 0, at whatever
-    W the module has."""
+    loop, one instance whose defect is 2^W y - z) on a table algebra, mode 0.
+    At u = s0, v = s1, w = s0 the defect is s0_0(s1_0 s0) - (s0_0 s1)_0 s0, that is
+    (2^W x + 2^W y) - (2^W x + z), and x, y, z take the slots 0, 1 and 2 of that sweep
+    block, so both terms pack to 2^W + 2^(2W), at whatever W the module has.  The
+    second is added with scale -1, so a bound that grew by scale * top would be 0."""
     def run():
-        s0, s1 = LinComb.single("s0"), LinComb.single("s1")
-        alg = _Table({("s1", 0, "s0"): {"a": 1},
-                      ("s0", 0, "a"): {"x": 1 << enveloping.W, "y": -1}})
+        s0, s1, big = LinComb.single("s0"), LinComb.single("s1"), 1 << enveloping.W
+        alg = _Table({("s1", 0, "s0"): {"a": 1}, ("s0", 0, "a"): {"x": big, "y": big},
+                      ("s0", 0, "s1"): {"b": 1}, ("b", 0, "s0"): {"x": big, "z": 1}})
         states = [s0, s1]
         got = [case[:-1] for case in commutator_sweep(alg, states, [0]) if case[-1]]
         want = [(u, 0, v, 0, w) for u in states for v in states for w in states

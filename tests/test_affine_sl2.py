@@ -7,7 +7,8 @@ A bracket that reads the (b, a, j) row for distinct generators gives the opposit
 algebra, which is also a vertex Lie algebra, so the sweeps pass on it; the morphism
 check refuses it.  The same checks run at the critical level k = -2 and at k = 1/2,
 whose central terms are not integers (affine_sl2_level_m2.json and
-affine_sl2_level_half.json).
+affine_sl2_level_half.json), and at all three levels the vacuum/creation and
+D-translation checks pass.
 """
 
 import json
@@ -63,6 +64,19 @@ def test_affine_sl2_at_other_levels(capsys, level):
         assert checks and all(d.endswith("instances checked") and not d.startswith("0 ")
                               for d in checks.values())
     assert check(capsys, "--suite", "morphism", path=LEVELS[level])[0] == 0
+
+
+@pytest.mark.parametrize("path", [SL2, *LEVELS.values()], ids=["1", *LEVELS])
+def test_affine_sl2_vacuum_and_translation_axioms(path):
+    """The vacuum/creation laws and D u = u_{-2}|0>, (D u)_n v = -n u_{n-1} v hold at
+    each level, over every basis state of weight <= 2 and n in [-2, 2]."""
+    vm = VacuumModule(load_presentation(read_json_file(path)))
+    for rep, details in ((vm.check_vacuum_creation(max_weight=2, window=2),
+                          "234 instances checked"),
+                         (vm.check_d_translation(max_weight=2, window=2),
+                          "3406 instances checked")):
+        (result,) = rep.checks
+        assert result.passed and result.details == details
 
 
 class _Swapped:

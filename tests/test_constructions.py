@@ -347,7 +347,7 @@ def test_group_like_scan_sees_through_a_change_of_basis(matrix):
             state.add_into(b, c)
     assume(rank_of(span) == 4)
     found = group_like_scan(tp, span)
-    assert len(found) == 3 and set(found) == set(exps)
+    assert len(found) == 3 and all(g in found for g in exps)
 
 
 def test_component_of_and_structure():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -88,6 +89,12 @@ def test_format():
 
 def test_get_of_a_missing_key_is_int_zero():
     assert type(LinComb.single("x", Fraction(1, 2)).get("y")) is int
+
+
+def test_lincomb_is_unhashable():
+    """add_into changes a LinComb in place, so it cannot be a set member or dict key."""
+    with pytest.raises(TypeError):
+        hash(LinComb())
 
 
 # -- cleared forms and the integer accumulator of the identity sweeps -----------------

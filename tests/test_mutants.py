@@ -8,6 +8,7 @@ import json
 import os
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import pytest
 
@@ -58,32 +59,35 @@ def bl_d_sign_flipped(self, state, power=1):
     return _BL_D(self, state, power) * (-1) ** power
 
 
-def state_mode_word_second_sum_flipped(self, uw, n, vw):
-    """VacuumModule._state_mode_word with + (-1)^m on its second i-sum."""
-    if not uw:
-        return LinComb.single(vw) if n == -1 else _ZERO
-    key = (uw, n, vw)
-    out = self._smode.get(key)
-    if out is not None:
+def state_mode_word_with(first_cut=0, second_sign=-1):
+    """VacuumModule._state_mode_word with its first i-sum cut short by first_cut
+    terms, and -(-1)^m on its second i-sum read as second_sign * (-1)^m."""
+    def mutant(self, uw, n, vw):
+        if not uw:
+            return LinComb.single(vw) if n == -1 else _ZERO
+        key = (uw, n, vw)
+        out = self._smode.get(key)
+        if out is not None:
+            return out
+        wt = self._wt
+        wv = wt[vw]
+        if n > wt[uw] + wv - 1:
+            return _ZERO
+        head, rest = self._head[uw], self._rest[uw]
+        g, m = self._modes[head]
+        down, up = wt[rest] + wv - n, self.pres.weight_of(g) + wv
+        lower, upper = self._mode_runs(head, down, up)
+        out = LinComb()
+        for i in range(0, down - first_cut):
+            for w2, c2 in self._state_mode_word(rest, n + i, vw).items():
+                out.add_into(self._apply_word(lower[i], w2), sign_pow(i) * binom(m, i) * c2)
+        for i in range(0, up):
+            for w2, c2 in self._apply_word(upper[i], vw).items():
+                out.add_into(self._state_mode_word(rest, m + n - i, w2),
+                             second_sign * sign_pow(m) * sign_pow(i) * binom(m, i) * c2)
+        self._smode[key] = out
         return out
-    wt = self._wt
-    wv = wt[vw]
-    if n > wt[uw] + wv - 1:
-        return _ZERO
-    head, rest = self._head[uw], self._rest[uw]
-    g, m = self._modes[head]
-    down, up = wt[rest] + wv - n, self.pres.weight_of(g) + wv
-    lower, upper = self._mode_runs(head, down, up)
-    out = LinComb()
-    for i in range(0, down):
-        for w2, c2 in self._state_mode_word(rest, n + i, vw).items():
-            out.add_into(self._apply_word(lower[i], w2), sign_pow(i) * binom(m, i) * c2)
-    for i in range(0, up):
-        for w2, c2 in self._apply_word(upper[i], vw).items():
-            out.add_into(self._state_mode_word(rest, m + n - i, w2),
-                         sign_pow(m) * sign_pow(i) * binom(m, i) * c2)
-    self._smode[key] = out
-    return out
+    return mutant
 
 
 def apply_word_without_bracket(self, mode, word):
@@ -127,6 +131,25 @@ def cleared_add_without_widening(self, term, scale=1):
         scale *= self.den // den
     self.num += scale * P
     self.bound += abs(scale) * top
+    return self
+
+
+def add_with_signed_bound(self, term, scale=1):
+    """PackedSum.add with bound += scale * top: a negative scale shrinks the bound."""
+    den, P, top = term
+    if not self.bound:
+        self.den, self.num, self.bound = den, scale * P, abs(scale) * top
+        return self
+    if den != self.den:
+        D = self.den
+        if D % den:
+            f = den // gcd(D, den)
+            D = self.den = D * f
+            self.num *= f
+            self.bound *= f
+        scale *= D // den
+    self.num += scale * P
+    self.bound += scale * top
     return self
 
 
@@ -188,9 +211,15 @@ ROWS = [
     # on Heisenberg the flip only negates the level, so the sweeps pass; the
     # induced morphism compares h_1 h with the table
     ("state-mode-second-sum-flipped", VacuumModule, "_state_mode_word",
-     state_mode_word_second_sum_flipped,
+     state_mode_word_with(second_sign=1),
      ["--input", HEISENBERG, "--suite", "morphism", "--max-weight", "0", "--mode-window", "0"],
      "morphism-induced-exists", "embedding breaks h_1 h"),
+    # the last term of the first i-sum dropped; on Heisenberg the jacobi suite at
+    # --max-weight 1 kills it too
+    ("state-mode-first-sum-short", VacuumModule, "_state_mode_word",
+     state_mode_word_with(first_cut=1),
+     ["--suite", "tensor-phi", "--max-weight", "0", "--mode-window", "0"],
+     "tensor-phi-vacuum-creation", "u(-1)|0> != u at c(-1)|0⟩⊗e^{(-1)}"),
     # without brackets every mode commutes, which is a vertex algebra too
     ("apply-word-without-bracket", VacuumModule, "_apply_word", apply_word_without_bracket,
      ["--input", HEISENBERG, "--suite", "morphism", "--max-weight", "0", "--mode-window", "0"],
@@ -235,5 +264,17 @@ def test_packed_zero_read_as_zero_is_killed(monkeypatch, packed_zero_case):
     got, want, case = packed_zero_case()
     assert case in want and got == want
     monkeypatch.setattr(PackedSum, "exact", lambda self: True)
+    got, want, case = packed_zero_case()
+    assert case in want and case not in got
+
+
+def test_signed_bound_is_killed(monkeypatch, packed_zero_case):
+    """PackedSum.add growing its bound by scale * top: the forced-fallback case (W = 2)
+    adds its second term with scale -1, its bound falls to 0, and its packed 0 reads
+    as a zero defect."""
+    monkeypatch.setattr(enveloping, "W", 2)
+    got, want, case = packed_zero_case()
+    assert case in want and got == want
+    monkeypatch.setattr(PackedSum, "add", add_with_signed_bound)
     got, want, case = packed_zero_case()
     assert case in want and case not in got

@@ -1,9 +1,9 @@
 """The tabulated identity sweeps against per-instance reference loops.
 
 skew_sweep, commutator_sweep and jacobi_sweep evaluate shared subterms once
-per sweep.  Each test here rebuilds the same report with a plain loop over
-the *_defect_on functions, in the original loop order and with the original
-witness strings, and asserts that the report JSON is identical: on passing
+per sweep.  Each test here rebuilds the same report by tallying the
+*_defect_on functions over the same cases, in the original loop order and with
+the original witness strings, and asserts that the report JSON is identical: on passing
 algebras, and on failing ones where the witness and the (+N more) count are
 pinned.  The work count of jacobi_sweep is pinned at one state_mode call per
 distinct product and one packed_mode call per (k1, k2) table key with a nonzero
@@ -21,6 +21,7 @@ usable CPUs, that is, serially and over forked workers.
 
 import os
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -60,24 +61,25 @@ def jacobi_reference(alg, states, modes):
 
 
 def vacuum_reference(vm, check, max_weight, window, torsion_bound=1):
-    """The report of VacuumModule.check_<check>, from the reference loops."""
+    """The report of VacuumModule.check_<check>, tallied over the reference defects."""
     states = vm.basis_states(max_weight, torsion_bound)
     modes = range(-window, window + 1)
     fmt = vm.format_state
     rep = ValidationReport(subject="vacuum-module")
     if check == "skew":
-        fails = [f"skew-symmetry fails at ({fmt(u)})_{n}({fmt(v)})"
-                 for u, n, v in skew_reference(vm, states, modes)]
-        rep.record("skew-symmetry", fails, len(states) ** 2 * len(modes))
+        rep.tally("skew-symmetry", product(states, states, modes),
+                  lambda u, v, n: skew_defect_on(vm, u, n, v),
+                  lambda u, v, n: f"skew-symmetry fails at ({fmt(u)})_{n}({fmt(v)})")
     elif check == "commutator":
-        fails = [f"[u({m}),v({n})]w defect at u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"
-                 for u, m, v, n, w in commutator_reference(vm, states, modes)]
-        rep.record("borcherds-commutator", fails, len(states) ** 3 * len(modes) ** 2)
+        rep.tally("borcherds-commutator", product(states, states, states, modes, modes),
+                  lambda u, v, w, m, n: commutator_defect_on(vm, u, m, v, n, w),
+                  lambda u, v, w, m, n: f"[u({m}),v({n})]w defect at "
+                                        f"u={fmt(u)}, v={fmt(v)}, w={fmt(w)}")
     else:
-        fails = [f"Jacobi coefficient ({p},{q},{r}) defect at "
-                 f"u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"
-                 for u, v, w, p, q, r in jacobi_reference(vm, states, modes)]
-        rep.record("jacobi-identity", fails, len(states) ** 3 * len(modes) ** 3)
+        rep.tally("jacobi-identity", product(states, states, states, modes, modes, modes),
+                  lambda *case: jacobi_defect_on(vm, *case),
+                  lambda u, v, w, p, q, r: f"Jacobi coefficient ({p},{q},{r}) defect at "
+                                           f"u={fmt(u)}, v={fmt(v)}, w={fmt(w)}")
     return rep.to_json()
 
 
@@ -89,19 +91,21 @@ def vacuum_sweep(vm, check, max_weight, window, torsion_bound=1):
 
 
 def tensor_phi_reference(tp, max_weight, window, alpha_bound, torsion_bound=0):
-    """The skew and Jacobi checks of check_tensor_phi_axioms, by reference loops."""
+    """The skew and Jacobi checks of check_tensor_phi_axioms, tallied over the
+    reference defects."""
     keys = [k for d in range(max_weight + 1)
             for k in tp.basis_keys(d, torsion_bound, alpha_bound)]
     states = [LinComb.single(k) for k in keys]
     modes = _mode_range(window)
     fmt = tp.format_state
-    skew = [f"skew fails at ({fmt(u)})_{n}({fmt(v)})"
-            for u, n, v in skew_reference(tp, states, modes)]
-    jacobi = [f"Jacobi ({p},{q},{r}) fails at u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"
-              for u, v, w, p, q, r in jacobi_reference(tp, states, modes)]
     rep = ValidationReport()
-    rep.record("tensor-phi-skew-symmetry", skew, len(states) ** 2 * len(modes))
-    rep.record("tensor-phi-jacobi", jacobi, len(states) ** 3 * len(modes) ** 3)
+    rep.tally("tensor-phi-skew-symmetry", product(states, states, modes),
+              lambda u, v, n: skew_defect_on(tp, u, n, v),
+              lambda u, v, n: f"skew fails at ({fmt(u)})_{n}({fmt(v)})")
+    rep.tally("tensor-phi-jacobi", product(states, states, states, modes, modes, modes),
+              lambda *case: jacobi_defect_on(tp, *case),
+              lambda u, v, w, p, q, r: f"Jacobi ({p},{q},{r}) fails at "
+                                       f"u={fmt(u)}, v={fmt(v)}, w={fmt(w)}")
     return rep.to_json()["checks"]
 
 
@@ -550,8 +554,9 @@ def test_narrow_slots_fall_back_to_the_reference(monkeypatch, packed_zero_case):
 
 
 def test_overflowing_digits_are_decided_nonzero(packed_zero_case):
-    """A defect 2^W x - y, x and y in consecutive slots, packs to 0 at the full W; its
-    bound 2^W is past 2^(W-1), so the reference decides it: nonzero."""
+    """The defect 2^W y - z, a difference of two terms that pack to the same int, packs
+    to 0 at the full W; its bound 2^(W+1) is past 2^(W-1), so the reference decides
+    it: nonzero."""
     got, want, case = packed_zero_case()
     assert case in want and got == want
 
