@@ -15,7 +15,9 @@ states are computed by the iterate recursion
                                           - (-1)^m  w_{m+n-i} (a(i) v) ],
 
 whose i-sums terminate by the weight grading (every PBW word has weight
->= 0, so u_n v = 0 once n > wt u + wt v - 1).  Memos are per module: private
+>= 0, so u_n v = 0 once n > wt u + wt v - 1).  For a single letter, w = |0>,
+the vacuum's modes |0>_k = delta_{k,-1} leave one term of each sum: i = -1-n
+in the first, i = m+n+1 in the second.  Memos are per module: private
 per-word methods return shared entries, never to be mutated, public ones fresh states.
 """
 
@@ -86,6 +88,7 @@ class VacuumModule:
         self._straight = {0: LinComb.single(0)}
         self._dword = {0: _ZERO}
         self._delta = {0: LinComb.single((0, 0))}
+        self._text = {}       # word id -> format_word's text
 
     # -- the word and mode tables -------------------------------------------------
 
@@ -284,10 +287,21 @@ class VacuumModule:
         head, rest = self._head[uw], self._rest[uw]
         g, m = self._modes[head]
         down, up = wt[rest] + wv - n, self.pres.weight_of(g) + wv
-        lower, upper = self._mode_runs(head, down, up)
         apply_word = self._apply_word
-        # written out: as binds (and _apply_word's), heisenberg check --suite all: +9-14 %
         out = LinComb()
+        s2 = -sign_pow(m)
+        if not rest:
+            # u = g(m)|0>: |0>_k = delta_{k,-1}, so each i-sum has at most one nonzero term
+            i = -1 - n
+            if i >= 0:
+                out.add_into(apply_word(self.mode_id((g, m - i)), vw), sign_pow(i) * binom(m, i))
+            i = m + n + 1
+            if 0 <= i < up:
+                out.add_into(apply_word(self.mode_id((g, i)), vw), s2 * sign_pow(i) * binom(m, i))
+            self._smode[key] = out
+            return out
+        lower, upper = self._mode_runs(head, down, up)
+        # written out: as binds (and _apply_word's), heisenberg check --suite all: +9-14 %
         for i in range(0, down):
             inner = self._state_mode_word(rest, n + i, vw)
             if inner:
@@ -295,7 +309,6 @@ class VacuumModule:
                 mi = lower[i]
                 for w2, c2 in inner.items():
                     out.add_into(apply_word(mi, w2), c * c2)
-        s2 = -sign_pow(m)
         for i in range(0, up):
             gv = apply_word(upper[i], vw)
             if gv:
@@ -447,7 +460,11 @@ class VacuumModule:
     # -- formatting ---------------------------------------------------------------
 
     def format_word(self, word_id):
-        return "".join(f"{m.gen}({m.n})" for m in self._words[word_id]) + "|0⟩"
+        text = self._text.get(word_id)
+        if text is None:
+            text = self._text[word_id] = (
+                "".join(f"{m.gen}({m.n})" for m in self._words[word_id]) + "|0⟩")
+        return text
 
     def format_state(self, state):
         return state.format(self.format_word, self.word)

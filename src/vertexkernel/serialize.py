@@ -14,6 +14,7 @@ strings throughout.
 
 import json
 import re
+from functools import cache
 
 from .current import Mode
 from .errors import InputError
@@ -128,19 +129,23 @@ def parse_state(vm, text):
     return out
 
 
+def _words_json(vm):
+    """word id -> its modes as JSON: one list per word id, shared by every term that
+    names the word (to_json_text renders it once per indent), of one dict per mode."""
+    mode = cache(mode_to_json)
+    return cache(lambda w: [mode(m) for m in vm.word(w)])
+
+
 def state_to_json(vm, state):
     """A state of vm, its terms in word order."""
-    word = vm.word
-    return [{"coeff": str(c), "word": [mode_to_json(m) for m in word(w)]}
-            for w, c in state.sorted_items(word)]
+    word = _words_json(vm)
+    return [{"coeff": str(c), "word": word(w)} for w, c in state.sorted_items(vm.word)]
 
 
 def tensor_to_json(vm, tensor):
     """A Delta value of vm: LinComb over (word id, word id) pairs."""
-    word = vm.word
-    return [{"coeff": str(c),
-             "left": [mode_to_json(m) for m in word(w1)],
-             "right": [mode_to_json(m) for m in word(w2)]}
+    word = _words_json(vm)
+    return [{"coeff": str(c), "left": word(w1), "right": word(w2)}
             for (w1, w2), c in tensor.sorted_items(vm.pair_order)]
 
 
@@ -181,12 +186,18 @@ def to_json_text(value):
     sort_keys=True, indent=2) renders it, for dicts with str keys, lists,
     tuples, str, int, bool and None; anything else raises TypeError.  CPython
     takes its C encoder only when indent is None, and its pure-Python one
-    costs about twice this."""
-    return _render(value, "\n")
+    costs about twice this.  A list or tuple object met again at the same
+    indent is rendered once: the memo is keyed by (id(object), indent) and lives
+    for this call only, and value keeps every object in it alive for the call,
+    so no id is reused while the memo holds it.  Dicts are not memoised: in a
+    payload they are mostly per-term records met once, and keeping their texts
+    would hold most of a large output twice while it renders."""
+    return _render(value, "\n", {})
 
 
-def _render(v, nl):
-    """v as JSON text; nl is the newline plus indent v's own lines start at."""
+def _render(v, nl, seen):
+    """v as JSON text; nl is the newline plus indent v's own lines start at, and
+    seen the call's memo of rendered lists."""
     if isinstance(v, str):
         return _encode_str(v)
     if isinstance(v, dict):
@@ -195,12 +206,18 @@ def _render(v, nl):
         inner = nl + "  "
         # _encode_str raises TypeError on a non-str key, as sorted does on mixed keys
         return ("{" + inner + ("," + inner).join(
-            [_encode_str(k) + ": " + _render(v[k], inner) for k in sorted(v)]) + nl + "}")
+            [_encode_str(k) + ": " + _render(v[k], inner, seen) for k in sorted(v)])
+            + nl + "}")
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
-        inner = nl + "  "
-        return "[" + inner + ("," + inner).join([_render(x, inner) for x in v]) + nl + "]"
+        key = (id(v), nl)
+        text = seen.get(key)
+        if text is None:
+            inner = nl + "  "
+            text = seen[key] = ("[" + inner + ("," + inner).join(
+                [_render(x, inner, seen) for x in v]) + nl + "]")
+        return text
     if v is None:
         return "null"
     if v is True:

@@ -389,6 +389,9 @@ JSON_CALLS = [
     ("vir_file", ["compute", "product", "L", "1", "L"]),
     ("vir_file", ["compute", "bracket", "L(3)", "L(-1)"]),
     ("vir_file", ["compute", "delta", "L(-2)L(-2)|0>"]),
+    # repeated letters: Delta's legs repeat words, whose mode lists the renderer shares
+    pytest.param("vir_file", ["compute", "delta", "L(-2)L(-2)L(-1)|0>"],
+                 id="vir_file-compute-delta-repeated-letters"),
     ("vir_file", ["compute", "mode", "L", "0", "L(-3)L(-2)|0>"]),
     ("vir_file", ["dims", "--max-weight", "5", "--torsion-bound", "1"]),
     ("vir_file", ["validate"]),

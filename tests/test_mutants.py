@@ -11,6 +11,8 @@ from functools import cache
 from math import gcd
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from vertexkernel import cli, constructions, enveloping
 from vertexkernel.constructions import BL, TensorPhiAlgebra
@@ -19,10 +21,13 @@ from vertexkernel.enveloping import (_ZERO, PackedSum, VacuumModule, _packed_mod
                                      jacobi_defect_on)
 from vertexkernel.lincomb import LinComb, binom, sign_pow
 from vertexkernel.report import CaseBlocks
+from vertexkernel.serialize import load_presentation, read_json_file
+from vertexkernel.vla import heisenberg, virasoro
 
 INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs")
 CENTRE = os.path.join(INPUTS, "heisenberg_centre.json")
 HEISENBERG = os.path.join(INPUTS, "heisenberg.json")
+SL2 = os.path.join(os.path.dirname(__file__), "affine_sl2_level1.json")
 
 
 def eminus_over_k_plus_1(vm, a, v, order):
@@ -59,9 +64,16 @@ def bl_d_sign_flipped(self, state, power=1):
     return _BL_D(self, state, power) * (-1) ** power
 
 
-def state_mode_word_with(first_cut=0, second_sign=-1):
-    """VacuumModule._state_mode_word with its first i-sum cut short by first_cut
-    terms, and -(-1)^m on its second i-sum read as second_sign * (-1)^m."""
+def state_mode_word_with(first_cut=0, second_sign=-1, letter_first=-1, letter_second=True,
+                         single_letter=True):
+    """VacuumModule._state_mode_word with one mutation: its first i-sum cut short by
+    first_cut terms; -(-1)^m on its second i-sum (and on the single-letter step's
+    second term) read as second_sign * (-1)^m; or, in the single-letter step, the
+    first term's index i = -1-n read as letter_first - n, or its second term dropped.
+    At the defaults it is _state_mode_word.  With single_letter=False a one-letter
+    word goes through the two i-sums as every other word does: the recursion before
+    the single-letter step, kept as the reference of
+    test_single_letter_step_matches_the_two_sums."""
     def mutant(self, uw, n, vw):
         if not uw:
             return LinComb.single(vw) if n == -1 else _ZERO
@@ -76,15 +88,27 @@ def state_mode_word_with(first_cut=0, second_sign=-1):
         head, rest = self._head[uw], self._rest[uw]
         g, m = self._modes[head]
         down, up = wt[rest] + wv - n, self.pres.weight_of(g) + wv
-        lower, upper = self._mode_runs(head, down, up)
         out = LinComb()
+        s2 = second_sign * sign_pow(m)
+        if single_letter and not rest:
+            i = letter_first - n
+            if i >= 0:
+                out.add_into(self._apply_word(self.mode_id((g, m - i)), vw),
+                             sign_pow(i) * binom(m, i))
+            i = m + n + 1
+            if letter_second and 0 <= i < up:
+                out.add_into(self._apply_word(self.mode_id((g, i)), vw),
+                             s2 * sign_pow(i) * binom(m, i))
+            self._smode[key] = out
+            return out
+        lower, upper = self._mode_runs(head, down, up)
         for i in range(0, down - first_cut):
             for w2, c2 in self._state_mode_word(rest, n + i, vw).items():
                 out.add_into(self._apply_word(lower[i], w2), sign_pow(i) * binom(m, i) * c2)
         for i in range(0, up):
             for w2, c2 in self._apply_word(upper[i], vw).items():
                 out.add_into(self._state_mode_word(rest, m + n - i, w2),
-                             second_sign * sign_pow(m) * sign_pow(i) * binom(m, i) * c2)
+                             s2 * sign_pow(i) * binom(m, i) * c2)
         self._smode[key] = out
         return out
     return mutant
@@ -214,10 +238,23 @@ ROWS = [
      state_mode_word_with(second_sign=1),
      ["--input", HEISENBERG, "--suite", "morphism", "--max-weight", "0", "--mode-window", "0"],
      "morphism-induced-exists", "embedding breaks h_1 h"),
-    # the last term of the first i-sum dropped; on Heisenberg the jacobi suite at
-    # --max-weight 1 kills it too
+    # the last term of the first i-sum dropped: one-letter words take the single-letter
+    # step, so the kill goes through a word of two letters or more, here c(-1)c(-1)|0⟩
+    # from u_{-1}v; on Heisenberg the jacobi suite at --max-weight 1 kills it too
     ("state-mode-first-sum-short", VacuumModule, "_state_mode_word",
      state_mode_word_with(first_cut=1),
+     ["--suite", "tensor-phi", "--max-weight", "0", "--mode-window", "0"],
+     "tensor-phi-jacobi",
+     "Jacobi (0,0,0) fails at u=c(-1)|0⟩⊗e^{(-1)}, v=c(-1)|0⟩⊗e^{(-1)}, w=|0⟩⊗e^{(-1)}"),
+    # the single-letter step without its second-sum term i = m+n+1
+    ("state-mode-letter-second-term-dropped", VacuumModule, "_state_mode_word",
+     state_mode_word_with(letter_second=False),
+     ["--input", HEISENBERG, "--suite", "jacobi", "--max-weight", "1", "--mode-window", "0"],
+     "jacobi-identity",
+     "Jacobi coefficient (0,0,0) defect at u=h(-1)|0⟩, v=h(-1)|0⟩, w=h(-1)|0⟩"),
+    # the single-letter step's first-sum term at i = -n for i = -1-n
+    ("state-mode-letter-first-index-off-by-one", VacuumModule, "_state_mode_word",
+     state_mode_word_with(letter_first=0),
      ["--suite", "tensor-phi", "--max-weight", "0", "--mode-window", "0"],
      "tensor-phi-vacuum-creation", "u(-1)|0> != u at c(-1)|0⟩⊗e^{(-1)}"),
     # without brackets every mode commutes, which is a vertex algebra too
@@ -278,3 +315,32 @@ def test_signed_bound_is_killed(monkeypatch, packed_zero_case):
     monkeypatch.setattr(PackedSum, "add", add_with_signed_bound)
     got, want, case = packed_zero_case()
     assert case in want and case not in got
+
+
+# -- the single-letter step against the two i-sums it replaces ----------------------------
+
+PRESENTATIONS = [virasoro(), heisenberg(2), load_presentation(read_json_file(SL2))]
+
+
+@seed(0)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_single_letter_step_matches_the_two_sums(data):
+    """state_mode equals the recursion before the single-letter step (every word through
+    both i-sums), and both fill _smode with the same keys: for one-letter u (torsion
+    letters included) and words of up to three letters, v of weight <= 4, n in [-6, 6]."""
+    pres = data.draw(st.sampled_from(PRESENTATIONS))
+    torsion = [(g.name, -1) for g in pres.generators if g.torsion]
+    letter = st.sampled_from(torsion + [(g.name, n) for g in pres.generators if not g.torsion
+                                        for n in (-3, -2, -1)])
+    word = data.draw(st.sampled_from(torsion).map(lambda m: [m]) | letter.map(lambda m: [m])
+                     | st.lists(letter, min_size=2, max_size=3))
+    vm = VacuumModule(pres)
+    u = vm.straighten(vm.word_id(word))
+    v = LinComb.single(data.draw(st.sampled_from(
+        [w for d in range(5) for w in vm.basis_words(d, torsion_bound=1)])))
+    n = data.draw(st.integers(-6, 6))
+    ref = VacuumModule(pres)
+    ref._state_mode_word = state_mode_word_with(single_letter=False).__get__(ref)
+    assert vm.state_mode(u, n, v) == ref.state_mode(u, n, v)
+    assert vm._smode.keys() == ref._smode.keys()

@@ -227,6 +227,28 @@ def test_to_json_text_on_deep_and_empty_containers():
         assert ser.to_json_text(value) == stdlib_text(value)
 
 
+def test_to_json_text_renders_a_shared_container_at_each_depth():
+    mode = {"gen": "L", "n": -2}
+    shared = [mode, ["x", None], 3, mode]
+    for value in ({"a": shared, "b": [shared, {"c": shared}]},  # at three depths
+                  [shared, shared, {"a": shared, "b": shared}],  # twice at one depth
+                  {"terms": [{"left": shared, "right": shared}, {"left": shared}]},
+                  [mode, [mode, {"m": mode}], (mode, mode)]):
+        assert ser.to_json_text(value) == stdlib_text(value)
+
+
+def test_to_json_text_keeps_no_memo_between_calls():
+    shared = [1, {"k": 2}]
+    value = {"a": shared, "b": [shared]}
+    assert ser.to_json_text(value) == stdlib_text(value)
+    shared.append("three")
+    assert ser.to_json_text(value) == stdlib_text(value)
+    shared[1]["k"] = [3]
+    assert ser.to_json_text(value) == stdlib_text(value)
+    shared.clear()
+    assert ser.to_json_text(value) == stdlib_text(value)
+
+
 @pytest.mark.parametrize("value", [1.5, float("nan"), [2.0], {1: "a"}, {"a": 1, 2: "b"},
                                    {(1,): 0}, {None: 0}, {True: 0}, {1, 2}, Fraction(1, 2),
                                    b"x", {"a": [Mode("L", -2), object()]}])
