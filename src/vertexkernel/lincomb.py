@@ -22,7 +22,6 @@ __all__ = [
     "inv_factorial",
     "sign_pow",
     "parse_rational",
-    "format_rational",
 ]
 
 
@@ -70,10 +69,6 @@ def parse_rational(s):
         return Fraction(str(s).strip())
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {s!r}") from exc
-
-
-def format_rational(q):
-    return str(Fraction(q))
 
 
 class LinComb:
@@ -208,7 +203,7 @@ class LinComb:
         for k, c in self.sorted_items(order):
             body = key_fmt(k)
             mag = abs(c)
-            chunk = body if mag == 1 else f"{format_rational(mag)}·{body}"
+            chunk = body if mag == 1 else f"{mag}·{body}"
             if not parts:
                 parts.append(chunk if c > 0 else f"-{chunk}")
             else:
