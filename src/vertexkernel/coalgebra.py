@@ -26,8 +26,6 @@ from .linalg import kernel_coefficients, rank_of, row_reduce
 from .lincomb import LinComb, binom, combination, inv_factorial
 from .report import ValidationReport
 
-_ZERO = LinComb()
-
 
 def delta_state(vm, state):
     """Coproduct, a LinComb over pairs of basis word ids."""
@@ -72,7 +70,7 @@ def _within(z, t, keys):
     """sum_ab z(k_a, k_b) t_a (x) t_b for t in reduced echelon form over the
     pivot keys k: equal to z exactly when z lies in span(t) (x) span(t)."""
     at = dict(zip(keys, t))
-    return z.bind(lambda k: at[k[0]].tensor(at[k[1]]) if k[0] in at and k[1] in at else _ZERO)
+    return z.bind(lambda k: at[k[0]].tensor(at[k[1]]) if k[0] in at and k[1] in at else LinComb())
 
 
 def _rational_eigenvalues(m):
@@ -399,11 +397,10 @@ class LieAlgebra:
             self.table[(i, j)] = v
 
     def bracket(self, i, j):
-        if i == j:
-            return _ZERO
-        if i < j:
-            return self.table.get((i, j), _ZERO)
-        return -self.table.get((j, i), _ZERO)
+        """[x_i, x_j] as a LinComb of the caller's own; the table has only i < j."""
+        if i > j:
+            return -self.bracket(j, i)
+        return LinComb(self.table.get((i, j), {}))
 
     def bracket_states(self, u, v):
         return u.tensor(v).bind(lambda ij: self.bracket(*ij))

@@ -35,7 +35,7 @@ from .enveloping import (PackedSum, VacuumModule, _packed, jacobi_sweep, skew_sw
 from .errors import InputError, MorphismError, UnsupportedError
 from .lincomb import LinComb, binom, cleared, combination, inv_factorial
 from .report import ValidationReport
-from .serialize import format_alpha, format_diff_key
+from .serialize import format_alpha
 from .vla import abelian
 
 
@@ -459,6 +459,7 @@ class BL:
     basis_keys = TensorPhiAlgebra.basis_keys
     basis_states = TensorPhiAlgebra.basis_states
     key_order = TensorPhiAlgebra.key_order
+    format_key = TensorPhiAlgebra.format_key
     format_state = TensorPhiAlgebra.format_state
     D = TensorPhiAlgebra.D
 
@@ -538,10 +539,6 @@ class BL:
                 out *= 0  # eps(h_i(-n))
             return out
         return sum(c * of_key(key) for key, c in state.items())
-
-    def format_key(self, key):
-        word, al = key
-        return format_diff_key((self.vm.word(word), al))
 
 
 def bl_phi(bl, g):

@@ -17,8 +17,8 @@ states are computed by the iterate recursion
 whose i-sums terminate by the weight grading (every PBW word has weight
 >= 0, so u_n v = 0 once n > wt u + wt v - 1).  For a single letter, w = |0>,
 the vacuum's modes |0>_k = delta_{k,-1} leave one term of each sum: i = -1-n
-in the first, i = m+n+1 in the second.  Memos are per module: private
-per-word methods return shared entries, never to be mutated, public ones fresh states.
+in the first, i = m+n+1 in the second.  Memos are per module: the private per-word
+methods, bracket and delta_word return shared entries, never to be mutated; the rest fresh.
 """
 
 from functools import cache, partial

@@ -7,9 +7,9 @@ The text grammar is the one the CLI prints, so outputs parse back in:
     state         L(-2)L(-1)|0⟩        (modes applied to the vacuum, any order)
 
 "*" is accepted wherever "·" is printed, and "|0>" wherever "|0⟩" is.  Keys
-of B_L and V ⊗_φ ℂ[L] print as "h1(-2)^2·e^{(3)}" (runs carry powers); that
-form, like the JSON of modes, is output only.  JSON forms use exact rational
-strings throughout.
+of B_L and V ⊗_φ ℂ[L] print as "h1(-2)h1(-2)|0⟩⊗e^{(3)}" (TensorPhiAlgebra's
+format_key); that form, like the JSON of modes, is output only.  JSON forms use
+exact rational strings throughout.
 """
 
 import json
@@ -61,14 +61,20 @@ def _split_signed(text):
     return chunks + [(sign, chunk)]
 
 
-def _coeff_split(term):
-    m = _COEFF_RE.match(term)
-    if not m:
-        return Fraction(1), term
-    try:
-        return parse_rational(m.group(1)), m.group(2).strip()
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def _parse_sum(text, term):
+    """The signed sum of "coeff·body" terms in text, term(body) giving each
+    body's value; "0" is the zero and a missing coeff reads 1."""
+    out, text = LinComb(), text.strip()
+    if text == "0":
+        return out
+    for sign, chunk in _split_signed(text):
+        m = _COEFF_RE.match(chunk)
+        try:
+            coeff = parse_rational(m.group(1)) if m else Fraction(1)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        out.add_into(term(m.group(2).strip() if m else chunk), sign * coeff)
+    return out
 
 
 # -- elements of C ---------------------------------------------------------------
@@ -76,21 +82,16 @@ def _coeff_split(term):
 
 def parse_element(pres, text):
     """An element of C from "2·L + 1/2·D^2L" style text; "0" is the zero."""
-    text = text.strip()
-    if text == "0":
-        return LinComb()
-    out = LinComb()
-    for sign, term in _split_signed(text):
-        coeff, body = _coeff_split(term)
-        if body in {g.name for g in pres.generators}:
-            key = (body, 0)
-        else:
-            m = _DTERM_RE.match(body)
-            if not m:
-                raise InputError(f"cannot parse element term {body!r}")
-            key = (m.group(2), int(m.group(1) or 1))
-        out.add_into(pres.make_element({key: 1}), sign * coeff)
-    return out
+    names = {g.name for g in pres.generators}
+
+    def term(body):
+        if body in names:
+            return pres.make_element({(body, 0): 1})
+        m = _DTERM_RE.match(body)
+        if not m:
+            raise InputError(f"cannot parse element term {body!r}")
+        return pres.make_element({(m.group(2), int(m.group(1) or 1)): 1})
+    return _parse_sum(text, term)
 
 
 def element_to_json(elt):
@@ -110,13 +111,9 @@ def element_from_json(pres, rows):
 
 def parse_state(vm, text):
     """A state from "L(-2)L(-1)|0⟩" style text; modes act right to left."""
-    text = text.strip()
-    if text == "0":
-        return LinComb()
     names = {g.name for g in vm.pres.generators}
-    out = LinComb()
-    for sign, term in _split_signed(text):
-        coeff, body = _coeff_split(term)
+
+    def term(body):
         m = _STATE_RE.match(body)
         if not m:
             raise InputError(f"cannot parse state term {body!r} "
@@ -125,8 +122,8 @@ def parse_state(vm, text):
         for gen, _ in reversed(modes):
             if gen not in names:
                 raise InputError(f"unknown generator {gen!r} in state term {body!r}")
-        out.add_into(vm.straighten(vm.word_id(modes)), sign * coeff)
-    return out
+        return vm.straighten(vm.word_id(modes))
+    return _parse_sum(text, term)
 
 
 def _words_json(vm):
@@ -154,20 +151,6 @@ def tensor_to_json(vm, tensor):
 
 def format_alpha(alpha):
     return "(" + ",".join(str(a) for a in alpha) + ")"
-
-
-def format_diff_key(key):
-    """B_L / tensor basis key (word, alpha) as "h1(-2)^2·e^{(3)}"."""
-    word, alpha = key
-    runs = []
-    for m in word:
-        if runs and runs[-1][0] == m:
-            runs[-1][1] += 1
-        else:
-            runs.append([m, 1])
-    parts = [str(m) + (f"^{e}" if e > 1 else "") for m, e in runs]
-    parts.append(f"e^{{{format_alpha(alpha)}}}")
-    return "·".join(parts)
 
 
 def diff_state_to_json(alg, state):

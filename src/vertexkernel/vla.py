@@ -60,6 +60,9 @@ class Presentation:
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate generator name in {names}")
+        for nm in names:  # format_element prints D applied to g as "Dg"
+            if nm.startswith("D") and nm[1:] in names:
+                raise InputError(f"generator name {nm!r} reads as D applied to {nm[1:]!r}")
         for g in generators:
             if not isinstance(g.weight, int) or g.weight < 0:
                 raise InputError(f"generator {g.name}: weight must be a nonnegative integer")
@@ -76,7 +79,6 @@ class Presentation:
             elt = self.make_element(result)
             if elt:
                 self._table[(left, right, n)] = elt
-        self._zero = LinComb()
 
     # -- elements -----------------------------------------------------------
 
@@ -127,7 +129,8 @@ class Presentation:
     # -- products -----------------------------------------------------------
 
     def table(self, left, right, n):
-        return self._table.get((left, right, n), self._zero)
+        """The table's product left_n right, as a LinComb of the caller's own."""
+        return LinComb(self._table.get((left, right, n), {}))
 
     @property
     def max_table_n(self):

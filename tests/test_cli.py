@@ -162,6 +162,16 @@ def test_non_identifier_names_exit_two(tmp_path, capsys, field, value):
                                  f"identifier, got {value!r}\n")
 
 
+def test_d_prefixed_generator_name_exits_two(tmp_path, capsys):
+    # D applied to L prints as "DL", which would read back as the generator DL
+    p = tmp_path / "dl.json"
+    p.write_text(json.dumps({"generators": [{"name": "L", "weight": 2},
+                                            {"name": "DL", "weight": 3}]}))
+    assert main(["validate", "--input", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: generator name 'DL' reads as D applied to 'L'\n"
+
+
 def test_dims_virasoro(vir_file, capsys):
     assert main(["dims", "--input", vir_file, "--max-weight", "6",
                  "--format", "json"]) == 0
@@ -343,8 +353,15 @@ VIR_DOUBLED_L0 = {
                  {"left": "L", "right": "L", "n": 1, "result": [{"coeff": "2", "d": 0, "gen": "L"}]},
                  {"left": "L", "right": "L", "n": 3, "result": [{"coeff": "1/2", "d": 0, "gen": "c"}]}]}
 
-# (input, --max-weight, --mode-window, exit code, sha256 of the JSON report)
+with open(os.path.join(os.path.dirname(__file__), "affine_sl2_level1.json"),
+          encoding="utf-8") as fh:
+    SL2_LEVEL1 = json.load(fh)
+
+# (input, --max-weight, --mode-window, exit code, sha256 of the JSON report); affine
+# sl2 stays at weight 1, as --max-weight 2 takes about 100 s
 SNAPSHOTS = {
+    "affine-sl2-level1": (SL2_LEVEL1, 1, 1, 0,
+                          "23f0366b0d8a9e49dc818fce3eb0a1b45a265eba9c04b204c8324eb368e6c23b"),
     "heisenberg": (HEIS, 2, 1, 0,
                    "281792addc8370fb557e71fb8707e9556726aacffce5f87488b1e5b4a99f276c"),
     "heisenberg-centre": ({"presentation": HEIS, "semigroup": {"rank": 1, "group": True},

@@ -109,7 +109,7 @@ def test_cleared_forms():
     assert cleared(LinComb()) == (1, {})
 
 
-def test_cleared_sum_cancels_across_denominators():
+def test_packed_sum_cancels_across_denominators():
     """The exact sum of cleared forms is PackedSum's, each form packed (one int)."""
     acc, slots = PackedSum(), {}
     for c in (Fraction(1, 2), Fraction(1, 3)):
@@ -133,7 +133,7 @@ def lincomb_sum(terms):
     return out
 
 
-def cleared_sum(terms, slots=None):
+def packed_sum(terms, slots=None):
     """The PackedSum of the terms, packed over slots (a fresh numbering by default)."""
     acc, slots = PackedSum(), {} if slots is None else slots
     for lc, scale in terms:
@@ -162,11 +162,11 @@ def value_of(acc, slots):
 
 
 @given(scaled_terms)
-def test_cleared_sum_equals_the_lincomb_sum(terms):
+def test_packed_sum_equals_the_lincomb_sum(terms):
     """Packed and LinComb sums agree on random rational states, the denominator
     widening term by term; the bound stays far below 2^(W-1), so the verdict is exact."""
     slots = {}
-    acc, total = cleared_sum(terms, slots), lincomb_sum(terms)
+    acc, total = packed_sum(terms, slots), lincomb_sum(terms)
     assert acc.exact() and bool(acc.num) == bool(total)
     assert value_of(acc, slots) == total.terms
     dens = [(cleared(lc)[0], bool(scale and lc)) for lc, scale in terms]
@@ -175,22 +175,22 @@ def test_cleared_sum_equals_the_lincomb_sum(terms):
 
 
 @given(scaled_terms)
-def test_cleared_sum_of_a_sum_and_its_negative_is_zero(terms):
+def test_packed_sum_of_a_sum_and_its_negative_is_zero(terms):
     total = lincomb_sum(terms)
-    acc = cleared_sum(terms + [(total, -1)])
+    acc = packed_sum(terms + [(total, -1)])
     assert acc.exact() and not acc.num
     # the same cancellation split over the keys, one term per key
-    acc = cleared_sum(terms + [(LinComb.single(k, c), -1) for k, c in total.items()])
+    acc = packed_sum(terms + [(LinComb.single(k, c), -1) for k, c in total.items()])
     assert acc.exact() and not acc.num
 
 
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=5), st.sampled_from([1, -1]))
-def test_cleared_sum_keeps_a_residue_of_one_over_the_common_denominator(dens, sign):
+def test_packed_sum_keeps_a_residue_of_one_over_the_common_denominator(dens, sign):
     """1/d_1 + ... + 1/d_n - (that sum - sign/D) leaves exactly sign/D, D = lcm(d_i)."""
     D = lcm(*dens)
     parts = [(LinComb.single("x", Fraction(1, d)), 1) for d in dens]
     rest = sum(Fraction(1, d) for d in dens) - Fraction(sign, D)
-    acc = cleared_sum(parts + [(LinComb.single("x", rest), -1)])
+    acc = packed_sum(parts + [(LinComb.single("x", rest), -1)])
     assert acc.den == D and acc.num == sign
     assert bool(lincomb_sum(parts + [(LinComb.single("x", rest), -1)]))
 

@@ -46,14 +46,14 @@ ROWS = [
     ("eminus-1/(k+1)", constructions, "eminus_apply",
      "Fraction(1, k) * acc", "Fraction(1, k + 1) * acc",
      ["--suite", "bl", "--max-weight", "0", "--mode-window", "3"],
-     "bl-equals-tensor-phi-modes", "modes differ at (e^{(-2)})_-3(e^{(-2)})"),
+     "bl-equals-tensor-phi-modes", "modes differ at (|0⟩⊗e^{(-2)})_-3(|0⟩⊗e^{(-2)})"),
     ("eminus-fill-seeded-at-vacuum", TensorPhiAlgebra, "_eminus_word",
      "{0: eminus_apply(vm, self.phi.of(al), vm.vacuum(), k)[k]}", "{0: vm.vacuum()}",
      ["--suite", "bl", "--max-weight", "0", "--mode-window", "0"],
-     "bl-equals-tensor-phi-d", "derivations differ at e^{(-2)}"),
+     "bl-equals-tensor-phi-d", "derivations differ at |0⟩⊗e^{(-2)}"),
     ("d-key-without-phi", TensorPhiAlgebra, "_d_key", " + self._eminus_word(al, w, 1)", "",
      ["--suite", "bl", "--max-weight", "0", "--mode-window", "0"],
-     "bl-equals-tensor-phi-d", "derivations differ at e^{(-2)}"),
+     "bl-equals-tensor-phi-d", "derivations differ at |0⟩⊗e^{(-2)}"),
     ("bl-d-sign-flipped", BL, "D",
      "state = state.bind(self._d_key)", "state = -state.bind(self._d_key)",
      ["--suite", "morphism", "--max-weight", "0", "--mode-window", "0"],

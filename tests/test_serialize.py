@@ -1,5 +1,7 @@
 import json
+import os
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from vertexkernel import serialize as ser
 from vertexkernel.current import Mode
 from vertexkernel.enveloping import VacuumModule
 from vertexkernel.errors import InputError
+from vertexkernel.lincomb import LinComb
 from vertexkernel.vla import abelian, heisenberg, virasoro
 
 
@@ -107,16 +110,56 @@ def test_state_and_tensor_json():
     assert len(rows) == 2
 
 
+# -- text round trips ------------------------------------------------------------------
+
+SL2_HALF = os.path.join(os.path.dirname(__file__), "affine_sl2_level_half.json")
+ROUND_TRIP = {"virasoro": virasoro, "heisenberg-2": lambda: heisenberg(2),
+              "sl2-half": lambda: ser.load_presentation(ser.read_json_file(SL2_HALF))}
+_vacuum_module = cache(lambda name: VacuumModule(ROUND_TRIP[name]()))
+_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+round_trip = pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+derandomized = settings(derandomize=True, deadline=None, database=None)
+
+
+def _names(pres):
+    return st.sampled_from([g.name for g in pres.generators])
+
+
+@round_trip
+@derandomized
+@given(data=st.data())
+def test_state_text_round_trip(name, data):
+    vm = _vacuum_module(name)
+    modes = st.tuples(_names(vm.pres), st.integers(-4, 1))
+    state = LinComb()
+    for word, c in data.draw(st.lists(st.tuples(st.lists(modes, max_size=3), _COEFFS),
+                                      max_size=4)):
+        state.add_into(vm.straighten(vm.word_id(word)), c)
+    assert ser.parse_state(vm, vm.format_state(state)) == state
+
+
+@round_trip
+@derandomized
+@given(data=st.data())
+def test_element_text_round_trip(name, data):
+    pres = _vacuum_module(name).pres
+    terms = data.draw(st.dictionaries(st.tuples(_names(pres), st.integers(0, 3)), _COEFFS,
+                                      max_size=4))
+    elt = pres.make_element(terms)
+    assert ser.parse_element(pres, pres.format_element(elt)) == elt
+
+
+@round_trip
+@derandomized
+@given(data=st.data())
+def test_mode_text_round_trip(name, data):
+    m = Mode(data.draw(_names(_vacuum_module(name).pres)), data.draw(st.integers(-99, 99)))
+    assert ser.parse_mode(str(m)) == m
+
+
 def test_alpha_forms():
     assert ser.format_alpha((3,)) == "(3)"
     assert ser.format_alpha((1, -2)) == "(1,-2)"
-
-
-def test_diff_key_format():
-    key = (W(("h1", -2), ("h1", -2)), (3,))
-    assert ser.format_diff_key(key) == "h1(-2)^2·e^{(3)}"
-    assert ser.format_diff_key(((), (0,))) == "e^{(0)}"
-    assert ser.format_diff_key((W(("h", -2), ("h", -1)), (1,))) == "h(-2)·h(-1)·e^{(1)}"
 
 
 def test_load_presentation_builtin_and_inline():

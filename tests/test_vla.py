@@ -167,6 +167,15 @@ def test_validate_catches_torsion_row():
     assert "torsion-rows-zero" in bad
 
 
+def test_table_returns_a_value_the_caller_owns():
+    vir = virasoro()
+    vir.table("L", "L", 2).add_into(term(vir, 1, "L"))
+    vir.table("L", "L", 1).add_into(term(vir, 1, "c"))
+    assert not vir.table("L", "L", 2)
+    assert not vir.table("L", "c", 0)
+    assert vir.table("L", "L", 1) == term(vir, 2, "L")
+
+
 def test_structural_errors():
     with pytest.raises(InputError):
         Presentation([Generator("a", 1), Generator("a", 2)], {})
