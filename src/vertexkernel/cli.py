@@ -80,16 +80,6 @@ def _load(args):
 # -- check suites -----------------------------------------------------------------
 
 
-def _phi_targets(pres, rank, targets):
-    if targets is None:
-        free = [g for g in pres.generators if not g.torsion]
-        if len(free) < rank:
-            raise InputError(f"no default phi: {rank} directions but "
-                             f"{len(free)} free generators")
-        targets = [pres.element(g.name) for g in free[:rank]]
-    return PhiMap(pres, targets)
-
-
 class _Run:
     """One check invocation: the loaded input, its vacuum module, and the bounds
     from the command line (mw and win fall back to each suite's default)."""
@@ -123,7 +113,8 @@ def _coalgebra(run):
 
 
 def _tensor_phi(run):
-    phi = _phi_targets(run.pres, run.rank, run.targets)
+    phi = (PhiMap.canonical(run.pres, run.rank) if run.targets is None
+           else PhiMap(run.pres, run.targets))
     rep = check_phi_central(run.pres, phi)
     if not rep.passed:
         return rep

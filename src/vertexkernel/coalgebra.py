@@ -222,12 +222,13 @@ def counit_multiplicativity_defect(alg, u, v):
     return alg.eps(alg.product(u, v)) - alg.eps(u) * alg.eps(v)
 
 
-def check_multiplicative(rep, check_id, alg, pairs):
-    """Delta and then eps multiplicativity at each (u, v) pair, as one check of
-    2 * len(pairs) instances on rep."""
-    laws = (("Delta", delta_multiplicativity_defect), ("eps", counit_multiplicativity_defect))
-    return rep.tally(check_id, iproduct(pairs, laws), lambda uv, law: law[1](alg, *uv),
-                     lambda uv, law: f"{law[0]} not multiplicative")
+def multiplicative_laws(rep, ids, alg, pairs):
+    """Tally into rep, as the check ids ids[0] and ids[1], Delta(uv) = Delta(u)Delta(v)
+    and then eps(uv) = eps(u)eps(v) at each (u, v) in the list pairs."""
+    rep.tally(ids[0], pairs, lambda u, v: delta_multiplicativity_defect(alg, u, v),
+              lambda u, v: "Delta not multiplicative")
+    return rep.tally(ids[1], pairs, lambda u, v: counit_multiplicativity_defect(alg, u, v),
+                     lambda u, v: "eps not multiplicative")
 
 
 def intertwining_laws(rep, ids, source, target, image_of_key, states, images):
@@ -369,7 +370,8 @@ class DividedPowerBialgebra:
                   lambda u, v, w: "associativity fails")
         rep.tally("commutativity", pairs, lambda u, v: prod(u, v) != prod(v, u),
                   lambda u, v: "commutativity fails")
-        return check_multiplicative(rep, "bialgebra-compatibility", self, pairs)
+        return multiplicative_laws(rep, ("delta-multiplicative", "counit-multiplicative"), self,
+                                   pairs)
 
 
 # -- Lie algebras and U(g) -----------------------------------------------------------
@@ -498,8 +500,8 @@ class UniversalEnveloping:
         states = [LinComb.single(w) for w in words]
         pairs = [(LinComb.single(a), LinComb.single(b)) for a in words for b in words
                  if len(a) + len(b) <= max_degree]
-        return check_multiplicative(coalgebra_laws(self, states, "universal-enveloping"),
-                                    "delta-multiplicative", self, pairs)
+        return multiplicative_laws(coalgebra_laws(self, states, "universal-enveloping"),
+                                   ("delta-multiplicative", "counit-multiplicative"), self, pairs)
 
 
 def psi_g(f, lie):

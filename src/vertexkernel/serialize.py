@@ -246,8 +246,8 @@ def load_construction(data):
 
     Shape: {"presentation": {...}, "semigroup": {"rank": 1, "group": true},
     "phi": [[{"coeff": "1", "d": 0, "gen": "h"}], ...]} with one phi row per
-    semigroup direction; a missing "phi" means the canonical weight-1 targets
-    are intended and is left to the caller.
+    semigroup direction; a missing "phi" gives None, for the caller's default,
+    PhiMap.canonical: the first rank free generators, of any weight.
     """
     if "presentation" not in data:
         raise InputError("construction file needs a \"presentation\" field")

@@ -232,27 +232,20 @@ class Presentation:
         rep.tally("half-jacobi", iproduct(names, names, names, span, span), half_jacobi,
                   lambda lu, lv, lw, m, n: f"half-Jacobi at ({lu})_{m}(({lv})_{n}({lw}))")
 
-        # Which sign of the derivation rule u_n(Dv) = D(u_n v) +/- n u_{n-1} v
-        # agrees with the skew-symmetry route (which only uses the left rule)?
-        plus_ok, minus_ok = True, True
-        bad = ""
-        for lu in names:
-            for lv in names:
-                u, v = self.element(lu), self.element(lv)
-                dv = self.apply_D(v)
-                for n in range(1, nmax + 1):
-                    via_skew = self.skew_expansion(u, n, dv)
-                    base = self.apply_D(self.nth_product(u, n, v))
-                    shift = self.nth_product(u, n - 1, v) * n
-                    if via_skew != base + shift:
-                        plus_ok = False
-                        bad = bad or f"({lu})_{n}(D {lv})"
-                    if via_skew != base - shift:
-                        minus_ok = False
-        detail = ("plus rule " + ("consistent" if plus_ok else "inconsistent")
+        def breaks(sign, lu, lv, n):
+            """Does the derivation rule u_n(Dv) = D(u_n v) + sign n u_{n-1} v disagree
+            with u_n(Dv) through skew-symmetry, which uses only the left rule?"""
+            u, v = elt[lu], elt[lv]
+            rule = self.apply_D(self.nth_product(u, n, v)) + sign * n * self.nth_product(u, n - 1, v)
+            return self.skew_expansion(u, n, self.apply_D(v)) != rule
+
+        cases = list(iproduct(names, names, range(1, nmax + 1)))
+        bad = next((case for case in cases if breaks(1, *case)), None)
+        minus_ok = not any(breaks(-1, *case) for case in cases)
+        detail = ("plus rule " + ("consistent" if bad is None else "inconsistent")
                   + ("; minus variant also holds (degenerate table)" if minus_ok else "; minus variant fails"))
-        rep.add("d-rule-sign", plus_ok, witness="" if plus_ok else bad, details=detail)
-        return rep
+        witness = "" if bad is None else "({0})_{2}(D {1})".format(*bad)
+        return rep.add("d-rule-sign", bad is None, witness=witness, details=detail)
 
     # -- formatting / serialization ------------------------------------------
 

@@ -311,6 +311,16 @@ def test_check_tensor_phi_centrality_rejection(tmp_path, capsys):
     assert "phi(e_1)_1 h = c != 0" in out
 
 
+def test_check_tensor_phi_without_a_default_phi_exits_two(tmp_path, capsys):
+    # no "phi": the default is the first 2 free generators, and heisenberg has one
+    p = tmp_path / "heis.json"
+    p.write_text(json.dumps({"presentation": {"builtin": "heisenberg"},
+                             "semigroup": {"rank": 2, "group": True}}))
+    assert main(["check", "--input", str(p), "--suite", "tensor-phi"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no default phi: 2 directions but 1 free generators\n"
+
+
 def test_check_construction_suite_needs_construction(vir_file, capsys):
     assert main(["check", "--input", vir_file, "--suite", "bl"]) == 2
     assert "construction" in capsys.readouterr().err

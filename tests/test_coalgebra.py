@@ -414,10 +414,32 @@ def test_ue_bialgebra_axioms():
     assert co.UniversalEnveloping(sl2()).check_bialgebra(3).passed
 
 
-def test_ue_multiplicativity_counts_delta_and_eps_per_pair():
-    # sl2 up to degree 3: 84 pairs of PBW words, each checked for Delta and eps
-    rep = co.UniversalEnveloping(sl2()).check_bialgebra(3)
-    assert outcomes(rep)["delta-multiplicative"] == "168 instances checked"
+def test_ue_multiplicativity_reports_delta_and_eps_apart():
+    # sl2 up to degree 3: 84 pairs of PBW words, checked for Delta and then for eps
+    got = outcomes(co.UniversalEnveloping(sl2()).check_bialgebra(3))
+    assert got["delta-multiplicative"] == "84 instances checked"
+    assert got["counit-multiplicative"] == "84 instances checked"
+
+
+def test_every_bialgebra_reports_delta_and_eps_multiplicativity_per_pair():
+    # (report, its pairs (u, v) with deg u + deg v <= the bound): B_L, the divided
+    # powers and U(g) share one tally, under one id per law
+    bl, dp, ue = BL(SemigroupL(1)), co.DividedPowerBialgebra(2), co.UniversalEnveloping(sl2())
+    bl_states = bl.basis_states(2, alpha_bound=1)
+    dp_keys = [f for d in range(4) for f in dp.basis(d)]
+    ue_words = [w for d in range(3) for w in ue.basis_words(d)]
+    cases = [
+        (check_bl_bialgebra(bl, 2, 1), [(u, v) for u in bl_states for v in bl_states
+                                        if bl.state_weight(u) + bl.state_weight(v) <= 2]),
+        (dp.check_bialgebra(3), [(f, g) for f in dp_keys for g in dp_keys
+                                 if sum(f) + sum(g) <= 3]),
+        (ue.check_bialgebra(2), [(a, b) for a in ue_words for b in ue_words
+                                 if len(a) + len(b) <= 2]),
+    ]
+    for rep, pairs in cases:
+        got = {k: v for k, v in outcomes(rep).items() if "multiplicative" in k}
+        assert got == {"delta-multiplicative": f"{len(pairs)} instances checked",
+                       "counit-multiplicative": f"{len(pairs)} instances checked"}
 
 
 def test_psi_values():
@@ -460,7 +482,8 @@ def test_lopsided_dp_coassociativity_uses_its_own_delta_on_both_legs():
     assert got["coassociativity"] == "coassociativity fails at (0, 1) (+8 more)"
     assert got["counit-law"] == "counit law fails at (0, 1) (+1 more)"
     assert got["cocommutativity"] == "cocommutativity fails at (0, 1) (+1 more)"
-    assert got["bialgebra-compatibility"] == "Delta not multiplicative (+15 more)"
+    assert got["delta-multiplicative"] == "Delta not multiplicative (+15 more)"
+    assert got["counit-multiplicative"] == "35 instances checked"
     assert got["associativity"] == "350 instances checked"
 
 

@@ -647,6 +647,39 @@ def test_extend_universal_morphism_into_tensor_phi():
     assert f(bl.monomial([("h", -1), ("h", -1)])) == KS(tp, W(("h", -1), ("h", -1)), (0,))
 
 
+def unit_refusal(bl):
+    """(target, psi, phi_B) with psi(e^0) = h(-1)."""
+    return bl, lambda al: bl.monomial([("h", -1)]), lambda i: bl.monomial([("h", -1)])
+
+
+def group_like_refusal(bl):
+    """psi(e^al) = e^al + h(-1)e^al off e^0, as in the non-group-like test above."""
+    def psi(al):
+        return bl.vacuum() if al == (0,) else bl.group_like(al) + bl.monomial([("h", -1)], al)
+    return bl, psi, lambda i: bl.monomial([("h", -1)])
+
+
+def multiplicative_refusal(bl):
+    """psi(e^al) = e^(al0^2) in V (x)_phi C[L] with phi = 0, and phi_B = 0: each
+    psi(e^al) is group-like with del psi(e^al) = 0, but psi(e^-1) psi(e^1) = e^2."""
+    pres = abelian(1)
+    tp = TensorPhiAlgebra(VacuumModule(pres), SemigroupL(1), PhiMap(pres, [LinComb()]))
+    return tp, lambda al: tp.group_like((al[0] ** 2,)), lambda i: LinComb()
+
+
+@pytest.mark.parametrize("refusal, message, witness", [
+    (unit_refusal, "psi(e^0) is not the unit", "(0,)"),
+    (group_like_refusal, "psi(e^(-1,)) is not group-like", "(-1,)"),
+    (multiplicative_refusal, "psi is not multiplicative", "(-1,),(1,)"),
+], ids=["unit", "group-like", "multiplicative"])
+def test_extend_universal_morphism_refusal_texts(refusal, message, witness):
+    bl = BL(SemigroupL(1))
+    target, psi, phi_b = refusal(bl)
+    with pytest.raises(MorphismError) as err:
+        extend_universal_morphism(bl, target, psi, phi_b, max_weight=1, alpha_bound=1)
+    assert (str(err.value), err.value.witness) == (message, witness)
+
+
 # -- induced morphisms out of a vacuum module ----------------------------------------
 
 
@@ -697,6 +730,14 @@ def test_induced_morphism_missing_generator():
     target = VacuumModule(pres)
     with pytest.raises(MorphismError):
         induced_vertex_morphism(pres, {"h": V(target, W(("h", -1)))}, target)
+
+
+def test_induced_morphism_missing_generator_names_it():
+    pres = heisenberg(1)
+    target = VacuumModule(pres)
+    with pytest.raises(MorphismError) as err:
+        induced_vertex_morphism(pres, {"h": V(target, W(("h", -1)))}, target)
+    assert (str(err.value), err.value.witness) == ("no image for generator c", "c")
 
 
 def test_induced_morphism_identity_on_heisenberg():

@@ -120,6 +120,20 @@ def test_d_rule_sign_failure_says_the_plus_rule_is_inconsistent():
     assert d["d-rule-sign"].details.startswith("plus rule inconsistent; ")
 
 
+@pytest.mark.parametrize("pres, want", [
+    (virasoro, {"check": "d-rule-sign", "passed": True,
+                "details": "plus rule consistent; minus variant fails"}),
+    (lambda: abelian(1), {"check": "d-rule-sign", "passed": True,
+                          "details": "plus rule consistent; minus variant also holds"
+                                     " (degenerate table)"}),
+    (lambda: perturbed_virasoro(0, ("L", 1), 2),
+     {"check": "d-rule-sign", "passed": False, "witness": "(L)_1(D L)",
+      "details": "plus rule inconsistent; minus variant fails"}),
+], ids=["virasoro", "abelian", "perturbed-virasoro"])
+def test_d_rule_sign_report(pres, want):
+    assert [c.to_json() for c in pres().validate().checks if c.check_id == "d-rule-sign"] == [want]
+
+
 def test_validate_catches_scaling_of_pinned_coefficients():
     # the two non-central coefficients are pinned by skew-symmetry/half-Jacobi
     for coeff in [0, 2, -1, Fraction(1, 2)]:

@@ -11,7 +11,8 @@ with ``--durations=0``.  With ``--parent REV`` it also exports commit REV with
 ``git archive`` and runs PAIRS pairs of that tree and this one per workload,
 seeds 1 to PAIRS, alternating which side runs first, and records each side's
 median and quartiles of every end-to-end metric and how many pairs the change
-won: one run per side cannot show a trend.  No run of a pair reads or writes
+won (one run per side cannot show a trend), and the src line count of REV's
+tree, so that the record states its own src delta.  No run of a pair reads or writes
 cached bytecode, so both sides compile their sources alike.  The budgets are
 the literal seconds of each ``_budget(t0, seconds, label)`` call in
 tests/test_acceptance.py, read with ast.  Nothing else should run on the
@@ -131,8 +132,8 @@ def acceptance_budgets(path):
     return out
 
 
-def src_lines():
-    files = sorted(glob.glob(os.path.join(ROOT, "src", "vertexkernel", "*.py")))
+def src_lines(root=ROOT):
+    files = sorted(glob.glob(os.path.join(root, "src", "vertexkernel", "*.py")))
     per_file = {}
     for path in files:
         with open(path, encoding="utf-8") as fh:
@@ -157,6 +158,7 @@ def main(argv=None):
         with tempfile.TemporaryDirectory() as tmp:
             parent_root = export(args.parent, tmp)
             compared = {"parent": args.parent, "pairs": PAIRS,
+                        "src_lines": src_lines(parent_root),
                         "workloads": {w["name"]: pairs(w["name"], seconds, parent_root, metrics)
                                       for w in declared["workloads"]}}
     suite, durations = tier1()
