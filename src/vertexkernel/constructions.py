@@ -678,6 +678,7 @@ def induced_vertex_morphism(pres, embedding, target, max_weight=3, window=4,
     (Psi x Psi) Delta and eps Psi = eps on the bounded basis."""
     vm = VacuumModule(pres)
     unit_t = target.vacuum()
+    embedding = dict(embedding)
     for g in pres.generators:
         if g.name not in embedding:
             raise MorphismError(f"no image for generator {g.name}", witness=g.name)

@@ -694,6 +694,17 @@ def test_induced_morphism_into_bl():
     assert psi(V(vm, W(("h", -2)))) == KS(bl, W(("h", -2)), (0,))
 
 
+def test_induced_morphism_keeps_the_embedding_it_checked():
+    # an edit to the caller's dict after the build must not reach psi
+    pres, vm = abelian_vm()
+    h = V(vm, W(("h", -1)))
+    embedding = {"h": h}
+    psi, rep = induced_vertex_morphism(pres, embedding, vm, max_weight=1, window=1)
+    embedding["h"] = 5 * h
+    assert rep.passed
+    assert psi(h) == h
+
+
 def test_induced_morphism_group_like_image_breaks_delta_only():
     # h -> e^1 is a legal vertex-algebra map out of a free commutative V,
     # but e^1 is not primitive, so only the coalgebra checks fail

@@ -1,12 +1,16 @@
 from fractions import Fraction
-from unittest import mock
+from itertools import chain
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexkernel import linalg
+from vertexkernel.coalgebra import primitive_defect, primitive_subspace
+from vertexkernel.enveloping import VacuumModule
 from vertexkernel.linalg import kernel_coefficients, rank_of, row_reduce
-from vertexkernel.lincomb import LinComb
+from vertexkernel.lincomb import LinComb, combination
+from vertexkernel.vla import heisenberg, virasoro
 
 
 def V(**kw):
@@ -75,7 +79,7 @@ def test_kernel_fractional_pivots():
     assert x[0] * Fraction(1, 2) + x[1] * Fraction(1, 3) == 0
 
 
-# -- fraction-free elimination against Gauss-Jordan over Fractions -------------------
+# -- sparse fraction-free elimination against dense Gauss-Jordan over Fractions ------
 
 
 def gauss_jordan_reference(rows):
@@ -102,6 +106,35 @@ def gauss_jordan_reference(rows):
     return pivots
 
 
+def dense_row_reduce(vectors):
+    """row_reduce through gauss_jordan_reference on the dense vectors x keys matrix."""
+    keys = sorted({k for v in vectors for k in v.keys()})
+    rows = [[Fraction(v.get(k)) for k in keys] for v in vectors]
+    pivots = gauss_jordan_reference(rows)
+    return [LinComb(dict(zip(keys, row))) for row in rows[:len(pivots)]], [keys[c] for c in pivots]
+
+
+def dense_kernel(vectors):
+    """kernel_coefficients through gauss_jordan_reference on the dense keys x
+    vectors matrix: free coordinate 1, x_pc = -R_r[fc]."""
+    n = len(vectors)
+    keys = sorted({k for v in vectors for k in v.keys()})
+    rows = [[Fraction(v.get(k)) for v in vectors] for k in keys]
+    pivots = gauss_jordan_reference(rows)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        x = [Fraction(0)] * n
+        x[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            x[pc] = -rows[r][fc]
+        basis.append(tuple(x))
+    return basis
+
+
+def sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
 # small entries, so that dependent rows and zero columns are common
 _ENTRIES = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
                                                       max_denominator=4))
@@ -109,22 +142,38 @@ _MATRICES = st.integers(0, 5).flatmap(
     lambda ncols: st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols), max_size=6))
 _KEYS = "abcd"
 _VECTORS = st.lists(st.dictionaries(st.sampled_from(_KEYS), _ENTRIES).map(LinComb), max_size=6)
+# the primitive-defect shape: many keys, few entries per vector
+_WIDE_SPARSE = st.lists(st.dictionaries(st.integers(0, 59), _ENTRIES, max_size=3).map(LinComb),
+                        max_size=30)
+derandomized = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
 
 @given(_MATRICES)
 def test_fraction_free_echelon_matches_gauss_jordan(rows):
-    got = [list(r) for r in rows]
     want = [[Fraction(x) for x in r] for r in rows]
-    assert linalg._echelon(got) == gauss_jordan_reference(want)
-    assert got == want
+    pivots = gauss_jordan_reference(want)
+    got = linalg._echelon([sparse(r) for r in rows])
+    assert got == (pivots, [sparse(r) for r in want[:len(pivots)]])
+    assert all(type(x) is Fraction for r in got[1] for x in r.values())
+
+
+def assert_matches_the_fraction_reference(vectors):
+    got = (row_reduce(vectors), rank_of(vectors), kernel_coefficients(vectors))
+    basis, keys = dense_row_reduce(vectors)
+    assert got == ((basis, keys), len(basis), dense_kernel(vectors))
+    assert all(type(x) is Fraction for v in got[0][0] for x in v.terms.values())
+    assert all(type(x) is Fraction for x in chain.from_iterable(got[2]))
 
 
 @given(_VECTORS)
 def test_row_reduce_rank_and_kernel_match_the_fraction_reference(vectors):
-    got = (row_reduce(vectors), rank_of(vectors), kernel_coefficients(vectors))
-    with mock.patch.object(linalg, "_echelon", gauss_jordan_reference):
-        want = (row_reduce(vectors), rank_of(vectors), kernel_coefficients(vectors))
-    assert got == want
+    assert_matches_the_fraction_reference(vectors)
+
+
+@derandomized
+@given(_WIDE_SPARSE)
+def test_wide_sparse_families_match_the_fraction_reference(vectors):
+    assert_matches_the_fraction_reference(vectors)
 
 
 @given(_VECTORS, st.permutations(_KEYS))
@@ -133,3 +182,16 @@ def test_kernel_coefficients_do_not_depend_on_key_order(vectors, relabelled):
     relabel = dict(zip(_KEYS, relabelled)).__getitem__
     assert kernel_coefficients([v.map_keys(relabel) for v in vectors]) == \
         kernel_coefficients(vectors)
+
+
+@pytest.mark.parametrize("pres, weights, torsion_bound", [
+    (virasoro(), range(10), 1),
+    (heisenberg(2), range(6), 0),
+], ids=["virasoro", "heisenberg-2"])
+def test_primitive_subspace_matches_the_dense_kernel(pres, weights, torsion_bound):
+    vm = VacuumModule(pres)
+    for weight in weights:
+        states = [LinComb.single(w) for w in vm.basis_words(weight, torsion_bound)]
+        defects = [primitive_defect(vm, s) for s in states]
+        want = [combination(states, x) for x in dense_kernel(defects)]
+        assert primitive_subspace(vm, weight, torsion_bound) == want
