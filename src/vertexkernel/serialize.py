@@ -19,17 +19,16 @@ from functools import cache
 from .current import Mode
 from .errors import InputError
 from .lincomb import Fraction, LinComb, parse_rational
-from .vla import Presentation, builtin, json_bool, json_int, json_terms
+from .vla import NAME, Presentation, builtin, element_to_json, json_bool, json_int, json_terms
 
-_MODE_RE = re.compile(r"^([A-Za-z_]\w*)\((-?\d+)\)$")
-_WORD_RE = re.compile(r"([A-Za-z_]\w*)\((-?\d+)\)")
-_STATE_RE = re.compile(r"^((?:[A-Za-z_]\w*\(-?\d+\))*)\|0[⟩>]$")
+_WORD_RE = re.compile(rf"({NAME})\((-?\d+)\)")
+_STATE_RE = re.compile(rf"^((?:{NAME}\(-?\d+\))*)\|0[⟩>]$")
 _COEFF_RE = re.compile(r"^(\d+(?:/\d+)?)\s*[·*]\s*(.+)$")
-_DTERM_RE = re.compile(r"^D(?:\^(\d+))?([A-Za-z_]\w*)$")
+_DTERM_RE = re.compile(rf"^D(?:\^(\d+))?({NAME})$")
 
 
 def parse_mode(text):
-    m = _MODE_RE.match(text.strip())
+    m = _WORD_RE.fullmatch(text.strip())
     if not m:
         raise InputError(f"cannot parse mode {text!r} (expected like \"L(-3)\")")
     return Mode(m.group(1), int(m.group(2)))
@@ -92,10 +91,6 @@ def parse_element(pres, text):
             raise InputError(f"cannot parse element term {body!r}")
         return pres.make_element({(m.group(2), int(m.group(1) or 1)): 1})
     return _parse_sum(text, term)
-
-
-def element_to_json(elt):
-    return [{"coeff": str(c), "d": d, "gen": g} for (g, d), c in elt.sorted_items()]
 
 
 def element_from_json(pres, rows):

@@ -260,11 +260,8 @@ class Presentation:
         return elt.format(key_fmt)
 
     def to_json(self):
-        prods = []
-        for (l, r, n), res in sorted(self._table.items()):
-            terms = [{"coeff": str(c), "d": d, "gen": g}
-                     for (g, d), c in res.sorted_items()]
-            prods.append({"left": l, "right": r, "n": n, "result": terms})
+        prods = [{"left": l, "right": r, "n": n, "result": element_to_json(res)}
+                 for (l, r, n), res in sorted(self._table.items())]
         return {
             "generators": [{"name": g.name, "weight": g.weight, "torsion": g.torsion}
                            for g in self.generators],
@@ -299,15 +296,20 @@ def json_bool(value, name):
     return value
 
 
-_NAME_RE = re.compile(r"[A-Za-z_]\w*")
+NAME = r"[A-Za-z_]\w*"   # a generator name, in JSON and in the text forms alike
 
 
 def json_name(value, name):
     """A generator-name field of input JSON: an identifier string, as the text forms
     of modes and states spell it."""
-    if not isinstance(value, str) or not _NAME_RE.fullmatch(value):
+    if not isinstance(value, str) or not re.fullmatch(NAME, value):
         raise ValueError(f"{name} must be an identifier, got {value!r}")
     return value
+
+
+def element_to_json(elt):
+    """JSON rows {"coeff", "d", "gen"} of an element, in key order; json_terms reads them."""
+    return [{"coeff": str(c), "d": d, "gen": g} for (g, d), c in elt.sorted_items()]
 
 
 def json_terms(rows):

@@ -1,15 +1,19 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexkernel.constructions import BL, SemigroupL
-from vertexkernel.current import Mode, bracket
+from vertexkernel.current import Mode, bracket, mode_normalize
 from vertexkernel.enveloping import VacuumModule
 from vertexkernel.errors import InputError
-from vertexkernel.lincomb import LinComb
+from vertexkernel.lincomb import LinComb, inv_factorial
+from vertexkernel.serialize import load_presentation, read_json_file
 from vertexkernel.vla import abelian, heisenberg, virasoro
+
+SL2 = Path(__file__).with_name("affine_sl2_level1.json")
 
 
 def W(*modes):
@@ -279,6 +283,25 @@ def test_state_mode_negative_index_is_normally_ordered_product():
     # h_0 h = 0, h_1 h = c(-1)|0>
     assert not vm.state_mode(h, 0, h)
     assert vm.state_mode(h, 1, h) == S(vm, W(("c", -1)))
+
+
+@pytest.mark.parametrize("pres", [virasoro(), heisenberg(2),
+                                  load_presentation(read_json_file(SL2))],
+                         ids=["virasoro", "heisenberg-2", "sl2-level1"])
+def test_one_letter_modes_are_the_loop_modes_of_divided_powers(pres):
+    """g(-1-k)|0> is D^(k)g = D^k g / k!, so its n-th mode is the current-algebra mode
+    (D^(k)g)(n) that mode_normalize writes: for every generator, k <= 3 (k = 0 for a
+    torsion one), n in [-6, 6] and every basis v of weight <= 3."""
+    vm = VacuumModule(pres)
+    basis = [LinComb.single(w) for d in range(4) for w in vm.basis_words(d, torsion_bound=1)]
+    for g in pres.generators:
+        for k in range(1 if g.torsion else 4):
+            u = vm.word_state([(g.name, -1 - k)])
+            dg = LinComb.single((g.name, k), inv_factorial(k))
+            for n in range(-6, 7):
+                combo = mode_normalize(pres, dg, n)
+                for v in basis:
+                    assert vm.state_mode(u, n, v) == vm.combo_apply(combo, v)
 
 
 def test_graded_dimensions_match_partition_oracle():

@@ -24,6 +24,14 @@ def test_binom_pascal_rule_any_sign():
             assert binom(m, j) == binom(m - 1, j) + binom(m - 1, j - 1)
 
 
+def test_binom_upper_negation():
+    """binom(m, i) = (-1)^i binom(i-m-1, i): with k = -1-m, the iterate's
+    (-1)^i binom(m, i) is binom(i+k, i)."""
+    for m in range(-12, 13):
+        for i in range(0, 13):
+            assert binom(m, i) == sign_pow(i) * binom(i - m - 1, i)
+
+
 def test_sign_pow_negative_exponents():
     for e in range(-9, 10):
         assert sign_pow(e) == (-1) ** abs(e)

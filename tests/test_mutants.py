@@ -58,14 +58,21 @@ ROWS = [
      "state = state.bind(self._d_key)", "state = -state.bind(self._d_key)",
      ["--suite", "morphism", "--max-weight", "0", "--mode-window", "0"],
      "morphism-extension-exists", "del psi(e^(-1,)) != phi_B(abar) psi(e^(-1,))"),
-    # on Heisenberg the flip only negates the level, so the sweeps pass; the
-    # induced morphism compares h_1 h with the table
+    # the second i-sum's sign flipped: the one-letter term keeps its own, so words of one
+    # letter and of two disagree
     ("state-mode-second-sum-flipped", VacuumModule, "_state_mode_word",
-     "s2 = -sign_pow(m)", "s2 = sign_pow(m)",
-     ["--input", HEISENBERG, "--suite", "morphism", "--max-weight", "0", "--mode-window", "0"],
-     "morphism-induced-exists", "embedding breaks h_1 h"),
-    # the last term of the first i-sum dropped: one-letter words take the single-letter
-    # step, so the kill goes through a word of two letters or more, here c(-1)c(-1)|0⟩
+     "sk = sign_pow(k)", "sk = -sign_pow(k)",
+     ["--suite", "tensor-phi", "--max-weight", "1", "--mode-window", "0"],
+     "tensor-phi-jacobi",
+     "Jacobi (0,0,0) fails at u=c(-1)|0⟩⊗e^{(-1)}, v=h(-1)|0⟩⊗e^{(-1)}, w=h(-1)|0⟩⊗e^{(-1)}"),
+    # the first i-sum's coefficient binom(i+k, i) read as binom(i+k+1, i)
+    ("state-mode-first-sum-coefficient-shifted", VacuumModule, "_state_mode_word",
+     "c = binom(i + k, i)", "c = binom(i + k + 1, i)",
+     ["--suite", "tensor-phi", "--max-weight", "1", "--mode-window", "0"],
+     "tensor-phi-jacobi",
+     "Jacobi (0,0,0) fails at u=c(-1)|0⟩⊗e^{(-1)}, v=h(-1)|0⟩⊗e^{(-1)}, w=|0⟩⊗e^{(-1)}"),
+    # the last term of the first i-sum dropped: one-letter words take the one-letter
+    # term, so the kill goes through a word of two letters or more, here c(-1)c(-1)|0⟩
     # from u_{-1}v; on Heisenberg the jacobi suite at --max-weight 1 kills it too
     ("state-mode-first-sum-short", VacuumModule, "_state_mode_word",
      "for i in range(0, down):", "for i in range(0, down - 1):",
@@ -78,15 +85,15 @@ ROWS = [
      ["--input", HEISENBERG, "--suite", "jacobi", "--max-weight", "1", "--mode-window", "0"],
      "jacobi-identity",
      "Jacobi coefficient (0,0,0) defect at u=h(-1)|0⟩, v=h(-1)|0⟩, w=h(-1)|0⟩"),
-    # the single-letter step without its second-sum term i = m+n+1
-    ("state-mode-letter-second-term-dropped", VacuumModule, "_state_mode_word",
-     "if 0 <= i < up:", "if False:",
-     ["--input", HEISENBERG, "--suite", "jacobi", "--max-weight", "1", "--mode-window", "0"],
-     "jacobi-identity",
-     "Jacobi coefficient (0,0,0) defect at u=h(-1)|0⟩, v=h(-1)|0⟩, w=h(-1)|0⟩"),
-    # the single-letter step's first-sum term at i = -n for i = -1-n
+    # the one-letter term (-1)^k binom(n, k) g(n-k) without its sign
+    ("state-mode-letter-sign-dropped", VacuumModule, "_state_mode_word",
+     "c = sign_pow(k) * binom(n, k)", "c = binom(n, k)",
+     ["--suite", "tensor-phi", "--max-weight", "1", "--mode-window", "1"],
+     "tensor-phi-jacobi",
+     "Jacobi (1,-1,0) fails at u=h(-1)|0⟩⊗e^{(-1)}, v=|0⟩⊗e^{(-1)}, w=|0⟩⊗e^{(-1)}"),
+    # k = -m for k = -1-m: g(m)|0> read as D^(k+1) g
     ("state-mode-letter-first-index-off-by-one", VacuumModule, "_state_mode_word",
-     "i = -1 - n", "i = -n",
+     "k = -1 - m", "k = -m",
      ["--suite", "tensor-phi", "--max-weight", "0", "--mode-window", "0"],
      "tensor-phi-vacuum-creation", "u(-1)|0> != u at c(-1)|0⟩⊗e^{(-1)}"),
     # a·h·w = h·(a·w): every mode commutes, which is a vertex algebra too

@@ -1,23 +1,28 @@
 #!/usr/bin/env python3
 """Write one benchmark record as JSON: the perfbench end-to-end results, the
-tier-1 wall time, each acceptance test's time against its budget, and the src
-line count.
+exact work counts of one traced pass, the tier-1 wall time, each acceptance
+test's time against its budget, and the src line count.
 
     python3 tools/bench_record.py --out BENCH_<n>.json [--parent REV]
 
 It runs ``perfbench/run.py --seed 0 --trace 0`` once per workload that
-BENCHMARK.json declares, for its ``run_seconds``, then the tier-1 suite once
-with ``--durations=0``.  With ``--parent REV`` it also exports commit REV with
-``git archive`` and runs PAIRS pairs of that tree and this one per workload,
-seeds 1 to PAIRS, alternating which side runs first, and records each side's
-median and quartiles of every end-to-end metric and how many pairs the change
-won (one run per side cannot show a trend), and the src line count of REV's
-tree, so that the record states its own src delta.  No run of a pair reads or writes
-cached bytecode, so both sides compile their sources alike.  The budgets are
-the literal seconds of each ``_budget(t0, seconds, label)`` call in
-tests/test_acceptance.py, read with ast.  Nothing else should run on the
-machine meanwhile: every number is a wall time.  The record names the CPUs
-this process may use, since the sweeps shard over them.
+BENCHMARK.json declares, for its ``run_seconds``, and ``--seed 0 --trace 1``
+once per workload, pinned to one CPU, recording under ``trace`` every per-layer
+metric counted in calls, entries or bytes, which no timing noise moves, with
+the run's ``trace_missing`` and ``trace_output_identical``; then the tier-1
+suite once with ``--durations=0``.  With ``--parent REV`` it also exports
+commit REV with ``git archive`` and runs PAIRS pairs of that tree and this one
+per workload, seeds 1 to PAIRS, alternating which side runs first, and records
+each side's median and quartiles of every end-to-end metric and how many pairs
+the change won (one run per side cannot show a trend), REV's traced pass, and
+the src line count of REV's tree, so that the record states its own src delta;
+``counts_moved`` lists each count that differs, as [REV's, this tree's].  A
+traced pass that does not read ``correct`` makes the exit code 1.  No run of a
+pair reads or writes cached bytecode, so both sides compile their sources
+alike.  The budgets are the literal seconds of each ``_budget(t0, seconds,
+label)`` call in tests/test_acceptance.py, read with ast.  Nothing else should
+run on the machine meanwhile: every number but the counts is a wall time.  The
+record names the CPUs this process may use, since the sweeps shard over them.
 """
 
 import argparse
@@ -47,16 +52,47 @@ SEED = 0
 PAIRS = 10
 
 
-def perfbench(workload, seconds, root=ROOT, seed=SEED, env=None):
-    """The result object and the run record of one perfbench run in the tree at root."""
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def perfbench(workload, seconds, root=ROOT, seed=SEED, env=None, trace=0):
+    """The result object and the run record of one perfbench run in the tree at root.
+    A traced run is pinned to one CPU (the child alone), as its counts are per pass."""
     proc = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"),
                            "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, env=env, capture_output=True, text=True, check=False)
+                           "--seconds", str(seconds), "--trace", str(trace)],
+                          cwd=root, env=env, capture_output=True, text=True, check=False,
+                          preexec_fn=_one_cpu if trace else None)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or len(lines) < 2:
         return {"exit": proc.returncode, "stderr": proc.stderr.strip()[-2000:]}
     return {"result": json.loads(lines[-1]), "record": json.loads(lines[-2])}
+
+
+def trace_counts(workload, root=ROOT):
+    """The count and byte metrics of one traced seed-0 pass in the tree at root."""
+    run = perfbench(workload, 0, root, trace=1)
+    if "result" not in run:
+        return run
+    result, record = run["result"], run["record"]["run"]
+    return {"correct": result["correct"],
+            "trace_counts": {name: m["value"] for name, m in result["metrics"].items()
+                             if m["unit"] in ("count", "B")},
+            "trace_missing": record["trace_missing"],
+            "trace_output_identical": record["trace_output_identical"]}
+
+
+def counts_moved(parent, change):
+    """{workload: {metric: [parent's, change's]}} for every count the two traces differ on."""
+    out = {}
+    for workload, p in parent.items():
+        pc, cc = p.get("trace_counts", {}), change[workload].get("trace_counts", {})
+        moved = {m: [pc.get(m), cc.get(m)] for m in sorted(pc.keys() | cc.keys())
+                 if pc.get(m) != cc.get(m)}
+        if moved:
+            out[workload] = moved
+    return out
 
 
 def export(rev, into):
@@ -152,6 +188,7 @@ def main(argv=None):
         declared = json.load(fh)
     seconds = declared["run_seconds"]
     bench = {w["name"]: perfbench(w["name"], seconds) for w in declared["workloads"]}
+    traces = {w["name"]: trace_counts(w["name"]) for w in declared["workloads"]}
     compared = None
     if args.parent:
         metrics = [(m["name"], m["better"]) for m in declared["end_to_end"]]
@@ -159,6 +196,8 @@ def main(argv=None):
             parent_root = export(args.parent, tmp)
             compared = {"parent": args.parent, "pairs": PAIRS,
                         "src_lines": src_lines(parent_root),
+                        "trace": {w["name"]: trace_counts(w["name"], parent_root)
+                                  for w in declared["workloads"]},
                         "workloads": {w["name"]: pairs(w["name"], seconds, parent_root, metrics)
                                       for w in declared["workloads"]}}
     suite, durations = tier1()
@@ -171,18 +210,22 @@ def main(argv=None):
         "machine": {"python": platform.python_version(), "platform": platform.platform(),
                     "cpus": os.cpu_count(), "usable_cpus": len(os.sched_getaffinity(0))},
         "perfbench": {"seed": SEED, "seconds": seconds, "workloads": bench},
+        "trace": traces,
         "tier1": suite,
         "acceptance": acceptance,
         "src_lines": src_lines(),
     }
     if compared is not None:
         record["parent_pairs"] = compared
+        record["counts_moved"] = counts_moved(compared["trace"], traces)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     ok = suite["exit"] == 0 and all("result" in b for b in bench.values())
+    ok = ok and all(t.get("correct") is True for t in traces.values())
     if compared is not None:
         ok = ok and all("run_s" in w for w in compared["workloads"].values())
+        ok = ok and all(t.get("correct") is True for t in compared["trace"].values())
     return 0 if ok else 1
 
 
