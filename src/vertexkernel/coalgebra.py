@@ -212,6 +212,15 @@ def tensor_product_through(alg, s, t):
     return s.tensor(t).bind(of_pair)
 
 
+def primitive_letters_delta(alg, start, letters, unit):
+    """Delta of a word as the algebra map with each letter primitive: start (x) start
+    times l (x) unit + unit (x) l on the left, for each letter l in the order given."""
+    out = LinComb.single((start, start))
+    for h in letters:
+        out = tensor_product_through(alg, LinComb({(h, unit): 1, (unit, h): 1}), out)
+    return out
+
+
 def delta_multiplicativity_defect(alg, u, v):
     """Delta(uv) - Delta(u)Delta(v)."""
     return alg.delta(alg.product(u, v)) - tensor_product_through(alg, alg.delta(u), alg.delta(v))
@@ -465,12 +474,8 @@ class UniversalEnveloping:
 
     def delta(self, state):
         """The algebra map with every x_i primitive, multiplied out over each word."""
-        def of_word(word):
-            out = LinComb.single(((), ()))
-            for i in reversed(word):
-                out = tensor_product_through(self, LinComb({((i,), ()): 1, ((), (i,)): 1}), out)
-            return out
-        return state.bind(of_word)
+        return state.bind(lambda word: primitive_letters_delta(
+            self, (), [(i,) for i in reversed(word)], ()))
 
     def eps(self, state):
         return state.get(())

@@ -28,7 +28,7 @@ from math import lcm
 
 from .coalgebra import (coalgebra_laws, d_coderivation_defect, group_like_scan,
                         intertwining_laws, is_group_like, multiplicative_laws,
-                        primitive_basis, tensor_product_through)
+                        primitive_basis, primitive_letters_delta)
 from .current import Mode, mode_index, mode_normalize
 from .enveloping import (PackedSum, VacuumModule, _packed, jacobi_sweep, skew_sweep,
                          sweep_defect, vacuum_creation_sweep)
@@ -37,14 +37,6 @@ from .lincomb import LinComb, binom, cleared, combination, inv_factorial
 from .report import ValidationReport
 from .serialize import format_alpha
 from .vla import abelian
-
-
-def _mode_range(window):
-    """Accept either a symmetric bound or an explicit (lo, hi) pair."""
-    if isinstance(window, tuple):
-        lo, hi = window
-        return range(lo, hi + 1)
-    return range(-window, window + 1)
 
 
 # -- semigroups and central maps ------------------------------------------------------
@@ -180,7 +172,8 @@ def check_eminus_conjugation(vm, a, max_weight=2, order=3, window=3, torsion_bou
     x0-orders K <= order and x2-modes n in the window."""
     states = vm.basis_states(max_weight, torsion_bound)
     return ValidationReport(subject="eminus").tally(
-        "eminus-conjugation", iproduct(states, states, range(0, order + 1), _mode_range(window)),
+        "eminus-conjugation",
+        iproduct(states, states, range(0, order + 1), range(-window, window + 1)),
         lambda w, v, K, n: eminus_conjugation_defect(vm, a, w, K, n, v),
         lambda w, v, K, n: (f"conjugation fails at w={vm.format_state(w)},"
                             f" v={vm.format_state(v)}, K={K}, n={n}"))
@@ -346,21 +339,21 @@ def check_tensor_phi_axioms(tp, max_weight=2, window=2, alpha_bound=1,
     over bounded tensor states."""
     rep = ValidationReport(subject="tensor-phi")
     states = tp.basis_states(max_weight, torsion_bound, alpha_bound)
-    vacuum_creation_sweep(rep, "tensor-phi-vacuum-creation", tp, states, range(0, window + 2),
-                          _mode_range(window))
+    modes = range(-window, window + 1)
+    vacuum_creation_sweep(rep, "tensor-phi-vacuum-creation", tp, states, range(window + 2), modes)
     fmt = tp.format_state
-    rep.tally("tensor-phi-skew-symmetry", skew_sweep(tp, states, _mode_range(window)),
+    rep.tally("tensor-phi-skew-symmetry", skew_sweep(tp, states, modes),
               sweep_defect, lambda u, n, v, _: f"skew fails at ({fmt(u)})_{n}({fmt(v)})")
-    return rep.tally("tensor-phi-jacobi", jacobi_sweep(tp, states, _mode_range(window)),
+    return rep.tally("tensor-phi-jacobi", jacobi_sweep(tp, states, modes),
                      sweep_defect,
                      lambda u, v, w, p, q, r, _: (f"Jacobi ({p},{q},{r}) fails at "
                                                   f"u={fmt(u)}, v={fmt(v)}, w={fmt(w)}"))
 
 
 def check_group_like_semigroup(tp, alpha_bound=3, window=4):
-    """g_n h = 0 for n >= 0, g_{-1}h = e^{a+b} is group-like, and the product
-    is associative and commutative; the modes of group-likes in [-2, 2]
-    commute on every weight-1 key with |alpha| <= 1."""
+    """g_n h = 0 for n >= 0, g_{-1}h = e^{a+b} is group-like, and the product is
+    associative and commutative; group-like modes in [-2, 2] commute on every key
+    with |alpha| <= 1 of weight w0, the least free generator weight (0 if none)."""
     rep = ValidationReport(subject="tensor-phi-group-likes")
     alphas = tp.semigroup.window(alpha_bound)
     glike = {al: tp.group_like(al) for al in alphas}
@@ -386,7 +379,8 @@ def check_group_like_semigroup(tp, alpha_bound=3, window=4):
     rep.tally("group-like-commutativity", pairs,
               lambda al, be: mode(al, -1, glike[be]) != mode(be, -1, glike[al]),
               lambda al, be: f"commutativity fails at {al},{be}")
-    samples = [LinComb.single(k) for k in tp.basis_keys(1, 0, 1)]
+    w0 = min((g.weight for g in tp.vm.pres.generators if not g.torsion), default=0)
+    samples = [LinComb.single(k) for k in tp.basis_keys(w0, 0, 1)]
     return rep.tally(
         "group-like-mode-commutation",
         iproduct(alphas, alphas, range(-2, 3), range(-2, 3), samples),
@@ -416,7 +410,7 @@ def check_component_structure(tp, max_weight=2, alpha_bound=2, window=3,
     rep.tally("component-delta", zip(keys),
               lambda k: leaves(chain.from_iterable(tp.delta(LinComb.single(k)).keys()), k[1]),
               lambda k: f"Delta leaves component {k[1]}")
-    rep.tally("component-module", iproduct(keys, zero_keys, _mode_range(window)),
+    rep.tally("component-module", iproduct(keys, zero_keys, range(-window, window + 1)),
               lambda k, z, n: leaves(
                   tp.state_mode(LinComb.single(z), n, LinComb.single(k)).keys(), k[1]),
               lambda k, z, n: f"V_0 mode moved component {k[1]}")
@@ -523,16 +517,9 @@ class BL:
         """The algebra map for product with h_i(-n) primitive and e^alpha
         group-like."""
         zero = self.semigroup.zero()
-        one = (0, zero)
-
-        def of_key(key):
-            word, al = key
-            out = LinComb.single(((0, al), (0, al)))
-            for m in self.vm.word(word):
-                h = (self.vm.word_id((m,)), zero)
-                out = tensor_product_through(self, LinComb({(h, one): 1, (one, h): 1}), out)
-            return out
-        return state.bind(of_key)
+        return state.bind(lambda key: primitive_letters_delta(
+            self, (0, key[1]), [(self.vm.word_id((m,)), zero) for m in self.vm.word(key[0])],
+            (0, zero)))
 
     def eps(self, state):
         """The algebra map to Q for product with eps(h_i(-n)) = 0 and
@@ -591,7 +578,7 @@ def check_bl_equals_tensor_phi(bl, max_weight=3, alpha_bound=2, window=4):
     rep = ValidationReport(subject="bl-vs-tensor-phi")
     states = bl.basis_states(max_weight, alpha_bound=alpha_bound)
     fmt = bl.format_state
-    rep.tally("bl-equals-tensor-phi-modes", iproduct(states, states, _mode_range(window)),
+    rep.tally("bl-equals-tensor-phi-modes", iproduct(states, states, range(-window, window + 1)),
               lambda u, v, n: bl.state_mode(u, n, v) != tp.state_mode(u, n, v),
               lambda u, v, n: f"modes differ at ({fmt(u)})_{n}({fmt(v)})")
     rep.tally("bl-equals-tensor-phi-d", zip(states), lambda s: bl.D(s) != tp.D(s),
@@ -717,7 +704,7 @@ def induced_vertex_morphism(pres, embedding, target, max_weight=3, window=4,
     images = [psi(s) for s in states]
     idx = range(len(states))
     fmt = vm.format_state
-    rep.tally("morphism-modes", iproduct(idx, idx, _mode_range(window)),
+    rep.tally("morphism-modes", iproduct(idx, idx, range(-window, window + 1)),
               lambda i, j, n: (psi(vm.state_mode(states[i], n, states[j]))
                                != target.state_mode(images[i], n, images[j])),
               lambda i, j, n: (f"Psi(u({n})v) != Psi(u)({n})Psi(v) at"

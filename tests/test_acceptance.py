@@ -149,7 +149,7 @@ def test_06_coproduct_is_a_vertex_morphism():
 def test_07_differential_bialgebra_equivalence():
     t0 = time.monotonic()
     L = SemigroupL(1)
-    rep = check_bl_equals_tensor_phi(BL(L), max_weight=3, alpha_bound=2, window=(-4, 6))
+    rep = check_bl_equals_tensor_phi(BL(L), max_weight=3, alpha_bound=2, window=6)
     assert rep.passed, rep.summary()
     rep2 = check_bl_bialgebra(BL(L), max_weight=3, alpha_bound=2)
     assert rep2.passed, rep2.summary()

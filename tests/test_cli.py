@@ -459,3 +459,34 @@ def test_the_reused_parser_keeps_no_state(vir_file, capsys):
     capsys.readouterr()
     assert main(plain) == 0
     assert capsys.readouterr().out == fresh
+
+
+PHI_C = [[{"gen": "c", "coeff": "1", "d": 0}]]
+C_ONLY = {"generators": [{"name": "c", "weight": 0, "torsion": True}], "products": []}
+SMALLEST_BOUNDS_INPUTS = {
+    "heisenberg": HEISENBERG,
+    "heisenberg-centre": HEISENBERG_CENTRE,
+    "virasoro": os.path.join(os.path.dirname(HEISENBERG), "virasoro.json"),
+    "affine-sl2-level1": os.path.join(os.path.dirname(__file__), "affine_sl2_level1.json"),
+    "virasoro-phi-c": {"presentation": {"builtin": "virasoro"}, "semigroup": {"rank": 1},
+                       "phi": PHI_C},
+    "torsion-only-phi-c": {"presentation": C_ONLY, "semigroup": {"rank": 1}, "phi": PHI_C},
+    "abelian": {"builtin": "abelian"},
+}
+
+
+@pytest.mark.parametrize("name", SMALLEST_BOUNDS_INPUTS)
+def test_no_check_passes_over_nothing(tmp_path, capsys, name):
+    """At --max-weight 1 --mode-window 1 every check reads some instances, but the
+    table checks on a table without product rows: there they have none to read."""
+    source = SMALLEST_BOUNDS_INPUTS[name]
+    if isinstance(source, dict):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(source))
+        source = str(path)
+    assert main(["check", "--suite", "all", "--max-weight", "1", "--mode-window", "1",
+                 "--format", "json", "--input", source]) == 0
+    empty = {c["check"] for c in json.loads(capsys.readouterr().out)["report"]["checks"]
+             if c["details"] == "0 instances checked"}
+    no_rows = name in ("torsion-only-phi-c", "abelian")
+    assert empty == ({"weight-homogeneity", "torsion-rows-zero"} if no_rows else set())

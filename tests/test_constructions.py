@@ -523,7 +523,7 @@ def test_bl_equals_tensor_phi_group():
 
 def test_bl_equals_tensor_phi_semigroup():
     rep = check_bl_equals_tensor_phi(BL(SemigroupL(1, group=False)), max_weight=2,
-                                     alpha_bound=2, window=(-3, 4))
+                                     alpha_bound=2, window=4)
     assert rep.passed
 
 

@@ -106,6 +106,12 @@ ROWS = [
      "((prepend(h, a), b), (a, prepend(h, b)))", "((prepend(h, a), b),)",
      ["--suite", "coalgebra", "--max-weight", "0", "--mode-window", "0"],
      "cocommutativity", "cocommutativity fails at c(-1)|0⟩"),
+    # B_L's Delta(h·w) = (h(x)1)·Delta(w): U(g) keeps the shared Delta, as only the
+    # constructions module's name is rebound
+    ("primitive-letters-delta-left-leg-only", constructions, "primitive_letters_delta",
+     "LinComb({(h, unit): 1, (unit, h): 1})", "LinComb({(h, unit): 1})",
+     ["--suite", "bl", "--max-weight", "0", "--mode-window", "0"],
+     "d-coderivation", "Delta(del u) != (del(x)1 + 1(x)del)Delta(u) at |0⟩⊗e^{(-2)}"),
     # a term whose denominator does not divide the sum's, scaled by their floor quotient
     ("cleared-add-without-widening", PackedSum, "add", "if D % den:", "if False:",
      ["--suite", "tensor-phi", "--max-weight", "0", "--mode-window", "1"],
