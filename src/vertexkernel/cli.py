@@ -24,7 +24,9 @@ from .constructions import (BL, PhiMap, SemigroupL, TensorPhiAlgebra,
 from .current import bracket as mode_bracket
 from .enveloping import VacuumModule
 from .errors import InputError, MorphismError, UnsupportedError
+from .lincomb import format_terms
 from .report import ValidationReport
+from .vla import format_element_key
 
 
 @functools.cache
@@ -225,32 +227,37 @@ def cmd_compute(args):
         except ValueError:
             raise InputError(f"expected an integer mode index, got {s!r}") from None
 
+    # each value's terms are sorted once, by order, for both its text and its rows
     if expr == "product":
         arity(3)
         u = serialize.parse_element(pres, ops[0])
         v = serialize.parse_element(pres, ops[2])
         value = pres.nth_product(u, as_int(ops[1]), v)
-        text = pres.format_element(value)
-        terms = serialize.element_to_json(value)
+        order, key_fmt, rows = None, format_element_key, serialize.element_to_json
     elif expr == "bracket":
         arity(2)
         value = mode_bracket(pres, serialize.parse_mode(ops[0]), serialize.parse_mode(ops[1]))
-        text = value.format(str)
-        terms = [{"coeff": str(c), "mode": serialize.mode_to_json(m)}
-                 for m, c in value.sorted_items()]
+        order, key_fmt = None, str
+
+        def rows(terms):
+            return [{"coeff": str(c), "mode": serialize.mode_to_json(m)} for m, c in terms]
     elif expr == "delta":
         arity(1)
         value = vm.delta(serialize.parse_state(vm, ops[0]))
-        text = value.format(lambda k: f"{vm.format_word(k[0])} ⊗ {vm.format_word(k[1])}",
-                            vm.pair_order)
-        terms = serialize.tensor_to_json(vm, value)
+        order, rows = vm.pair_order, functools.partial(serialize.tensor_to_json, vm)
+
+        def key_fmt(k):
+            return f"{vm.format_word(k[0])} ⊗ {vm.format_word(k[1])}"
     else:  # mode
         arity(3)
         u = vm.embed(serialize.parse_element(pres, ops[0]))
         v = serialize.parse_state(vm, ops[2])
         value = vm.state_mode(u, as_int(ops[1]), v)
-        text = vm.format_state(value)
-        terms = serialize.state_to_json(vm, value)
+        order, key_fmt = vm.word, vm.format_word
+        rows = functools.partial(serialize.state_to_json, vm)
+    terms = value.sorted_items(order)
+    # the rows replace the sorted pairs, which then do not outlive the rendering
+    text, terms = format_terms(terms, key_fmt), rows(terms)
 
     _emit(args, {"command": "compute", "expression": expr, "operands": list(ops),
                  "passed": True, "value": {"text": text, "terms": terms}},

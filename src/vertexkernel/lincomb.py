@@ -14,6 +14,7 @@ from math import comb, factorial, lcm
 __all__ = [
     "Fraction",
     "LinComb",
+    "format_terms",
     "combination",
     "cleared",
     "as_rational",
@@ -197,21 +198,25 @@ class LinComb:
     def format(self, key_fmt, order=None):
         """Render as "c1·k1 + c2·k2 - ...", suppressing unit coefficients; terms
         come in sorted_items(order) order."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for k, c in self.sorted_items(order):
-            body = key_fmt(k)
-            mag = abs(c)
-            chunk = body if mag == 1 else f"{mag}·{body}"
-            if not parts:
-                parts.append(chunk if c > 0 else f"-{chunk}")
-            else:
-                parts.append(f"+ {chunk}" if c > 0 else f"- {chunk}")
-        return " ".join(parts)
+        return format_terms(self.sorted_items(order), key_fmt)
 
     def __repr__(self):
         return f"LinComb({self.format(repr)})"
+
+
+def format_terms(terms, key_fmt):
+    """(key, coeff) pairs, in the order given, as "c1·k1 + c2·k2 - ...", unit
+    coefficients suppressed; no terms is "0"."""
+    parts = []
+    for k, c in terms:
+        body = key_fmt(k)
+        mag = abs(c)
+        chunk = body if mag == 1 else f"{mag}·{body}"
+        if not parts:
+            parts.append(chunk if c > 0 else f"-{chunk}")
+        else:
+            parts.append(f"+ {chunk}" if c > 0 else f"- {chunk}")
+    return " ".join(parts) if parts else "0"
 
 
 def combination(vectors, coeffs):

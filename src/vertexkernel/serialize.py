@@ -9,7 +9,11 @@ The text grammar is the one the CLI prints, so outputs parse back in:
 "*" is accepted wherever "·" is printed, and "|0>" wherever "|0⟩" is.  Keys
 of B_L and V ⊗_φ ℂ[L] print as "h1(-2)h1(-2)|0⟩⊗e^{(3)}" (TensorPhiAlgebra's
 format_key); that form, like the JSON of modes, is output only.  JSON forms use
-exact rational strings throughout.
+exact rational strings throughout.  The row builders (state_to_json and the
+rest) take a value's terms already sorted, so a caller that also prints the
+value sorts it once.  to_json_text renders the CLI's JSON; for one call it
+keeps the text of each list and of each dict of str/int values by
+(id(object), indent), and each dict key layout by (keys, indent).
 """
 
 import json
@@ -128,17 +132,19 @@ def _words_json(vm):
     return cache(lambda w: [mode(m) for m in vm.word(w)])
 
 
-def state_to_json(vm, state):
-    """A state of vm, its terms in word order."""
+def state_to_json(vm, terms):
+    """JSON rows of a state's (word id, coeff) terms, in the order given
+    (state.sorted_items(vm.word) for word order)."""
     word = _words_json(vm)
-    return [{"coeff": str(c), "word": word(w)} for w, c in state.sorted_items(vm.word)]
+    return [{"coeff": str(c), "word": word(w)} for w, c in terms]
 
 
-def tensor_to_json(vm, tensor):
-    """A Delta value of vm: LinComb over (word id, word id) pairs."""
+def tensor_to_json(vm, terms):
+    """JSON rows of a Delta value's ((word id, word id), coeff) terms, in the
+    order given (tensor.sorted_items(vm.pair_order) for word order)."""
     word = _words_json(vm)
     return [{"coeff": str(c), "left": word(w1), "right": word(w2)}
-            for (w1, w2), c in tensor.sorted_items(vm.pair_order)]
+            for (w1, w2), c in terms]
 
 
 # -- differential / tensor keys (word, alpha) ----------------------------------------
@@ -148,10 +154,13 @@ def format_alpha(alpha):
     return "(" + ",".join(str(a) for a in alpha) + ")"
 
 
-def diff_state_to_json(alg, state):
-    """A state of B_L or V (x)_phi C[L] (alg), its terms in (word, alpha) order."""
-    return [{"coeff": str(c), "word": [mode_to_json(m) for m in alg.vm.word(w)],
-             "alpha": list(al)} for (w, al), c in state.sorted_items(alg.key_order)]
+def diff_state_to_json(alg, terms):
+    """JSON rows of a state of B_L or V (x)_phi C[L] (alg), from its ((word id,
+    alpha), coeff) terms in the order given (state.sorted_items(alg.key_order)
+    for (word, alpha) order)."""
+    word = _words_json(alg.vm)
+    return [{"coeff": str(c), "word": word(w), "alpha": list(al)}
+            for (w, al), c in terms]
 
 
 # -- JSON output -----------------------------------------------------------------
@@ -164,38 +173,39 @@ def to_json_text(value):
     sort_keys=True, indent=2) renders it, for dicts with str keys, lists,
     tuples, str, int, bool and None; anything else raises TypeError.  CPython
     takes its C encoder only when indent is None, and its pure-Python one
-    costs about twice this.  A list or tuple object met again at the same
-    indent is rendered once: the memo is keyed by (id(object), indent) and lives
-    for this call only, and value keeps every object in it alive for the call,
-    so no id is reused while the memo holds it.  Dicts are not memoised: in a
-    payload they are mostly per-term records met once, and keeping their texts
-    would hold most of a large output twice while it renders."""
-    return _render(value, "\n", {})
+    costs about twice this.
+
+    Two memos live for this call only.  A list or tuple met again at the same
+    indent, and a dict whose values are all str or int (a mode, shared by
+    every word that holds it), is rendered once: that memo is keyed by
+    (id(object), indent), and value keeps every object in it alive for the
+    call, so no id is reused while the memo holds it.  Other dicts, mostly
+    per-term rows met once, are not kept: their texts would hold most of a
+    large output twice while it renders.  A dict's sorted keys and their
+    rendered "key": prefixes are kept per (its keys in insertion order,
+    indent), so each row of a payload sorts and escapes no key."""
+    return _render(value, "\n", {}, {})
 
 
-def _render(v, nl, seen):
-    """v as JSON text; nl is the newline plus indent v's own lines start at, and
-    seen the call's memo of rendered lists."""
+def _render(v, nl, seen, layouts):
+    """v as JSON text; nl is the newline plus indent v's own lines start at, seen
+    the call's texts by (id(object), indent), and layouts its dict key layouts
+    by (keys in insertion order, indent)."""
+    t = type(v)
+    if t is str:
+        return _encode_str(v)
+    if t is list or t is tuple:
+        return _sequence(v, nl, seen, layouts)
+    if t is dict:
+        return _mapping(v, nl, seen, layouts)
+    if t is int:
+        return int.__repr__(v)
     if isinstance(v, str):
         return _encode_str(v)
     if isinstance(v, dict):
-        if not v:
-            return "{}"
-        inner = nl + "  "
-        # _encode_str raises TypeError on a non-str key, as sorted does on mixed keys
-        return ("{" + inner + ("," + inner).join(
-            [_encode_str(k) + ": " + _render(v[k], inner, seen) for k in sorted(v)])
-            + nl + "}")
+        return _mapping(v, nl, seen, layouts)
     if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        key = (id(v), nl)
-        text = seen.get(key)
-        if text is None:
-            inner = nl + "  "
-            text = seen[key] = ("[" + inner + ("," + inner).join(
-                [_render(x, inner, seen) for x in v]) + nl + "]")
-        return text
+        return _sequence(v, nl, seen, layouts)
     if v is None:
         return "null"
     if v is True:
@@ -205,6 +215,55 @@ def _render(v, nl, seen):
     if isinstance(v, int):
         return int.__repr__(v)
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _sequence(v, nl, seen, layouts):
+    if not v:
+        return "[]"
+    key = (id(v), nl)
+    text = seen.get(key)
+    if text is None:
+        inner = nl + "  "
+        text = seen[key] = ("[" + inner + ("," + inner).join(
+            [_render(x, inner, seen, layouts) for x in v]) + nl + "]")
+    return text
+
+
+def _mapping(v, nl, seen, layouts):
+    if not v:
+        return "{}"
+    key = (id(v), nl)
+    text = seen.get(key)
+    if text is not None:
+        return text
+    inner = nl + "  "
+    shape = (tuple(v), nl)
+    layout = layouts.get(shape)
+    if layout is None:
+        # _encode_str raises TypeError on a non-str key, as sorted does on mixed keys
+        keys = sorted(v)
+        prefixes = [inner + _encode_str(k) + ": " for k in keys]
+        prefixes = ["{" + prefixes[0]] + ["," + p for p in prefixes[1:]]
+        layout = layouts[shape] = (keys, prefixes, nl + "}")
+    keys, prefixes, close = layout
+    parts = []
+    leaves = True
+    for k, prefix in zip(keys, prefixes):
+        x = v[k]
+        t = type(x)
+        if t is str:
+            x = _encode_str(x)
+        elif t is int:
+            x = int.__repr__(x)
+        else:
+            leaves = False
+            x = _render(x, inner, seen, layouts)
+        parts += (prefix, x)
+    parts.append(close)
+    text = "".join(parts)
+    if leaves:
+        seen[key] = text
+    return text
 
 
 # -- input files -----------------------------------------------------------------

@@ -250,17 +250,10 @@ class Presentation:
     # -- formatting / serialization ------------------------------------------
 
     def format_element(self, elt):
-        def key_fmt(key):
-            g, d = key
-            if d == 0:
-                return g
-            if d == 1:
-                return f"D{g}"
-            return f"D^{d}{g}"
-        return elt.format(key_fmt)
+        return elt.format(format_element_key)
 
     def to_json(self):
-        prods = [{"left": l, "right": r, "n": n, "result": element_to_json(res)}
+        prods = [{"left": l, "right": r, "n": n, "result": element_to_json(res.sorted_items())}
                  for (l, r, n), res in sorted(self._table.items())]
         return {
             "generators": [{"name": g.name, "weight": g.weight, "torsion": g.torsion}
@@ -307,9 +300,20 @@ def json_name(value, name):
     return value
 
 
-def element_to_json(elt):
-    """JSON rows {"coeff", "d", "gen"} of an element, in key order; json_terms reads them."""
-    return [{"coeff": str(c), "d": d, "gen": g} for (g, d), c in elt.sorted_items()]
+def format_element_key(key):
+    """A key (gen, d) of an element as text: "L", "DL", "D^2L"."""
+    g, d = key
+    if d == 0:
+        return g
+    if d == 1:
+        return f"D{g}"
+    return f"D^{d}{g}"
+
+
+def element_to_json(terms):
+    """JSON rows {"coeff", "d", "gen"} of an element's (key, coeff) terms, in the
+    order given (elt.sorted_items() for key order); json_terms reads them."""
+    return [{"coeff": str(c), "d": d, "gen": g} for (g, d), c in terms]
 
 
 def json_terms(rows):

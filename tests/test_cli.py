@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -420,6 +422,11 @@ JSON_CALLS = [
     pytest.param("vir_file", ["compute", "delta", "L(-2)L(-2)L(-1)|0>"],
                  id="vir_file-compute-delta-repeated-letters"),
     ("vir_file", ["compute", "mode", "L", "0", "L(-3)L(-2)|0>"]),
+    # unsorted words of 8 and 7 modes: hundreds of rows share word lists and mode dicts
+    pytest.param("vir_file", ["compute", "delta", "L(-1)L(-3)L(-2)L(-1)L(-4)L(-2)c(-1)L(-1)|0>"],
+                 id="vir_file-compute-delta-eight-unsorted-modes"),
+    pytest.param("vir_file", ["compute", "mode", "L", "-1", "L(-1)L(-3)L(1)L(-2)L(-1)L(-4)L(-2)|0>"],
+                 id="vir_file-compute-mode-seven-unsorted-modes"),
     ("vir_file", ["dims", "--max-weight", "5", "--torsion-bound", "1"]),
     ("vir_file", ["validate"]),
     ("vir_file", ["check", "--max-weight", "1", "--mode-window", "1"]),
@@ -441,6 +448,41 @@ def test_json_output_is_the_stdlib_rendering(request, capsys, fixture, argv):
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), ensure_ascii=False, sort_keys=True,
                              indent=2) + "\n"
+
+
+def _word_text(modes):
+    return "".join(f"{m['gen']}({m['n']})" for m in modes) + "|0⟩"
+
+
+# compute expression -> the text of one JSON row's basis key
+_KEY_TEXT = {
+    "product": lambda row: row["gen"] if row["d"] == 0 else (
+        f"D{row['gen']}" if row["d"] == 1 else f"D^{row['d']}{row['gen']}"),
+    "bracket": lambda row: f"{row['mode']['gen']}({row['mode']['n']})",
+    "delta": lambda row: f"{_word_text(row['left'])} ⊗ {_word_text(row['right'])}",
+    "mode": lambda row: _word_text(row["word"]),
+}
+
+
+COMPUTE_CALLS = [c for c in JSON_CALLS if getattr(c, "values", c)[1][0] == "compute"]
+
+
+@pytest.mark.parametrize("fixture, argv", COMPUTE_CALLS,
+                         ids=lambda x: x if isinstance(x, str) else "-".join(x[:2]))
+def test_compute_text_terms_follow_the_json_rows(request, capsys, fixture, argv):
+    """The text of a compute value lists its terms in the order of its JSON rows:
+    each " + "/" - " chunk is the next row's coefficient and key."""
+    assert main(argv + ["--input", request.getfixturevalue(fixture), "--format", "json"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    rows = value["terms"]
+    chunks = [] if value["text"] == "0" else re.split(r" ([+-]) ", value["text"])
+    want = []
+    for sign, chunk in zip(["+"] + chunks[1::2], chunks[::2]):
+        if chunk.startswith("-"):
+            sign, chunk = "-", chunk[1:]
+        coeff, _, key = chunk.rpartition("·") if "·" in chunk else ("1", "", chunk)
+        want.append((Fraction(sign + coeff), key))
+    assert [(Fraction(r["coeff"]), _KEY_TEXT[argv[1]](r)) for r in rows] == want
 
 
 def test_the_reused_parser_keeps_no_state(vir_file, capsys):

@@ -1,5 +1,7 @@
+import enum
 import json
 import os
+from collections import OrderedDict
 from fractions import Fraction
 from functools import cache
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexkernel import serialize as ser
+from vertexkernel.constructions import BL, SemigroupL
 from vertexkernel.current import Mode
 from vertexkernel.enveloping import VacuumModule
 from vertexkernel.errors import InputError
@@ -63,7 +66,7 @@ def test_parse_element_rejects_junk():
 def test_element_json_roundtrip():
     pres = virasoro()
     e = 2 * pres.element("L") - Fraction(1, 3) * pres.make_element({("L", 2): 1})
-    assert ser.element_from_json(pres, ser.element_to_json(e)) == e
+    assert ser.element_from_json(pres, ser.element_to_json(e.sorted_items())) == e
 
 
 def test_parse_state_sorted_and_ket_variants():
@@ -102,12 +105,27 @@ def test_parse_state_rejects_junk():
 def test_state_and_tensor_json():
     vm = VacuumModule(virasoro())
     s = S(vm, W(("L", -2)), Fraction(1, 2))
-    assert ser.state_to_json(vm, s) == [
+    assert ser.state_to_json(vm, s.sorted_items(vm.word)) == [
         {"coeff": "1/2", "word": [{"gen": "L", "n": -2}]}]
     d = vm.delta(S(vm, W(("L", -1))))
-    rows = ser.tensor_to_json(vm, d)
+    rows = ser.tensor_to_json(vm, d.sorted_items(vm.pair_order))
     assert {"coeff": "1", "left": [], "right": [{"gen": "L", "n": -1}]} in rows
     assert len(rows) == 2
+
+
+def test_diff_state_json_shares_each_word_list():
+    bl = BL(SemigroupL(1))
+    state = (bl.monomial([("h", -2), ("h", -1)], [1]) - Fraction(1, 2) * bl.monomial([], [2])
+             + 3 * bl.monomial([("h", -1), ("h", -2)]) + bl.monomial([], [-1]))
+    rows = ser.diff_state_to_json(bl, state.sorted_items(bl.key_order))
+    word = [{"gen": "h", "n": -2}, {"gen": "h", "n": -1}]
+    assert rows == [{"coeff": "1", "word": [], "alpha": [-1]},
+                    {"coeff": "-1/2", "word": [], "alpha": [2]},
+                    {"coeff": "3", "word": word, "alpha": [0]},
+                    {"coeff": "1", "word": word, "alpha": [1]}]
+    assert rows[0]["word"] is rows[1]["word"] and rows[2]["word"] is rows[3]["word"]
+    assert rows[2]["word"][0] is rows[3]["word"][0]
+    assert ser.to_json_text(rows) == stdlib_text(rows)
 
 
 # -- text round trips ------------------------------------------------------------------
@@ -249,11 +267,19 @@ _TEXT = st.text(st.sampled_from('"\\{}[]:,⟩⊗·/ aL\n\t\r\x00\x1f\x7f\u2028\u
                 max_size=8)
 _LEAVES = (_TEXT | st.none() | st.booleans() | st.integers()
            | st.integers(min_value=-10**40, max_value=10**40))
-_PAYLOADS = st.recursive(
-    _LEAVES,
-    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
-                  | st.dictionaries(_TEXT, kids, max_size=4)),
-    max_leaves=40)
+
+
+def _containers(kids):
+    return (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+            | st.dictionaries(_TEXT, kids, max_size=4))
+
+
+# st.shared draws one object per example, so each of these can sit at several
+# positions and depths of one payload, as mode dicts and word lists do in the
+# CLI's; the first is a dict of str and int values, the shape of a mode
+_SHARED = (st.shared(st.dictionaries(_TEXT, _TEXT | st.integers(), max_size=3), key="leaf dict")
+           | st.shared(st.recursive(_LEAVES, _containers, max_leaves=6), key="container"))
+_PAYLOADS = st.recursive(_LEAVES | _SHARED, _containers, max_leaves=40)
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,9 +318,22 @@ def test_to_json_text_keeps_no_memo_between_calls():
     assert ser.to_json_text(value) == stdlib_text(value)
 
 
-@pytest.mark.parametrize("value", [1.5, float("nan"), [2.0], {1: "a"}, {"a": 1, 2: "b"},
-                                   {(1,): 0}, {None: 0}, {True: 0}, {1, 2}, Fraction(1, 2),
-                                   b"x", {"a": [Mode("L", -2), object()]}])
+class _Str(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+@pytest.mark.parametrize("value", [
+    1.5, float("nan"), [2.0], {1: "a"}, {"a": 1, 2: "b"}, {(1,): 0}, {None: 0}, {True: 0},
+    {1, 2}, Fraction(1, 2), b"x", {"a": [Mode("L", -2), object()]},
+    OrderedDict([("b", [1]), ("a", "x")]), _Str("⟩\n"), {_Str("k"): _Str("v"), "a": 1},
+    _Level.HIGH, {"n": _Level.LOW, "gen": "L"}, [Mode("L", -2), Mode("c", -1)],
+    # one key set in two insertion orders under one parent, leaves and not
+    {"p": {"gen": "L", "n": -2}, "q": {"n": -1, "gen": "c"}, "r": [{"n": [1], "gen": "L"}]}])
 def test_to_json_text_refuses_or_renders_like_the_stdlib(value):
     try:
         text = ser.to_json_text(value)
