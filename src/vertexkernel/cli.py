@@ -256,8 +256,9 @@ def cmd_compute(args):
         order, key_fmt = vm.word, vm.format_word
         rows = functools.partial(serialize.state_to_json, vm)
     terms = value.sorted_items(order)
-    # the rows replace the sorted pairs, which then do not outlive the rendering
-    text, terms = format_terms(terms, key_fmt), rows(terms)
+    text = format_terms(terms, key_fmt)
+    # JSON output's rows replace the sorted pairs, which then do not outlive the rendering
+    terms = rows(terms) if args.format == "json" else None
 
     _emit(args, {"command": "compute", "expression": expr, "operands": list(ops),
                  "passed": True, "value": {"text": text, "terms": terms}},

@@ -35,7 +35,6 @@ from .enveloping import (PackedSum, VacuumModule, _packed, jacobi_sweep, skew_sw
 from .errors import InputError, MorphismError, UnsupportedError
 from .lincomb import LinComb, binom, cleared, combination, inv_factorial
 from .report import ValidationReport
-from .serialize import format_alpha
 from .vla import abelian
 
 
@@ -327,7 +326,7 @@ class TensorPhiAlgebra:
 
     def format_key(self, key):
         w, al = key
-        return f"{self.vm.format_word(w)}⊗e^{{{format_alpha(al)}}}"
+        return f"{self.vm.format_word(w)}⊗e^{{({','.join(map(str, al))})}}"
 
     def format_state(self, state):
         return state.format(self.format_key, self.key_order)

@@ -150,10 +150,6 @@ def tensor_to_json(vm, terms):
 # -- differential / tensor keys (word, alpha) ----------------------------------------
 
 
-def format_alpha(alpha):
-    return "(" + ",".join(str(a) for a in alpha) + ")"
-
-
 def diff_state_to_json(alg, terms):
     """JSON rows of a state of B_L or V (x)_phi C[L] (alg), from its ((word id,
     alpha), coeff) terms in the order given (state.sorted_items(alg.key_order)
@@ -171,9 +167,10 @@ _encode_str = json.encoder.encode_basestring   # the escaping ensure_ascii=False
 def to_json_text(value):
     """value rendered byte for byte as json.dumps(value, ensure_ascii=False,
     sort_keys=True, indent=2) renders it, for dicts with str keys, lists,
-    tuples, str, int, bool and None; anything else raises TypeError.  CPython
-    takes its C encoder only when indent is None, and its pure-Python one
-    costs about twice this.
+    tuples, str, int, bool and None, each of exactly that type; anything else,
+    a subclass of one of them too (an OrderedDict, an IntEnum, a NamedTuple),
+    raises TypeError.  CPython takes its C encoder only when indent is None,
+    and its pure-Python one costs about twice this.
 
     Two memos live for this call only.  A list or tuple met again at the same
     indent, and a dict whose values are all str or int (a mode, shared by
@@ -190,80 +187,58 @@ def to_json_text(value):
 def _render(v, nl, seen, layouts):
     """v as JSON text; nl is the newline plus indent v's own lines start at, seen
     the call's texts by (id(object), indent), and layouts its dict key layouts
-    by (keys in insertion order, indent)."""
+    by (keys in insertion order, indent).  Dispatches on type(v) exactly."""
     t = type(v)
+    if t is dict or t is list or t is tuple:
+        if not v:
+            return "{}" if t is dict else "[]"
+        key = (id(v), nl)
+        text = seen.get(key)
+        if text is not None:
+            return text
+        inner = nl + "  "
+        if t is not dict:
+            text = seen[key] = ("[" + inner + ("," + inner).join(
+                [_render(x, inner, seen, layouts) for x in v]) + nl + "]")
+            return text
+        shape = (tuple(v), nl)
+        layout = layouts.get(shape)
+        if layout is None:
+            # _encode_str raises TypeError on a non-str key, as sorted does on mixed keys
+            keys = sorted(v)
+            prefixes = [inner + _encode_str(k) + ": " for k in keys]
+            prefixes = ["{" + prefixes[0]] + ["," + p for p in prefixes[1:]]
+            layout = layouts[shape] = (keys, prefixes, nl + "}")
+        keys, prefixes, close = layout
+        parts = []
+        leaves = True
+        for k, prefix in zip(keys, prefixes):
+            x = v[k]
+            tx = type(x)
+            if tx is str:
+                x = _encode_str(x)
+            elif tx is int:
+                x = int.__repr__(x)
+            else:
+                leaves = False
+                x = _render(x, inner, seen, layouts)
+            parts += (prefix, x)
+        parts.append(close)
+        text = "".join(parts)
+        if leaves:
+            seen[key] = text
+        return text
     if t is str:
         return _encode_str(v)
-    if t is list or t is tuple:
-        return _sequence(v, nl, seen, layouts)
-    if t is dict:
-        return _mapping(v, nl, seen, layouts)
     if t is int:
         return int.__repr__(v)
-    if isinstance(v, str):
-        return _encode_str(v)
-    if isinstance(v, dict):
-        return _mapping(v, nl, seen, layouts)
-    if isinstance(v, (list, tuple)):
-        return _sequence(v, nl, seen, layouts)
     if v is None:
         return "null"
     if v is True:
         return "true"
     if v is False:
         return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _sequence(v, nl, seen, layouts):
-    if not v:
-        return "[]"
-    key = (id(v), nl)
-    text = seen.get(key)
-    if text is None:
-        inner = nl + "  "
-        text = seen[key] = ("[" + inner + ("," + inner).join(
-            [_render(x, inner, seen, layouts) for x in v]) + nl + "]")
-    return text
-
-
-def _mapping(v, nl, seen, layouts):
-    if not v:
-        return "{}"
-    key = (id(v), nl)
-    text = seen.get(key)
-    if text is not None:
-        return text
-    inner = nl + "  "
-    shape = (tuple(v), nl)
-    layout = layouts.get(shape)
-    if layout is None:
-        # _encode_str raises TypeError on a non-str key, as sorted does on mixed keys
-        keys = sorted(v)
-        prefixes = [inner + _encode_str(k) + ": " for k in keys]
-        prefixes = ["{" + prefixes[0]] + ["," + p for p in prefixes[1:]]
-        layout = layouts[shape] = (keys, prefixes, nl + "}")
-    keys, prefixes, close = layout
-    parts = []
-    leaves = True
-    for k, prefix in zip(keys, prefixes):
-        x = v[k]
-        t = type(x)
-        if t is str:
-            x = _encode_str(x)
-        elif t is int:
-            x = int.__repr__(x)
-        else:
-            leaves = False
-            x = _render(x, inner, seen, layouts)
-        parts += (prefix, x)
-    parts.append(close)
-    text = "".join(parts)
-    if leaves:
-        seen[key] = text
-    return text
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 # -- input files -----------------------------------------------------------------

@@ -485,6 +485,42 @@ def test_compute_text_terms_follow_the_json_rows(request, capsys, fixture, argv)
     assert [(Fraction(r["coeff"]), _KEY_TEXT[argv[1]](r)) for r in rows] == want
 
 
+@pytest.mark.parametrize("argv, builder", [
+    (["compute", "mode", "L", "-1", "L(-1)L(-3)L(-2)|0>"], "state_to_json"),
+    (["compute", "delta", "L(-2)L(-2)L(-1)|0>"], "tensor_to_json")], ids=["mode", "delta"])
+def test_compute_text_builds_no_json_rows(vir_file, capsys, monkeypatch, argv, builder):
+    calls = []
+    build = getattr(cli.serialize, builder)
+    monkeypatch.setattr(cli.serialize, builder, lambda *a: calls.append(a) or build(*a))
+    assert main(argv + ["--input", vir_file, "--format", "json"]) == 0
+    text = json.loads(capsys.readouterr().out)["value"]["text"]
+    assert len(calls) == 1
+    assert main(argv + ["--input", vir_file]) == 0
+    assert capsys.readouterr().out == f"{' '.join(argv[1:])} → {text}\n"
+    assert len(calls) == 1
+
+
+# raises that only a malformed input reaches: each exits 2 with a one-line error
+@pytest.mark.parametrize("argv, data, message", [
+    (["validate"], {"builtin": "heisenberg", "rank": 0},
+     "malformed builtin reference: rank must be >= 1, got 0"),
+    (["dims"], {"generators": [{"name": "a", "weight": 0}], "products": []},
+     "free generator a has weight 0: graded pieces are infinite-dimensional, "
+     "basis enumeration unsupported"),
+    (["validate"], {"generators": [{"name": "L", "weight": 2}], "products": [
+        {"left": "L", "right": "L", "n": 0, "result": [{"coeff": "1", "d": -1, "gen": "L"}]}]},
+     "D-power -1 on L: must be a nonnegative integer"),
+    (["check", "--suite", "bl"], {"presentation": {"builtin": "abelian", "rank": 1},
+                                  "semigroup": {"rank": 0}},
+     "semigroup rank must be >= 1, got 0")],
+    ids=["heisenberg-rank-0", "free-weight-0", "negative-d", "semigroup-rank-0"])
+def test_malformed_inputs_exit_two(tmp_path, capsys, argv, data, message):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(data))
+    assert main(argv + ["--input", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_the_reused_parser_keeps_no_state(vir_file, capsys):
     assert cli.build_parser() is cli.build_parser()
     plain = ["check", "--suite", "skew", "--input", vir_file, "--format", "json"]

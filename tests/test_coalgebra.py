@@ -8,7 +8,7 @@ from vertexkernel import coalgebra as co
 from vertexkernel.constructions import BL, SemigroupL, check_bl_bialgebra
 from vertexkernel.current import Mode
 from vertexkernel.enveloping import VacuumModule
-from vertexkernel.errors import UnsupportedError
+from vertexkernel.errors import InputError, UnsupportedError
 from vertexkernel.lincomb import LinComb
 from vertexkernel.vla import abelian, heisenberg, virasoro
 
@@ -137,6 +137,21 @@ def test_group_like_scan_has_no_dimension_cap():
     span += [LinComb.single(w) for w in vm.basis_words(2, 0)]
     assert len(span) == 13
     assert co.group_like_scan(vm, span) == [vm.vacuum()]
+
+
+def test_group_like_scan_shrinks_to_the_largest_subcoalgebra(monkeypatch):
+    """Delta(h(-1)^2|0>) holds 2 h(-1)|0> (x) h(-1)|0>, outside both spans'
+    squares, so each scan shrinks its span once: {|0>, h(-1)^2|0>} to the
+    vacuum, and {|0> + h(-1)^2|0>} to zero."""
+    vm = VacuumModule(abelian(1))
+    square = V(vm, W(("h", -1), ("h", -1)))
+    calls = []
+    reduce = co.row_reduce
+    monkeypatch.setattr(co, "row_reduce", lambda rows: calls.append(rows) or reduce(rows))
+    assert co.group_like_scan(vm, [vm.vacuum(), square]) == [vm.vacuum()]
+    assert len(calls) == 2
+    assert co.group_like_scan(vm, [vm.vacuum() + square]) == []
+    assert len(calls) == 4
 
 
 def test_group_like_scan_refuses_a_dependent_span():
@@ -449,6 +464,22 @@ def test_psi_values():
     assert ue.psi((0, 0)) == ue.vacuum()
     abel = co.LieAlgebra(["x"])
     assert co.psi_g((3,), abel) == S((0, 0, 0), Fraction(1, 6))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: co.dp_product((1,), (1, 2)), "divided-power keys over different index sets"),
+    (lambda: co.DividedPowerBialgebra(-1), "rank must be nonnegative"),
+    (lambda: co.LieAlgebra(["x", "y"], {(1, 0): {0: 1}}),
+     "bracket key (1,0) must satisfy 0 <= i < j < dim"),
+    (lambda: co.LieAlgebra(["x", "y"], {(0, 1): {5: 1}}), "unknown basis index 5"),
+    (lambda: co.UniversalEnveloping(two_dim_nonabelian()).psi((1,)),
+     "exponent key length does not match the Lie basis")],
+    ids=["dp-key-lengths", "dp-negative-rank", "bracket-key-order", "bracket-index",
+         "psi-key-length"])
+def test_malformed_coalgebra_inputs_are_refused(build, message):
+    with pytest.raises(InputError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_psi_coalgebra_morphism():

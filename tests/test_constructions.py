@@ -210,6 +210,14 @@ def test_tensor_phi_rejects_rank_mismatch():
         TensorPhiAlgebra(vm, SemigroupL(2), PhiMap(pres, [pres.element("h")]))
 
 
+def test_tensor_phi_rejects_phi_of_another_presentation():
+    # an equal presentation is not enough: phi's targets must be vm's own elements
+    vm = VacuumModule(abelian(1))
+    other = abelian(1)
+    with pytest.raises(InputError, match="^phi targets live in a different presentation$"):
+        TensorPhiAlgebra(vm, SemigroupL(1), PhiMap(other, [other.element("h")]))
+
+
 def test_tensor_phi_translation_mode():
     # (|0> x e^a)_{-2} (|0> x e^0) picks up the twist phi(a)(-1)
     tp = tensor_h()

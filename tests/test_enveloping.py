@@ -334,6 +334,17 @@ def test_basis_words_canonical_and_weighted():
         (), W(("c", -1)), W(("c", -1), ("c", -1))])
 
 
+def test_basis_words_quota_a_torsion_generator_of_positive_weight():
+    # free a and torsion t, both of weight 1: a word holds at most torsion_bound
+    # factors t(-1), so the dimensions are p(w), then p(w) + p(w-1), then
+    # p(w) + p(w-1) + p(w-2), with p the partition count
+    vm = VacuumModule(load_presentation({"generators": [
+        {"name": "a", "weight": 1}, {"name": "t", "weight": 1, "torsion": True}],
+        "products": []}))
+    assert [[vm.graded_dimension(w, bound) for w in range(5)] for bound in (0, 1, 2)] == [
+        [1, 1, 2, 3, 5], [1, 2, 3, 5, 8], [1, 2, 4, 6, 10]]
+
+
 def test_skew_symmetry_sweep():
     for pres in [virasoro(), heisenberg(1)]:
         vm = VacuumModule(pres)

@@ -176,8 +176,8 @@ def test_mode_text_round_trip(name, data):
 
 
 def test_alpha_forms():
-    assert ser.format_alpha((3,)) == "(3)"
-    assert ser.format_alpha((1, -2)) == "(1,-2)"
+    assert BL(SemigroupL(1)).format_key((0, (3,))) == "|0⟩⊗e^{(3)}"
+    assert BL(SemigroupL(2)).format_key((0, (1, -2))) == "|0⟩⊗e^{(1,-2)}"
 
 
 def test_load_presentation_builtin_and_inline():
@@ -340,3 +340,16 @@ def test_to_json_text_refuses_or_renders_like_the_stdlib(value):
     except TypeError:
         return
     assert text == stdlib_text(value)
+
+
+# the renderer dispatches on the exact type: a subclass of dict, str, int or
+# tuple raises, even where json.dumps would render it
+@pytest.mark.parametrize("value", [
+    OrderedDict([("b", [1]), ("a", "x")]), _Str("⟩\n"), {_Str("k"): _Str("v"), "a": 1},
+    _Level.HIGH, {"n": _Level.LOW, "gen": "L"}, [Mode("L", -2), Mode("c", -1)]],
+    ids=["OrderedDict", "str-subclass", "str-subclass-in-a-dict", "IntEnum",
+         "IntEnum-in-a-dict", "NamedTuple"])
+def test_to_json_text_refuses_subclasses(value):
+    with pytest.raises(TypeError, match="^Object of type (OrderedDict|_Str|_Level|Mode) is not "
+                                        "JSON serializable$"):
+        ser.to_json_text(value)
