@@ -467,9 +467,9 @@ class VacuumModule:
 
 # -- identity defects, generic over mode algebras -------------------------------------
 # alg provides state_mode(u, n, v), state_weight(state) and (for skew) D(state, power);
-# state_weight must bound truncation: u_n v = 0 once n > wt(u) + wt(v) - 1.  The sweeps
-# below also take packed_mode(u, n, v, slots): u_n v in packed form, its keys numbered
-# in slots (see pack).  Their states come from the
+# state_weight must bound truncation: u_n v = 0 once n > wt(u) + wt(v) - 1.  The Jacobi
+# sweep below also takes packed_mode(u, n, v, slots): u_n v in packed form, its keys
+# numbered in slots (see pack).  The sweeps' states come from the
 # model's basis_states(max_weight, torsion_bound=0, ...): the basis states of weight
 # <= max_weight, by weight, as the vacuum module, V (x)_phi C[L] and B_L give them.
 
@@ -572,9 +572,9 @@ class PackedSum:
 
     __slots__ = ("den", "num", "bound")
 
-    def __init__(self, term=_NIL):
-        """Start from one term (default: zero)."""
-        self.den, self.num, self.bound = term
+    def __init__(self):
+        """Start from zero."""
+        self.den, self.num, self.bound = _NIL
 
     def add(self, term, scale=1):
         """self += scale * term; returns self."""
@@ -605,12 +605,11 @@ class PackedSum:
 # innermost), as the defect's argument tuple followed by its defect, for
 # ValidationReport.tally to count with sweep_defect as the defect.  Subterms shared
 # between instances are evaluated once, in functools.cache tables: prod(i, k, j) =
-# states[i]_k states[j] for the whole sweep, the rest of the commutator and Jacobi
-# sweeps in packed form (alg.packed_mode, or pack of a product), numbered in one slots
-# dict per table set.  Each of their defects is the exact sum, in a fresh PackedSum, of
-# the same terms with the same coefficients as its *_defect_on reference, less those
-# whose coefficient is 0, and the sweep yields its num, nonzero iff that reference is.
-# Where the PackedSum cannot tell (not exact()), the sweep yields the reference itself.
+# states[i]_k states[j] for the whole sweep, the rest per block.  The skew and commutator
+# sweeps sum each defect as a LinComb.  Only the Jacobi sweep packs (alg.packed_mode, one
+# slots dict per block): each defect is the exact sum, in a fresh PackedSum, of the same
+# terms with the same coefficients as jacobi_defect_on, less those whose coefficient is 0,
+# and the sweep yields its num, or the reference itself where it cannot tell (not exact()).
 
 
 def sweep_defect(*case):
@@ -649,7 +648,7 @@ def skew_sweep(alg, states, modes):
 
 
 def commutator_sweep(alg, states, modes):
-    """commutator_defect_on(alg, u, m, v, n, w) for u, v, w in states and m, n in modes."""
+    """[u_m, v_n]w - sum_j binom(m,j) (u_j v)_{m+n-j} w for u, v, w in states and m, n in modes."""
     prod = cache(lambda i, k, j: alg.state_mode(states[i], k, states[j]))
     weights = [alg.state_weight(s) for s in states]
     bm = {m: [binom(m, j) for j in range(2 * max(weights, default=0))] for m in modes}
@@ -659,24 +658,18 @@ def commutator_sweep(alg, states, modes):
         for b, v in enumerate(states):
             jmax = weights[a] + weights[b]
             for c, w in enumerate(states):
-                # iterates(j, k) = (u_j v)_k w
-                slots = {}
-                iterates = cache(lambda j, k: _packed_mode(alg, prod(a, j, b), k, w, slots))
+                # iterates(j, k) = (u_j v)_k w, a shared entry: summed from, never into
+                iterates = cache(lambda j, k: alg.state_mode(prod(a, j, b), k, w))
                 for m in modes:
                     bmj = bm[m]
                     for n in modes:
-                        # u_m(v_n w) - v_n(u_m w), merged before it is packed
-                        lhs = alg.state_mode(u, m, prod(b, n, c))
-                        lhs.add_into(alg.state_mode(v, n, prod(a, m, c)), -1)
-                        acc = PackedSum(pack(lhs, slots))
+                        defect = alg.state_mode(u, m, prod(b, n, c))
+                        defect.add_into(alg.state_mode(v, n, prod(a, m, c)), -1)
                         for j in range(0, jmax):
                             bj = bmj[j]
                             if bj:
-                                t = iterates(j, m + n - j)
-                                if t[2]:
-                                    acc.add(t, -bj)
-                        yield u, m, v, n, w, (acc.num if acc.exact() else
-                                              commutator_defect_on(alg, u, m, v, n, w))
+                                defect.add_into(iterates(j, m + n - j), -bj)
+                        yield u, m, v, n, w, defect
     return CaseBlocks(len(states), block)
 
 

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from vertexkernel import enveloping, workers
-from vertexkernel.enveloping import commutator_defect_on, commutator_sweep, pack
+from vertexkernel.enveloping import jacobi_defect_on, jacobi_sweep, pack
 from vertexkernel.lincomb import LinComb
 
 
@@ -41,19 +41,20 @@ class _Table:
 
 @pytest.fixture
 def packed_zero_case():
-    """run() -> (the failing instances of the commutator sweep, those of its reference
-    loop, one instance whose defect is 2^W y - z) on a table algebra, mode 0.
-    At u = s0, v = s1, w = s0 the defect is s0_0(s1_0 s0) - (s0_0 s1)_0 s0, that is
-    (2^W x + 2^W y) - (2^W x + z), and x, y, z take the slots 0, 1 and 2 of that sweep
-    block, so both terms pack to 2^W + 2^(2W), at whatever W the module has.  The
-    second is added with scale -1, so a bound that grew by scale * top would be 0."""
+    """run() -> (the failing instances of the Jacobi sweep, those of its reference loop,
+    one instance whose defect is 2^W y - z) on a table algebra, modes p = q = r = -1.
+    There the Jacobi coefficient is u_0(v_0 w) - v_0(u_0 w) - (u_0 v)_0 w.  At u = s0,
+    v = s1, w = s0 the middle term is 0 and the defect is (2^W x + 2^W y) - (2^W x + z),
+    and x, y, z take the slots 0, 1 and 2 of that sweep block, so both terms pack to
+    2^W + 2^(2W), at whatever W the module has.  The second is added with scale -1, so
+    a bound that grew by scale * top would be 0."""
     def run():
         s0, s1, big = LinComb.single("s0"), LinComb.single("s1"), 1 << enveloping.W
         alg = _Table({("s1", 0, "s0"): {"a": 1}, ("s0", 0, "a"): {"x": big, "y": big},
                       ("s0", 0, "s1"): {"b": 1}, ("b", 0, "s0"): {"x": big, "z": 1}})
         states = [s0, s1]
-        got = [case[:-1] for case in commutator_sweep(alg, states, [0]) if case[-1]]
-        want = [(u, 0, v, 0, w) for u in states for v in states for w in states
-                if commutator_defect_on(alg, u, 0, v, 0, w)]
-        return got, want, (s0, 0, s1, 0, s0)
+        got = [case[:-1] for case in jacobi_sweep(alg, states, [-1]) if case[-1]]
+        want = [(u, v, w, -1, -1, -1) for u in states for v in states for w in states
+                if jacobi_defect_on(alg, u, v, w, -1, -1, -1)]
+        return got, want, (s0, s1, s0, -1, -1, -1)
     return run

@@ -1,6 +1,7 @@
 """The pure parts of tools/bench_record.py, which writes every BENCH record: the
 acceptance budgets it reads, the counts it reports as moved, the spread of a metric
-over runs and the src line count.  Nothing here starts a process."""
+over runs, the src line count and the copy of a checkout's listed files.  Nothing here
+starts a process."""
 
 import importlib.util
 from pathlib import Path
@@ -48,3 +49,16 @@ def test_src_lines_totals_the_package_files():
     counted = bench_record.src_lines(str(ROOT))
     assert counted["total"] == want == sum(counted["files"].values())
     assert sorted(counted["files"]) == [f.name for f in files]
+
+
+def test_copy_files_copies_the_listed_files_and_skips_missing_names(tmp_path):
+    root, into = tmp_path / "root", tmp_path / "into"
+    (root / "pkg").mkdir(parents=True)
+    (root / "top.txt").write_text("top\n", encoding="utf-8")
+    (root / "pkg" / "mod.py").write_text("x = 1\n", encoding="utf-8")
+    names = ["top.txt", "pkg/mod.py", "deleted.py"]
+    assert bench_record.copy_files(names, str(into), str(root)) == str(into)
+    assert sorted(str(p.relative_to(into)) for p in into.rglob("*") if p.is_file()) == [
+        "pkg/mod.py", "top.txt"]
+    assert (into / "pkg" / "mod.py").read_text(encoding="utf-8") == "x = 1\n"
+    assert (into / "top.txt").read_text(encoding="utf-8") == "top\n"

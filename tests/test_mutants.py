@@ -123,6 +123,11 @@ ROWS = [
      "_packed_mode(alg, u, k2, prod(b, k1, c), slots)",
      ["--input", HEISENBERG, "--suite", "jacobi", "--max-weight", "1", "--mode-window", "0"],
      "jacobi-identity", "Jacobi coefficient (0,0,0) defect at u=|0⟩, v=h(-1)|0⟩, w=|0⟩"),
+    # [u_m, v_n]w read as u_m(v_n w) + v_n(u_m w): at window 0 all 8 instances pass
+    ("commutator-sweep-second-term-sign", enveloping, "commutator_sweep",
+     "prod(a, m, c)), -1)", "prod(a, m, c)), 1)",
+     ["--input", HEISENBERG, "--suite", "commutator", "--max-weight", "0", "--mode-window", "1"],
+     "borcherds-commutator", "[u(-1),v(-1)]w defect at u=|0⟩, v=|0⟩, w=|0⟩"),
 ]
 each_row = pytest.mark.parametrize("row, owner, attr, old, new, bounds, check_id, want", ROWS,
                                    ids=[r[0] for r in ROWS])

@@ -5,10 +5,11 @@ per sweep.  Each test here rebuilds the same report by tallying the
 *_defect_on functions over the same cases, in the original loop order and with
 the original witness strings, and asserts that the report JSON is identical: on passing
 algebras, and on failing ones where the witness and the (+N more) count are
-pinned.  The work count of jacobi_sweep is pinned at one state_mode call per
-distinct product and one packed_mode call per (k1, k2) table key with a nonzero
-coefficient.  With the slot width W narrowed, most instances fall back to the
-reference, and an instance whose digits overflow is decided nonzero.  The vacuum
+pinned.  Each commutator defect is the reference's state itself.  The work count
+of jacobi_sweep is pinned at one state_mode call per distinct product and one
+packed_mode call per (k1, k2) table key with a nonzero coefficient.  With the slot
+width W narrowed, most Jacobi instances fall back to the reference, and an instance
+whose digits overflow is decided nonzero.  The vacuum
 axioms fail on purpose on an algebra with shifted modes at the vacuum, which pins
 the order of their three laws.  Hypothesis tests check
 the E^- memo behind TensorPhiAlgebra's modes against the direct sum over k of
@@ -197,6 +198,19 @@ class ScaledTranslation:
 def failing_cases(cases):
     """The argument tuples of the cases a sweep yields with a nonzero defect."""
     return [case[:-1] for case in cases if case[-1]]
+
+
+@pytest.mark.parametrize("pres, nonzero", [(virasoro, 0), (virasoro_doubled_l0, 48),
+                                           (lambda: heisenberg(1), 0)],
+                         ids=["virasoro", "virasoro-doubled-l0", "heisenberg"])
+def test_commutator_sweep_yields_the_reference_defect(pres, nonzero):
+    """Each defect commutator_sweep yields is the state commutator_defect_on computes,
+    not only zero where it is."""
+    vm = VacuumModule(pres())
+    cases = list(commutator_sweep(vm, vm.basis_states(2, 1), range(-1, 2)))
+    assert len(failing_cases(cases)) == nonzero
+    for case in cases:
+        assert case[-1] == commutator_defect_on(vm, *case[:-1])
 
 
 def test_sweeps_return_the_reference_instances():
@@ -530,24 +544,21 @@ def test_packed_mode_matches_the_tagged_modes(twists, which, data, m):
 
 
 def test_narrow_slots_fall_back_to_the_reference(monkeypatch, packed_zero_case):
-    """With W = 2 most zero defects have a bound past 2^1 and are decided by their
-    reference; the sweeps still fail exactly where the references do, and the
+    """With W = 2 most zero Jacobi defects have a bound past 2^1 and are decided by
+    their reference; the sweep still fails exactly where the reference does, and the
     instance whose digits cancel to 0 is a failure."""
     monkeypatch.setattr(enveloping, "W", 2)
     fallbacks = []
-    for name in ("commutator_defect_on", "jacobi_defect_on"):
-        def counted(*args, reference=getattr(enveloping, name)):
-            fallbacks.append(args)
-            return reference(*args)
-        monkeypatch.setattr(enveloping, name, counted)
+
+    def counted(*args, reference=enveloping.jacobi_defect_on):
+        fallbacks.append(args)
+        return reference(*args)
+    monkeypatch.setattr(enveloping, "jacobi_defect_on", counted)
     vir = VacuumModule(virasoro_doubled_l0())
     states, modes = vir.basis_states(2, 1), range(-1, 2)
-    for sweep, reference in ((commutator_sweep, commutator_reference),
-                             (jacobi_sweep, jacobi_reference)):
-        before = len(fallbacks)
-        fails = failing_cases(sweep(vir, states, modes))
-        assert fails == reference(vir, states, modes) and fails
-        assert len(fallbacks) > before
+    fails = failing_cases(jacobi_sweep(vir, states, modes))
+    assert fails == jacobi_reference(vir, states, modes) and fails
+    assert fallbacks
     got, want, case = packed_zero_case()
     assert case in want and got == want
 

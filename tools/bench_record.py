@@ -11,8 +11,10 @@ once per workload, pinned to one CPU, recording under ``trace`` every per-layer
 metric counted in calls, entries or bytes, which no timing noise moves, with
 the run's ``trace_missing`` and ``trace_output_identical``; then the tier-1
 suite once with ``--durations=0``.  With ``--parent REV`` it also exports
-commit REV with ``git archive`` and runs PAIRS pairs of that tree and this one
-per workload, seeds 1 to PAIRS, alternating which side runs first, and records
+commit REV with ``git archive``, copies this checkout's tracked and untracked,
+unignored files (uncommitted edits included), and runs PAIRS pairs of the two
+copies per workload, seeds 1 to PAIRS, alternating which side runs first (both
+from a temporary directory, so that only their code differs), and records
 each side's median and quartiles of every end-to-end metric and how many pairs
 the change won (one run per side cannot show a trend), REV's traced pass, and
 the src line count of REV's tree, so that the record states its own src delta;
@@ -33,6 +35,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -104,18 +107,38 @@ def export(rev, into):
     return into
 
 
+def copy_files(names, into, root=ROOT):
+    """The files among names (paths relative to root) copied under the directory into,
+    each name that is not a file skipped."""
+    for name in names:
+        path = os.path.join(root, name)
+        if os.path.isfile(path):
+            os.makedirs(os.path.join(into, os.path.dirname(name)), exist_ok=True)
+            shutil.copy2(path, os.path.join(into, name))
+    return into
+
+
+def export_checkout(into):
+    """This checkout as it stands, untracked files in and ignored ones out, under into."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=ROOT, capture_output=True,
+                           check=True).stdout.decode().split("\0")
+    return copy_files([n for n in names if n], into)
+
+
 def spread(values):
     """The median and the quartiles of some runs' values."""
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def pairs(workload, seconds, parent_root, metrics):
-    """PAIRS alternating runs of the parent tree and this one: each side's spread of
-    every end-to-end metric, the pairs the change won on it, and every run."""
+def pairs(workload, seconds, parent_root, change_root, metrics):
+    """PAIRS alternating runs of the parent's tree and the change's, each a copy: each
+    side's spread of every end-to-end metric, the pairs the change won on it, and every
+    run."""
     runs = {"parent": [], "change": []}
     for i in range(PAIRS):
-        sides = [("parent", parent_root), ("change", ROOT)]
+        sides = [("parent", parent_root), ("change", change_root)]
         for side, root in sides if i % 2 == 0 else sides[::-1]:
             with tempfile.TemporaryDirectory() as pycache:
                 env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
@@ -192,13 +215,14 @@ def main(argv=None):
     compared = None
     if args.parent:
         metrics = [(m["name"], m["better"]) for m in declared["end_to_end"]]
-        with tempfile.TemporaryDirectory() as tmp:
-            parent_root = export(args.parent, tmp)
+        with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as copy:
+            parent_root, change_root = export(args.parent, tmp), export_checkout(copy)
             compared = {"parent": args.parent, "pairs": PAIRS,
                         "src_lines": src_lines(parent_root),
                         "trace": {w["name"]: trace_counts(w["name"], parent_root)
                                   for w in declared["workloads"]},
-                        "workloads": {w["name"]: pairs(w["name"], seconds, parent_root, metrics)
+                        "workloads": {w["name"]: pairs(w["name"], seconds, parent_root,
+                                                       change_root, metrics)
                                       for w in declared["workloads"]}}
     suite, durations = tier1()
     acceptance = {}
