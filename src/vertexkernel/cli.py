@@ -302,6 +302,9 @@ def main(argv=None):
     except MemoryError:
         print("error: out of memory; try smaller inputs or bounds", file=sys.stderr)
         return 2
+    except OverflowError:
+        print("error: input too large to evaluate", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

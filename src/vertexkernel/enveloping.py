@@ -466,12 +466,12 @@ class VacuumModule:
 
 
 # -- identity defects, generic over mode algebras -------------------------------------
-# alg provides state_mode(u, n, v), state_weight(state) and (for skew) D(state, power);
+# A mode algebra (the vacuum module, V (x)_phi C[L], B_L, or a presentation for n >= 0)
+# provides state_mode(u, n, v), state_weight(state) and (for skew) D(state, power);
 # state_weight must bound truncation: u_n v = 0 once n > wt(u) + wt(v) - 1.  The Jacobi
-# sweep below also takes packed_mode(u, n, v, slots): u_n v in packed form, its keys
-# numbered in slots (see pack).  The sweeps' states come from the
-# model's basis_states(max_weight, torsion_bound=0, ...): the basis states of weight
-# <= max_weight, by weight, as the vacuum module, V (x)_phi C[L] and B_L give them.
+# sweep also takes packed_mode(u, n, v, slots): u_n v packed, its keys numbered in slots
+# (see pack).  The states swept are the model's basis_states(max_weight, torsion_bound=0,
+# ...), the basis states of weight <= max_weight by weight, or a presentation's generators.
 
 
 def skew_defect_on(alg, u, n, v):

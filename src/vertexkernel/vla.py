@@ -11,7 +11,9 @@ table through the two derivation rules
 so every n-th product of elements is a finite exact computation.  The
 second rule is the one forced by [D, Y(u,x)] = d/dx Y(u,x); the validator's
 ``d-rule-sign`` check recomputes u_n(Dv) through skew-symmetry and reports
-which sign the table is consistent with.
+which sign the table is consistent with.  For n >= 0 a presentation is a mode
+algebra (state_mode, D, state_weight), and validate's skew-symmetry and half-Jacobi
+are enveloping's skew and commutator sweeps over the generators.
 
 Element keys are (generator name, d) meaning D^d applied to the generator;
 torsion generators only ever carry d = 0.
@@ -21,16 +23,9 @@ import re
 from itertools import product as iproduct
 from typing import NamedTuple
 
+from .enveloping import commutator_sweep, skew_defect_on, skew_sweep, sweep_defect
 from .errors import InputError
-from .lincomb import (
-    Fraction,
-    LinComb,
-    as_rational,
-    binom,
-    falling,
-    inv_factorial,
-    parse_rational,
-)
+from .lincomb import Fraction, LinComb, as_rational, binom, falling, parse_rational
 from .report import ValidationReport
 
 __all__ = ["Generator", "Presentation", "virasoro", "heisenberg", "abelian", "builtin"]
@@ -164,20 +159,21 @@ class Presentation:
                         out.add_into(self.apply_D(base, dv - i), coef)
         return out
 
-    def product_bound(self, u, v):
-        """Least N with u_n v = 0 for all n >= N, from weight grading."""
-        wu = max((self.key_weight(k) for k, _ in u.items()), default=0)
-        wv = max((self.key_weight(k) for k, _ in v.items()), default=0)
-        return wu + wv
-
     def skew_expansion(self, u, n, v):
         """sum_j (-1)^(n+j+1) (1/j!) D^j (v_{n+j} u), the skew-symmetry right side."""
-        out = LinComb()
-        for j in range(0, max(self.product_bound(u, v) - n, 0) + 1):
-            p = self.nth_product(v, n + j, u)
-            if p:
-                out.add_into(self.apply_D(p, j), (-1) ** (n + j + 1) * inv_factorial(j))
-        return out
+        return self.nth_product(u, n, v) - skew_defect_on(self, u, n, v)
+
+    # -- the mode-algebra protocol for n >= 0, which enveloping's sweeps read -
+
+    def state_mode(self, u, n, v):
+        return self.nth_product(u, n, v)
+
+    def D(self, elt, power=1):
+        return self.apply_D(elt, power)
+
+    def state_weight(self, elt):
+        """The largest weight of elt's keys, -1 for 0: u_n v = 0 for n >= wt u + wt v."""
+        return max((self.key_weight(k) for k, _ in elt.items()), default=-1)
 
     # -- validation ---------------------------------------------------------
 
@@ -207,30 +203,18 @@ class Presentation:
 
         names = [g.name for g in self.generators]
         elt = {nm: self.element(nm) for nm in names}
+        elts = list(elt.values())
         span = range(0, nmax + 1)
+        fmt = self.format_element
 
-        def skew_witness(lu, lv, n):
-            lhs = self.nth_product(elt[lu], n, elt[lv])
-            rhs = self.skew_expansion(elt[lu], n, elt[lv])
-            return (f"skew-symmetry at ({lu})_{n}({lv}): "
-                    f"{self.format_element(lhs)} vs {self.format_element(rhs)}")
+        def skew_witness(u, n, v, defect):
+            return (f"skew-symmetry at ({fmt(u)})_{n}({fmt(v)}): "
+                    f"{fmt(self.nth_product(u, n, v))} vs {fmt(self.skew_expansion(u, n, v))}")
 
-        rep.tally("skew-symmetry", iproduct(names, names, span),
-                  lambda lu, lv, n: (self.nth_product(elt[lu], n, elt[lv])
-                                     != self.skew_expansion(elt[lu], n, elt[lv])),
-                  skew_witness)
-
-        def half_jacobi(lu, lv, lw, m, n):
-            """u_m(v_n w) - v_n(u_m w) - sum_j binom(m, j) (u_j v)_{m+n-j} w."""
-            u, v, w = elt[lu], elt[lv], elt[lw]
-            out = self.nth_product(u, m, self.nth_product(v, n, w))
-            out.add_into(self.nth_product(v, n, self.nth_product(u, m, w)), -1)
-            for j in range(0, m + 1):
-                out.add_into(self.nth_product(self.nth_product(u, j, v), m + n - j, w), -binom(m, j))
-            return out
-
-        rep.tally("half-jacobi", iproduct(names, names, names, span, span), half_jacobi,
-                  lambda lu, lv, lw, m, n: f"half-Jacobi at ({lu})_{m}(({lv})_{n}({lw}))")
+        rep.tally("skew-symmetry", skew_sweep(self, elts, span), sweep_defect, skew_witness)
+        rep.tally("half-jacobi", commutator_sweep(self, elts, span), sweep_defect,
+                  lambda u, m, v, n, w, defect:
+                  f"half-Jacobi at ({fmt(u)})_{m}(({fmt(v)})_{n}({fmt(w)}))")
 
         def breaks(sign, lu, lv, n):
             """Does the derivation rule u_n(Dv) = D(u_n v) + sign n u_{n-1} v disagree

@@ -1,7 +1,7 @@
 """The pure parts of tools/bench_record.py, which writes every BENCH record: the
-acceptance budgets it reads, the counts it reports as moved, the spread of a metric
-over runs, the src line count and the copy of a checkout's listed files.  Nothing here
-starts a process."""
+acceptance budgets it reads, the counts and output digests it reports as moved, the
+spread of a metric over runs, the src line count and the copy of a checkout's listed
+files.  Nothing here starts a process."""
 
 import importlib.util
 from pathlib import Path
@@ -37,6 +37,28 @@ def test_counts_moved_reads_a_failed_trace_as_no_counts():
     parent = {"heisc-all": {"trace_counts": {"a.calls": 1}}}
     change = {"heisc-all": {"exit": 1, "stderr": "boom"}}
     assert bench_record.counts_moved(parent, change) == {"heisc-all": {"a.calls": [1, None]}}
+
+
+def test_digests_moved_names_each_output_whose_exit_or_digest_differs():
+    parent = {"check-all-heisenberg": {"exit": 0, "sha256": "aa"},
+              "check-all-virasoro": {"exit": 0, "sha256": "bb"},
+              "dims-virasoro": {"exit": 0, "sha256": "cc"},
+              "gone": {"exit": 0, "sha256": "dd"}}
+    change = {"check-all-heisenberg": {"exit": 0, "sha256": "aa"},
+              "check-all-virasoro": {"exit": 1, "sha256": "bb"},
+              "dims-virasoro": {"exit": 0, "sha256": "ce"},
+              "new": {"exit": 0, "sha256": "ee"}}
+    assert bench_record.digests_moved(parent, change) == [
+        "check-all-virasoro", "dims-virasoro", "gone", "new"]
+    assert bench_record.digests_moved(parent, parent) == []
+
+
+def test_digests_run_on_the_perfbench_inputs():
+    inputs = [args[args.index("--input") + 1] for args in bench_record.DIGESTS.values()]
+    assert len(inputs) == 4 and all((ROOT / path).is_file() for path in inputs)
+    assert sorted(set(inputs)) == ["perfbench/inputs/heisenberg.json",
+                                   "perfbench/inputs/heisenberg_centre.json",
+                                   "perfbench/inputs/virasoro.json"]
 
 
 def test_spread_is_the_median_and_the_quartiles():

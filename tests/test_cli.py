@@ -512,8 +512,13 @@ def test_compute_text_builds_no_json_rows(vir_file, capsys, monkeypatch, argv, b
      "D-power -1 on L: must be a nonnegative integer"),
     (["check", "--suite", "bl"], {"presentation": {"builtin": "abelian", "rank": 1},
                                   "semigroup": {"rank": 0}},
-     "semigroup rank must be >= 1, got 0")],
-    ids=["heisenberg-rank-0", "free-weight-0", "negative-d", "semigroup-rank-0"])
+     "semigroup rank must be >= 1, got 0"),
+    (["validate"], {"generators": [{"name": "L", "weight": 10 ** 30}]},
+     "input too large to evaluate"),
+    (["check", "--suite", "all"], {"generators": [{"name": "L", "weight": 10 ** 30}]},
+     "input too large to evaluate")],
+    ids=["heisenberg-rank-0", "free-weight-0", "negative-d", "semigroup-rank-0",
+         "huge-weight-validate", "huge-weight-check-all"])
 def test_malformed_inputs_exit_two(tmp_path, capsys, argv, data, message):
     p = tmp_path / "in.json"
     p.write_text(json.dumps(data))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from vertexkernel import cli, coalgebra, constructions, enveloping, workers
+from vertexkernel import cli, coalgebra, constructions, enveloping, vla, workers
 from vertexkernel.constructions import BL, TensorPhiAlgebra
 from vertexkernel.enveloping import PackedSum, VacuumModule
 from vertexkernel.lincomb import LinComb
@@ -24,6 +24,7 @@ from vertexkernel.vla import heisenberg, virasoro
 INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs")
 CENTRE = os.path.join(INPUTS, "heisenberg_centre.json")
 HEISENBERG = os.path.join(INPUTS, "heisenberg.json")
+VIRASORO = os.path.join(INPUTS, "virasoro.json")
 SL2 = os.path.join(os.path.dirname(__file__), "affine_sl2_level1.json")
 
 
@@ -128,6 +129,17 @@ ROWS = [
      "prod(a, m, c)), -1)", "prod(a, m, c)), 1)",
      ["--input", HEISENBERG, "--suite", "commutator", "--max-weight", "0", "--mode-window", "1"],
      "borcherds-commutator", "[u(-1),v(-1)]w defect at u=|0⟩, v=|0⟩, w=|0⟩"),
+    # the same flip in validate's half-Jacobi only, as only vla's name is rebound; on
+    # Heisenberg every term of half-Jacobi vanishes, so the kill is on Virasoro
+    ("validate-half-jacobi-second-term-sign", vla, "commutator_sweep",
+     "prod(a, m, c)), -1)", "prod(a, m, c)), 1)",
+     ["--input", VIRASORO, "--suite", "all", "--max-weight", "0", "--mode-window", "0"],
+     "half-jacobi", "half-Jacobi at (L)_0((L)_0(L))"),
+    # validate's skew sum with every sign flipped; the witness prints the unmutated sides
+    ("validate-skew-sign-flipped", vla, "skew_sweep",
+     "scale = -sign_pow(k + 1)", "scale = sign_pow(k + 1)",
+     ["--input", VIRASORO, "--suite", "all", "--max-weight", "0", "--mode-window", "0"],
+     "skew-symmetry", "skew-symmetry at (L)_0(L): DL vs DL"),
 ]
 each_row = pytest.mark.parametrize("row, owner, attr, old, new, bounds, check_id, want", ROWS,
                                    ids=[r[0] for r in ROWS])

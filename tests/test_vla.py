@@ -1,7 +1,9 @@
 import json
+from math import comb, factorial
 
 import pytest
 
+from vertexkernel.enveloping import commutator_sweep, skew_sweep
 from vertexkernel.errors import InputError
 from vertexkernel.lincomb import Fraction, LinComb
 from vertexkernel.vla import Generator, Presentation, abelian, builtin, heisenberg, virasoro
@@ -151,6 +153,55 @@ def test_central_rescale_is_a_valid_algebra():
     for coeff in [1, 2, Fraction(-3, 7)]:
         rep = perturbed_virasoro(3, ("c", 0), coeff).validate()
         assert rep.passed, rep.summary()
+
+
+@pytest.mark.parametrize("pres", [
+    virasoro, lambda: heisenberg(2), lambda: perturbed_virasoro(0, ("L", 1), 2),
+    lambda: perturbed_virasoro(1, ("L", 0), 3)],
+    ids=["virasoro", "heisenberg-2", "perturbed-0", "perturbed-1"])
+def test_validate_sweeps_are_the_vertex_lie_axioms(pres):
+    """validate's sweeps over the generators are the vertex Lie axioms, each against a
+    formula through nth_product alone: half-Jacobi summed over j <= m, and the skew
+    side summed over j <= wt u + wt v - n."""
+    pres = pres()
+    elts = [pres.element(g.name) for g in pres.generators]
+    span = range(0, max(pres.max_table_n, 2 * pres.max_weight - 1) + 3)
+    prod, D = pres.nth_product, pres.apply_D
+
+    def half_jacobi(u, m, v, n, w):
+        out = prod(u, m, prod(v, n, w)) - prod(v, n, prod(u, m, w))
+        for j in range(0, m + 1):
+            out.add_into(prod(prod(u, j, v), m + n - j, w), -comb(m, j))
+        return out
+
+    def skew_side(u, n, v):
+        bound = pres.state_weight(u) + pres.state_weight(v)
+        out = LinComb()
+        for j in range(0, max(bound - n, 0) + 1):
+            out.add_into(D(prod(v, n + j, u), j), Fraction((-1) ** (n + j + 1), factorial(j)))
+        return out
+
+    jacobi = list(commutator_sweep(pres, elts, span))
+    assert len(jacobi) == len(elts) ** 3 * len(span) ** 2
+    assert all(defect == half_jacobi(*case) for *case, defect in jacobi)
+    skew = list(skew_sweep(pres, elts, span))
+    assert len(skew) == len(elts) ** 2 * len(span)
+    for u, n, v, defect in skew:
+        assert pres.skew_expansion(u, n, v) == skew_side(u, n, v)
+        assert bool(defect) == (prod(u, n, v) != skew_side(u, n, v))
+    checks = {c.check_id: c for c in pres.validate().checks}
+    for check_id, cases in (("half-jacobi", jacobi), ("skew-symmetry", skew)):
+        assert checks[check_id].passed == (not any(case[-1] for case in cases))
+        if checks[check_id].passed:
+            assert checks[check_id].details == f"{len(cases)} instances checked"
+
+
+@pytest.mark.parametrize("pres", [virasoro, lambda: perturbed_virasoro(0, ("L", 1), 2)],
+                         ids=["virasoro", "perturbed-0"])
+def test_validate_report_is_the_same_when_sharded(shard_over, pres):
+    plain = pres().validate().to_json()
+    shard_over(2)
+    assert pres().validate().to_json() == plain
 
 
 def test_validate_catches_wrong_weight_entry():

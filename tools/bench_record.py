@@ -18,7 +18,10 @@ from a temporary directory, so that only their code differs), and records
 each side's median and quartiles of every end-to-end metric and how many pairs
 the change won (one run per side cannot show a trend), REV's traced pass, and
 the src line count of REV's tree, so that the record states its own src delta;
-``counts_moved`` lists each count that differs, as [REV's, this tree's].  A
+``counts_moved`` lists each count that differs, as [REV's, this tree's].  Under
+``output_digests`` it records the exit code and the sha256 of stdout of each
+DIGESTS command, run with the tree's ``src`` on PYTHONPATH; with ``--parent``
+also REV's, and ``digests_moved`` names each command on which the two differ.  A
 traced pass that does not read ``correct`` makes the exit code 1.  No run of a
 pair reads or writes cached bytecode, so both sides compile their sources
 alike.  The budgets are the literal seconds of each ``_budget(t0, seconds,
@@ -30,6 +33,7 @@ record names the CPUs this process may use, since the sweeps shard over them.
 import argparse
 import ast
 import glob
+import hashlib
 import io
 import json
 import os
@@ -53,6 +57,14 @@ _COUNT_RE = re.compile(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)")
 
 SEED = 0
 PAIRS = 10
+# name -> the vertexkernel arguments of each output whose digest a record keeps
+DIGESTS = {
+    **{f"check-all-{name}": ["check", "--suite", "all", "--format", "json",
+                             "--input", f"perfbench/inputs/{name}.json"]
+       for name in ("heisenberg", "heisenberg_centre", "virasoro")},
+    "dims-virasoro": ["dims", "--max-weight", "11", "--torsion-bound", "1", "--format", "json",
+                      "--input", "perfbench/inputs/virasoro.json"],
+}
 
 
 def _one_cpu():
@@ -96,6 +108,25 @@ def counts_moved(parent, change):
         if moved:
             out[workload] = moved
     return out
+
+
+def output_digests(root=ROOT):
+    """{name: {"exit", "sha256"}}: the exit code and the sha256 of stdout of each DIGESTS
+    command, run in the tree at root with its src first on PYTHONPATH."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")) if p))
+    out = {}
+    for name, args in DIGESTS.items():
+        proc = subprocess.run([sys.executable, "-m", "vertexkernel.cli", *args], cwd=root,
+                              env=env, capture_output=True, check=False)
+        out[name] = {"exit": proc.returncode, "sha256": hashlib.sha256(proc.stdout).hexdigest()}
+    return out
+
+
+def digests_moved(parent, change):
+    """The names, sorted, whose exit code or digest differ between two output_digests."""
+    return sorted(name for name in parent.keys() | change.keys()
+                  if parent.get(name) != change.get(name))
 
 
 def export(rev, into):
@@ -219,6 +250,7 @@ def main(argv=None):
             parent_root, change_root = export(args.parent, tmp), export_checkout(copy)
             compared = {"parent": args.parent, "pairs": PAIRS,
                         "src_lines": src_lines(parent_root),
+                        "output_digests": output_digests(parent_root),
                         "trace": {w["name"]: trace_counts(w["name"], parent_root)
                                   for w in declared["workloads"]},
                         "workloads": {w["name"]: pairs(w["name"], seconds, parent_root,
@@ -238,10 +270,13 @@ def main(argv=None):
         "tier1": suite,
         "acceptance": acceptance,
         "src_lines": src_lines(),
+        "output_digests": output_digests(),
     }
     if compared is not None:
         record["parent_pairs"] = compared
         record["counts_moved"] = counts_moved(compared["trace"], traces)
+        record["digests_moved"] = digests_moved(compared["output_digests"],
+                                                record["output_digests"])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
