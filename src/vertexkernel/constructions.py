@@ -675,11 +675,12 @@ def induced_vertex_morphism(pres, embedding, target, max_weight=3, window=4,
 
     for a in pres.generators:
         for b in pres.generators:
+            row = pres.table(a.name, b.name)
             bound = max(a.weight + b.weight,
                         target.state_weight(embedding[a.name])
                         + target.state_weight(embedding[b.name]))
             for n in range(0, bound + 1):
-                want = elt_image(pres.table(a.name, b.name, n))
+                want = elt_image(row.get(n, LinComb()))
                 got = target.state_mode(embedding[a.name], n, embedding[b.name])
                 if got != want:
                     raise MorphismError(

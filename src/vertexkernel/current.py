@@ -7,7 +7,7 @@ into a falling-factorial shift.  The bracket is
 
     [a(m), b(n)] = sum_{j >= 0} binom(m, j) (a_j b)(m + n - j),
 
-finite because the product table is.
+finite because the product table is: bracket sums the pair's row of it.
 """
 
 from itertools import product as iproduct
@@ -62,10 +62,7 @@ def bracket(pres, a, b):
     a_torsion, b_torsion = pres.is_torsion(a.gen), pres.is_torsion(b.gen)
     if a_torsion or b_torsion:
         return out
-    for j in range(0, pres.weight_of(a.gen) + pres.weight_of(b.gen)):
-        tab = pres.table(a.gen, b.gen, j)
-        if not tab:
-            continue
+    for j, tab in pres.table(a.gen, b.gen).items():
         c = binom(a.n, j)
         if c:
             out.add_into(mode_normalize(pres, tab, a.n + b.n - j), c)

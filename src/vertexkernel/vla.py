@@ -2,8 +2,9 @@
 
 A presentation is a free C[D]-module over "free" generators plus torsion
 generators killed by D, together with a finite table of n-th products
-(n >= 0) between generators.  Products of D-shifted elements reduce to the
-table through the two derivation rules
+(n >= 0) between generators, {(left, right): {n: left_n right}} with the
+pairs and each row's n ascending and nonzero products only.  Products of
+D-shifted elements reduce to the table through the two derivation rules
 
     (D u)_n v = -n u_{n-1} v,
     u_n (D v) = D(u_n v) + n u_{n-1} v,
@@ -64,7 +65,7 @@ class Presentation:
         self.generators = tuple(generators)
         self._by_name = _Generators((g.name, g) for g in self.generators)
         self._index = _Generators((g.name, i) for i, g in enumerate(self.generators))
-        self._table = {}
+        rows = {}  # sorted into the table once the loop has checked that every n is an int
         for (left, right, n), result in products.items():
             for nm in (left, right):
                 if nm not in self._by_name:
@@ -73,7 +74,8 @@ class Presentation:
                 raise InputError(f"product ({left},{right},{n}): n must be a nonnegative integer")
             elt = self.make_element(result)
             if elt:
-                self._table[(left, right, n)] = elt
+                rows.setdefault((left, right), {})[n] = elt
+        self._table = {pair: dict(sorted(row.items())) for pair, row in sorted(rows.items())}
 
     # -- elements -----------------------------------------------------------
 
@@ -123,13 +125,13 @@ class Presentation:
 
     # -- products -----------------------------------------------------------
 
-    def table(self, left, right, n):
-        """The table's product left_n right, as a LinComb of the caller's own."""
-        return LinComb(self._table.get((left, right, n), {}))
+    def table(self, left, right):
+        """The pair's row {n: left_n right} of the table, LinCombs of the caller's own."""
+        return {n: LinComb(res) for n, res in self._table.get((left, right), {}).items()}
 
     @property
     def max_table_n(self):
-        return max((n for (_, _, n) in self._table), default=0)
+        return max((n for row in self._table.values() for n in row), default=0)
 
     @property
     def max_weight(self):
@@ -149,14 +151,11 @@ class Presentation:
             cu_f = cu * ((-1) ** du * f)
             for (gv, dv), cv in v.items():
                 # gu_m D^dv gv = sum_i binom(dv,i) falling(m,i) D^{dv-i}(gu_{m-i} gv)
+                row = self._table.get((gu, gv), {})
                 c0 = cu_f * cv
                 for i in range(0, min(dv, m) + 1):
-                    coef = c0 * binom(dv, i) * falling(m, i)
-                    if not coef:
-                        continue
-                    base = self.table(gu, gv, m - i)
-                    if base:
-                        out.add_into(self.apply_D(base, dv - i), coef)
+                    if base := row.get(m - i):
+                        out.add_into(self.apply_D(base, dv - i), c0 * binom(dv, i) * falling(m, i))
         return out
 
     def skew_expansion(self, u, n, v):
@@ -182,7 +181,7 @@ class Presentation:
         rep = ValidationReport(subject="presentation")
         nmax = max(self.max_table_n, 2 * self.max_weight - 1) + 2
 
-        rows = [(l, r, n, res) for (l, r, n), res in sorted(self._table.items())]
+        rows = [(l, r, n, res) for (l, r), row in self._table.items() for n, res in row.items()]
 
         def want(l, r, n):
             return self.weight_of(l) + self.weight_of(r) - n - 1
@@ -238,7 +237,7 @@ class Presentation:
 
     def to_json(self):
         prods = [{"left": l, "right": r, "n": n, "result": element_to_json(res.sorted_items())}
-                 for (l, r, n), res in sorted(self._table.items())]
+                 for (l, r), row in self._table.items() for n, res in row.items()]
         return {
             "generators": [{"name": g.name, "weight": g.weight, "torsion": g.torsion}
                            for g in self.generators],

@@ -55,7 +55,7 @@ def test_digests_moved_names_each_output_whose_exit_or_digest_differs():
 
 def test_digests_run_on_the_perfbench_inputs():
     inputs = [args[args.index("--input") + 1] for args in bench_record.DIGESTS.values()]
-    assert len(inputs) == 4 and all((ROOT / path).is_file() for path in inputs)
+    assert len(inputs) == 7 and all((ROOT / path).is_file() for path in inputs)
     assert sorted(set(inputs)) == ["perfbench/inputs/heisenberg.json",
                                    "perfbench/inputs/heisenberg_centre.json",
                                    "perfbench/inputs/virasoro.json"]

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -524,6 +526,24 @@ def test_malformed_inputs_exit_two(tmp_path, capsys, argv, data, message):
     p.write_text(json.dumps(data))
     assert main(argv + ["--input", str(p)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("operands", [["bracket", "L(1)", "L(-1)"],
+                                      ["mode", "L", "0", "L(-2)|0>"]], ids=["bracket", "mode"])
+def test_compute_on_a_huge_weight_reads_only_the_table(tmp_path, operands):
+    """The bracket sums the table's rows, so an empty table gives 0 at once, whatever
+    the weights.  It runs in a child process, so that a loop over j < wt a + wt b
+    fails on the timeout instead of hanging the suite."""
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"generators": [{"name": "L", "weight": 10 ** 30}]}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        path for path in (src, os.environ.get("PYTHONPATH", "")) if path))
+    proc = subprocess.run([sys.executable, "-m", "vertexkernel.cli", "compute", *operands,
+                           "--format", "json", "--input", str(p)],
+                          env=env, capture_output=True, text=True, timeout=60, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["value"] == {"terms": [], "text": "0"}
 
 
 def test_the_reused_parser_keeps_no_state(vir_file, capsys):

@@ -64,6 +64,11 @@ DIGESTS = {
        for name in ("heisenberg", "heisenberg_centre", "virasoro")},
     "dims-virasoro": ["dims", "--max-weight", "11", "--torsion-bound", "1", "--format", "json",
                       "--input", "perfbench/inputs/virasoro.json"],
+    **{f"validate-{name}": ["validate", "--format", "json",
+                            "--input", f"perfbench/inputs/{name}.json"]
+       for name in ("heisenberg", "virasoro")},
+    "compute-bracket-virasoro": ["compute", "bracket", "L(3)", "L(-1)", "--format", "json",
+                                 "--input", "perfbench/inputs/virasoro.json"],
 }
 
 
